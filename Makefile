@@ -60,10 +60,11 @@ bench:
 bench-json:
 	$(GO) run ./cmd/pmnetbench -run all -parallel 0 -json
 
-# Sharded-execution determinism smoke: the conservative-PDES path must render
-# byte-identical output at every shard count (DESIGN.md §10.4). Uses the
-# "scale" experiment (always sharded) so the check stays fast; CI diffs the
-# full suite.
+# Shard-count determinism smoke: every shard count ≥ 1 must render
+# byte-identical output (DESIGN.md §10.4). Uses the "scale" experiment (pinned
+# to Shards ≥ 1) so the check stays fast; CI diffs the full suite. The last
+# pair adds cross-traffic, which plans one partition whatever -shards says, so
+# there the default (-shards 0) must match too.
 shard-smoke:
 	$(GO) run ./cmd/pmnetbench -run scale -seed 1 -parallel 1 -shards 1 > /tmp/pmnet_shards1.txt
 	$(GO) run ./cmd/pmnetbench -run scale -seed 1 -parallel 1 -shards 4 > /tmp/pmnet_shards4.txt
@@ -73,7 +74,12 @@ shard-smoke:
 	$(GO) run ./cmd/pmnetsim -workload ideal -clients 8 -requests 50 -seed 7 \
 		-shards 4 -trace /tmp/pmnet_sim_shards4.json >/dev/null
 	diff -q /tmp/pmnet_sim_shards1.json /tmp/pmnet_sim_shards4.json
-	@echo "shard-smoke: shards 1 vs 4 byte-identical (tables + trace)"
+	$(GO) run ./cmd/pmnetsim -workload ideal -clients 8 -requests 50 -seed 7 -cross-traffic 1 \
+		-shards 0 -trace /tmp/pmnet_sim_cross0.json >/dev/null
+	$(GO) run ./cmd/pmnetsim -workload ideal -clients 8 -requests 50 -seed 7 -cross-traffic 1 \
+		-shards 4 -trace /tmp/pmnet_sim_cross4.json >/dev/null
+	diff -q /tmp/pmnet_sim_cross0.json /tmp/pmnet_sim_cross4.json
+	@echo "shard-smoke: shards 1 vs 4 byte-identical (tables + trace); cross-traffic shards 0 vs 4 too"
 
 # Open-loop scale smoke: live state must be O(active sessions), never
 # O(users). TestOpenLoopMemoryFlat runs the same offered load against 10k and
@@ -100,8 +106,8 @@ speedup-smoke:
 	@echo "speedup-smoke: shards 1/2/4 byte-identical observables; events/sec gated"
 
 # Impairment-matrix smoke: the scenario × system scorecard must be
-# byte-identical on the classic and sharded engines (every impairment draw
-# comes from a per-link RNG stream owned by the sending partition), must keep
+# byte-identical at -shards 1 and -shards 4 (every impairment draw comes from
+# a per-link RNG stream owned by the sending partition), must keep
 # its verdict spread — at least one "pmnet" win and the ack-starve "degrades"
 # row, the cell the experiment exists to show — and its events/sec is
 # benchdiff-gated against the committed baseline.

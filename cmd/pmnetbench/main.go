@@ -9,9 +9,9 @@
 // comparing the measured shape against the paper's reported numbers.
 // Experiment cells are independent simulations; -parallel N executes them on a
 // worker pool of that size (0 = GOMAXPROCS) with output byte-identical to
-// -parallel 1. -shards N runs every cell's testbed on the conservative-PDES
-// path (internal/sim/pdes) with N engine shards; output is byte-identical for
-// every N ≥ 1, so the flag is purely a wall-clock knob — pair it with
+// -parallel 1. -shards N partitions every cell's testbed across N engine
+// shards (internal/sim/pdes; 0 = one partition on one engine); output is
+// byte-identical for every N ≥ 1, so there the flag is purely a wall-clock knob — pair it with
 // -parallel 1, since intra-cell and inter-cell parallelism compete for the
 // same cores. -json (or -format json) emits the machine-readable form with
 // per-cell virtual-time stats and real wall-clock timings; cmd/benchdiff
@@ -38,7 +38,7 @@ func main() {
 	format := flag.String("format", "table", "output format: table | csv | json")
 	parallel := flag.Int("parallel", 0, "cell worker-pool size (0 = GOMAXPROCS)")
 	jsonOut := flag.Bool("json", false, "shorthand for -format json")
-	shards := flag.Int("shards", 0, "run every cell on the conservative-PDES path with N engine shards (output byte-identical for every N >= 1; combine with -parallel 1 to avoid oversubscription)")
+	shards := flag.Int("shards", 0, "partition every cell's testbed across N engine shards (output byte-identical for every N >= 1; 0 = one partition, one engine; combine with -parallel 1 to avoid oversubscription)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file at exit")
 	flag.Parse()

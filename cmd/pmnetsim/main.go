@@ -24,10 +24,12 @@
 // file. With -parallel N > 1, N identical copies of the run execute on
 // concurrent goroutines and their trace outputs are byte-compared before one
 // is written — a built-in determinism check: the trace is a pure function of
-// the configuration, never of host scheduling. With -shards N, the testbed
-// runs on the conservative-PDES path (internal/sim/pdes) with N engine
-// shards; all output, including the trace bytes, is identical for every
-// N ≥ 1. -cpuprofile/-memprofile write runtime/pprof profiles of the run.
+// the configuration, never of host scheduling. With -shards N, the testbed's
+// cluster is cut into topology partitions driven by N engine shards
+// (internal/sim/pdes); the trace bytes and every number printed are identical
+// for every N ≥ 1, and the last line reports the engine and partition counts.
+// The default, -shards 0, is one partition on one engine.
+// -cpuprofile/-memprofile write runtime/pprof profiles of the run.
 package main
 
 import (
@@ -83,7 +85,7 @@ func main() {
 	seed := flag.Uint64("seed", 1, "simulation seed")
 	traceFile := flag.String("trace", "", "write a chrome://tracing JSON of the run to this file")
 	par := flag.Int("parallel", 1, "run N identical copies concurrently and byte-compare their traces")
-	shards := flag.Int("shards", 0, "run the testbed on the conservative-PDES path with N engine shards (output identical for every N >= 1)")
+	shards := flag.Int("shards", 0, "partition the testbed across N engine shards (output identical for every N >= 1; 0 = one partition, one engine)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file at exit")
 	flag.Parse()
@@ -287,7 +289,7 @@ func main() {
 	fmt.Printf("network       delivered=%d drops(full/rand/dead/burst)=%d/%d/%d/%d dup=%d\n",
 		net.Delivered, net.DroppedFull, net.DroppedRand, net.DroppedDead,
 		net.DroppedBurst, net.Duplicated)
-	if res.Bed.Sharded() {
-		fmt.Printf("sharding      %d shards\n", res.Bed.Shards())
+	if *shards > 0 {
+		fmt.Printf("sharding      %d shards over %d partitions\n", res.Bed.Shards(), res.Bed.Partitions())
 	}
 }

@@ -75,9 +75,9 @@ type RunConfig struct {
 	// Trace, when non-nil, is bound to the run's testbed and records the
 	// request-lifecycle event stream (pmnetsim -trace). One tracer per run.
 	Trace *trace.Tracer
-	// Shards > 0 runs the testbed on the conservative-PDES path with this
-	// many engine shards (pmnet.Config.Shards). Results are byte-identical
-	// for every Shards ≥ 1; 0 keeps the classic single-engine path.
+	// Shards is pmnet.Config.Shards: ≥ 1 partitions the testbed and drives
+	// it with this many engine shards (results byte-identical for every
+	// Shards ≥ 1); 0 runs it as one partition on one engine.
 	Shards int
 
 	// Open-loop mode, selected by OfferedLoad > 0: instead of Clients
@@ -319,61 +319,126 @@ func Run(cfg RunConfig) (*RunResult, error) {
 	})
 	prefill()
 	if cfg.OfferedLoad > 0 || cfg.ArrivalTrace != "" {
-		// Open-loop mode works on both testbed paths: drivers live on their
-		// client's engine (the global engine classically, the client's
-		// partition engine when sharded) and merge in client-index order.
 		return runOpenLoop(&cfg, bed)
 	}
-	if bed.Sharded() {
-		// The sharded testbed drives clients on different engines (and worker
-		// goroutines), so the single-threaded closure wiring below would race;
-		// the sharded driver keeps per-client state and merges afterwards.
-		return runSharded(&cfg, bed)
-	}
+	return runClosedLoop(&cfg, bed)
+}
 
+// partSlot is the private measurement state of one topology partition's
+// clients. Clients of a partition share an engine, and so a worker goroutine,
+// so during bed.Run() a slot has one writer; it is read only after Run
+// returns (the runner's join provides the happens-before edge). One slot per
+// partition rather than per client keeps a 64-client run to a handful of
+// 16 KB histograms.
+type partSlot struct {
+	run *stats.Run
+	st  workload.DriverStats
+}
+
+// partCountdown counts a testbed's unfinished clients per topology partition
+// — same single-writer discipline as partSlot — and stops the background
+// cross-traffic generator when a partition's last client finishes, so the
+// event queue can drain. A testbed with cross-traffic has one partition, so
+// that client is the run's last and the stop lands at one deterministic point
+// of one engine's event order; without cross-traffic the stop is a no-op.
+type partCountdown struct {
+	bed  *pmnet.Testbed
+	left []int
+}
+
+func newPartCountdown(bed *pmnet.Testbed) *partCountdown {
+	c := &partCountdown{bed: bed, left: make([]int, bed.Partitions())}
+	for i := range bed.Clients {
+		c.left[bed.ClientPartition(i)]++
+	}
+	return c
+}
+
+// done marks client i finished. Called on that client's engine.
+func (c *partCountdown) done(i int) {
+	p := c.bed.ClientPartition(i)
+	if c.left[p]--; c.left[p] == 0 {
+		c.bed.StopBackground()
+	}
+}
+
+// unfinished returns the clients that never finished. Read after bed.Run().
+func (c *partCountdown) unfinished() int {
+	n := 0
+	for _, l := range c.left {
+		n += l
+	}
+	return n
+}
+
+// runClosedLoop wires one closed-loop driver per client, each on its own
+// client's engine, recording into its partition's slot with timestamps from
+// that engine's clock. A partition's measurement window opens at the issue
+// time of its first measured completion; the run's window opens at the
+// earliest of those — a min over per-partition values, so it cannot depend
+// on how partitions interleave across engines. Slots merge in partition
+// order after bed.Run() returns. With one partition (the default) that is
+// one histogram recorded in global event order.
+func runClosedLoop(cfg *RunConfig, bed *pmnet.Testbed) (*RunResult, error) {
 	rootRand := sim.NewRand(cfg.Seed + 77)
-	res := &RunResult{Bed: bed}
-	run := stats.NewRun(0)
-	var agg workload.DriverStats
-	remaining := cfg.Clients
+	slots := make([]partSlot, bed.Partitions())
+	clients := newPartCountdown(bed)
 	for i := 0; i < cfg.Clients; i++ {
 		i := i
-		gen := buildGenerator(cfg.Workload, &cfg, i, rootRand.Fork())
+		s := &slots[bed.ClientPartition(i)]
+		if s.run == nil {
+			s.run = stats.NewRun(0)
+		}
+		eng := bed.Clients[i].Engine()
 		seen := 0
-		warm := cfg.Warmup
 		d := &workload.Driver{
 			Sess: bed.Session(i),
-			Gen:  gen,
+			Gen:  buildGenerator(cfg.Workload, cfg, i, rootRand.Fork()),
 			Record: func(lat sim.Time, op workload.Op) {
 				seen++
-				if seen <= warm {
+				if seen <= cfg.Warmup {
 					return
 				}
-				if run.Requests == 0 {
-					run.Start = bed.Now() - lat // measurement window opens post-warmup
+				if s.run.Requests == 0 {
+					s.run.Start = eng.Now() - lat // measurement window opens post-warmup
 				}
-				run.Record(lat, bed.Now())
+				s.run.Record(lat, eng.Now())
 			},
 		}
-		d.Run(bed.Engine, uint64(cfg.Requests+cfg.Warmup), func(s workload.DriverStats) {
-			agg.Completed += s.Completed
-			agg.Updates += s.Updates
-			agg.Bypasses += s.Bypasses
-			agg.LockOps += s.LockOps
-			agg.LockRetries += s.LockRetries
-			agg.Failed += s.Failed
-			remaining--
-			if remaining == 0 {
-				bed.StopBackground()
-			}
+		d.Run(eng, uint64(cfg.Requests+cfg.Warmup), func(st workload.DriverStats) {
+			s.st.Merge(st)
+			clients.done(i)
 		})
 	}
 	bed.Run()
-	if remaining != 0 {
-		return nil, fmt.Errorf("harness: %d clients never finished (deadlock?)", remaining)
+
+	if n := clients.unfinished(); n != 0 {
+		return nil, fmt.Errorf("harness: %d clients never finished (deadlock?)", n)
 	}
-	res.Run = run
-	res.Driver = agg
+	// The first slot that measured anything becomes the result; the others
+	// fold into it.
+	res := &RunResult{Bed: bed}
+	for i := range slots {
+		s := &slots[i]
+		res.Driver.Merge(s.st)
+		switch {
+		case s.run == nil || s.run.Requests == 0:
+		case res.Run == nil:
+			res.Run = s.run
+		default:
+			if s.run.Start < res.Run.Start {
+				res.Run.Start = s.run.Start
+			}
+			if s.run.End > res.Run.End {
+				res.Run.End = s.run.End
+			}
+			res.Run.Requests += s.run.Requests
+			res.Run.Hist.Merge(s.run.Hist)
+		}
+	}
+	if res.Run == nil {
+		res.Run = stats.NewRun(0)
+	}
 	return res, nil
 }
 

@@ -16,9 +16,10 @@ import (
 const reservoirCap = 256
 
 // openSlot is one client's private open-loop measurement state — the same
-// single-writer pattern as clientSlot on the sharded closed-loop path: the
-// client's engine worker writes it during bed.Run(), the merge loop reads it
-// after (the run's join provides the happens-before edge).
+// single-writer pattern as the closed loop's partSlot: the client's engine
+// worker writes it during bed.Run(), the merge loop reads it after (the
+// run's join provides the happens-before edge). Per client, not per
+// partition, because each driver owns a seeded tail reservoir.
 type openSlot struct {
 	run *stats.Run
 	res *stats.Reservoir
@@ -41,7 +42,7 @@ func buildMix(cfg *RunConfig) (openloop.Mix, error) {
 }
 
 // runOpenLoop wires per-client open-loop drivers onto the testbed and merges
-// their results. Determinism mirrors runSharded: the root rand forks once
+// their results. Determinism mirrors runClosedLoop: the root rand forks once
 // per client in client-index order, each driver draws only from its own
 // streams on its own client's engine, and merging consumes slots in
 // client-index order — so output is byte-identical across -parallel and
@@ -93,7 +94,9 @@ func runOpenLoop(cfg *RunConfig, bed *pmnet.Testbed) (*RunResult, error) {
 	}
 
 	slots := make([]openSlot, cfg.Clients)
+	clients := newPartCountdown(bed)
 	for i := 0; i < cfg.Clients; i++ {
+		i := i
 		r := rootRand.Fork()
 		var arr arrival.Source
 		if traceFile != nil {
@@ -124,6 +127,7 @@ func runOpenLoop(cfg *RunConfig, bed *pmnet.Testbed) (*RunResult, error) {
 			Warmup:      cfg.WarmupDur,
 			Duration:    cfg.Duration,
 		}, bed.Session(i), mix, arr, r, s.run, s.res)
+		s.drv.OnDone(func() { clients.done(i) })
 		s.drv.Start(bed.Clients[i].Engine())
 	}
 	bed.Run()

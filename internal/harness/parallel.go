@@ -19,8 +19,8 @@ import (
 type Options struct {
 	Seed     uint64
 	Parallel int // worker-pool size; <= 0 means GOMAXPROCS
-	// Shards > 0 forces every Cfg cell onto the conservative-PDES path with
-	// this many engine shards (RunConfig.Shards). Cell output is
+	// Shards > 0 overrides every Cfg cell's RunConfig.Shards: the testbed is
+	// partitioned and driven by this many engine shards. Cell output is
 	// byte-identical for every value ≥ 1 (the PDES determinism contract), so
 	// the flag trades intra-cell parallelism against the pool's inter-cell
 	// parallelism without perturbing results. 0 leaves each cell's own

@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+	"time"
 
 	"pmnet"
+	"pmnet/internal/sim"
 	"pmnet/internal/trace"
 )
 
@@ -41,6 +43,29 @@ func probeShards(t *testing.T, cfg RunConfig, shards int) shardProbe {
 	}
 }
 
+// diff reports every observable of got that differs from base.
+func (base shardProbe) diff(t *testing.T, label string, got shardProbe) {
+	t.Helper()
+	if got.run != base.run {
+		t.Errorf("%s: hist %q != %q", label, got.run, base.run)
+	}
+	if got.driver != base.driver {
+		t.Errorf("%s: driver %s != %s", label, got.driver, base.driver)
+	}
+	if got.events != base.events {
+		t.Errorf("%s: events %d != %d", label, got.events, base.events)
+	}
+	if got.virtual != base.virtual {
+		t.Errorf("%s: virtual end %d != %d", label, got.virtual, base.virtual)
+	}
+	if !reflect.DeepEqual(got.counters, base.counters) {
+		t.Errorf("%s: counter snapshots differ", label)
+	}
+	if !bytes.Equal(got.chrome, base.chrome) {
+		t.Errorf("%s: trace bytes differ (%d vs %d bytes)", label, len(got.chrome), len(base.chrome))
+	}
+}
+
 // TestShardedByteIdentical is the determinism contract of DESIGN.md §10.4:
 // every observable of a sharded run — stats, counters, trace bytes — is
 // identical at -shards 1 and -shards N.
@@ -53,26 +78,49 @@ func TestShardedByteIdentical(t *testing.T) {
 	} {
 		base := probeShards(t, cfg, 1)
 		for _, n := range []int{2, 4, 7} {
-			got := probeShards(t, cfg, n)
-			if got.run != base.run {
-				t.Errorf("%s shards=%d: hist %q != %q", cfg.Design, n, got.run, base.run)
+			base.diff(t, fmt.Sprintf("%s shards=%d", cfg.Design, n), probeShards(t, cfg, n))
+		}
+	}
+}
+
+// TestCrossTrafficShardInvariant: cross-traffic is part of the one cluster
+// description, not a second builder — the noise host pins the plan to one
+// partition, so the run is the same at the default and at every shard count.
+func TestCrossTrafficShardInvariant(t *testing.T) {
+	cfg := RunConfig{Design: pmnet.PMNetSwitch, Workload: WLIdeal, Clients: 6,
+		Requests: 40, Warmup: 5, Seed: 7, CrossTrafficGbps: 1}
+	base := probeShards(t, cfg, 0)
+	if base.events == 0 {
+		t.Fatal("no events ran")
+	}
+	for _, n := range []int{1, 4} {
+		base.diff(t, fmt.Sprintf("cross-traffic shards=%d", n), probeShards(t, cfg, n))
+	}
+}
+
+// TestCrossTrafficRunsTerminate: the background generator reschedules itself
+// forever, so a run with cross-traffic drains only if the harness stops it
+// when the workload is done — in the closed loop and in the open loop.
+func TestCrossTrafficRunsTerminate(t *testing.T) {
+	for name, cfg := range map[string]RunConfig{
+		"closed": {Design: pmnet.PMNetSwitch, Workload: WLIdeal, Clients: 2, Requests: 20,
+			Seed: 1, CrossTrafficGbps: 1},
+		"open": {Design: pmnet.PMNetSwitch, Workload: WLTwitter, Clients: 2, OfferedLoad: 20000,
+			Duration: 2 * sim.Millisecond, Seed: 1, CrossTrafficGbps: 1},
+	} {
+		cfg := cfg
+		done := make(chan error, 1)
+		go func() {
+			_, err := Run(cfg)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Errorf("%s loop: %v", name, err)
 			}
-			if got.driver != base.driver {
-				t.Errorf("%s shards=%d: driver %s != %s", cfg.Design, n, got.driver, base.driver)
-			}
-			if got.events != base.events {
-				t.Errorf("%s shards=%d: events %d != %d", cfg.Design, n, got.events, base.events)
-			}
-			if got.virtual != base.virtual {
-				t.Errorf("%s shards=%d: virtual end %d != %d", cfg.Design, n, got.virtual, base.virtual)
-			}
-			if !reflect.DeepEqual(got.counters, base.counters) {
-				t.Errorf("%s shards=%d: counter snapshots differ", cfg.Design, n)
-			}
-			if !bytes.Equal(got.chrome, base.chrome) {
-				t.Errorf("%s shards=%d: trace bytes differ (%d vs %d bytes)",
-					cfg.Design, n, len(got.chrome), len(base.chrome))
-			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s loop with cross-traffic never drained", name)
 		}
 	}
 }

@@ -7,14 +7,16 @@ package netsim
 // pair of adjacent partitions. The partition structure is a pure function of
 // the topology, chosen by the builder (testbed) independently of how many
 // engines/shards drive it; that invariance is what makes `-shards 1` and
-// `-shards N` produce byte-identical output (DESIGN.md §10.4).
+// `-shards N` produce byte-identical output (DESIGN.md §10.4). One partition
+// is a valid fabric — the testbed's default: no link crosses, no handoff
+// queue exists, and it is a plain single-engine network.
 //
 // Cross-partition discipline:
 //
 //   - A directed link whose endpoints live in different partitions keeps its
 //     state (busyAt, queue depth, drops, loss draws) in the SOURCE
-//     partition, which models serialization and egress exactly as the
-//     classic path does — only the arrival event is handed off.
+//     partition, which models serialization and egress exactly as it does
+//     for an internal link — only the arrival event is handed off.
 //   - The handoff queue is single-producer (the source partition's worker
 //     appends during its epoch) and single-consumer (the destination
 //     partition drains it at the next epoch); the queue is double-buffered
@@ -92,11 +94,11 @@ type Fabric struct {
 	parts     []*Network
 	assign    []int // partition -> engine (shard) index
 	owner     map[NodeID]int32
-	topo      map[[2]NodeID]LinkConfig // directed global topology
-	xqs       map[[2]int32]*xqueue     // (src part, dst part) -> queue
-	xin       [][]*xqueue              // per partition: inbound queues, by src order
-	xoutOf    [][]*xqueue              // per partition: outbound queues, by dst order
-	allq      []*xqueue                // every queue, in (dst, src) order
+	links     [][2]NodeID          // directed global topology; released by Freeze
+	xqs       map[[2]int32]*xqueue // (src part, dst part) -> queue
+	xin       [][]*xqueue          // per partition: inbound queues, by src order
+	xoutOf    [][]*xqueue          // per partition: outbound queues, by dst order
+	allq      []*xqueue            // every queue, in (dst, src) order
 	lookahead sim.Time
 	ecmp      bool
 	frozen    bool
@@ -113,7 +115,6 @@ func NewFabric(engines []*sim.Engine, assign []int, root *sim.Rand) *Fabric {
 	f := &Fabric{
 		assign: append([]int(nil), assign...),
 		owner:  make(map[NodeID]int32),
-		topo:   make(map[[2]NodeID]LinkConfig),
 		xqs:    make(map[[2]int32]*xqueue),
 	}
 	names := make(map[NodeID]string) // one name table spanning all partitions
@@ -125,8 +126,12 @@ func NewFabric(engines []*sim.Engine, assign []int, root *sim.Rand) *Fabric {
 		n.fab = f
 		n.pidx = int32(i)
 		n.names = names
-		n.ret[0] = make([][]*Packet, len(assign))
-		n.ret[1] = make([][]*Packet, len(assign))
+		if len(assign) > 1 {
+			// Return slices exist only where a packet can be freed away from
+			// home; a lone partition never indexes them.
+			n.ret[0] = make([][]*Packet, len(assign))
+			n.ret[1] = make([][]*Packet, len(assign))
+		}
 		// The write parity starts at 1: the first epoch's Begin flips to 0
 		// and its drain reads 1, so packets pushed or freed during model
 		// setup (before any epoch) land exactly where the first reduce and
@@ -197,7 +202,7 @@ func (f *Fabric) connectDirected(a, b NodeID, cfg LinkConfig) {
 		panic(fmt.Sprintf("netsim: connect: unknown node %d", b))
 	}
 	key := [2]NodeID{a, b}
-	f.topo[key] = cfg
+	f.links = append(f.links, key)
 	src := f.parts[pa]
 	// The directed link — including any impairment RNG fork — lives in the
 	// SOURCE partition, so its draw stream is a function of that partition's
@@ -205,6 +210,12 @@ func (f *Fabric) connectDirected(a, b NodeID, cfg LinkConfig) {
 	src.links[key] = src.newLink(a, b, cfg)
 	if pa == pb {
 		return
+	}
+	// Lookahead: every cross-partition arrival is scheduled at
+	// txStart + serialization(size) + PropDelay with size ≥ UDPOverhead,
+	// so min(serMin + PropDelay) over cross links bounds it from below.
+	if l := linkLatency(cfg); f.lookahead == 0 || l < f.lookahead {
+		f.lookahead = l
 	}
 	qk := [2]int32{pa, pb}
 	q := f.xqs[qk]
@@ -221,19 +232,18 @@ func (f *Fabric) connectDirected(a, b NodeID, cfg LinkConfig) {
 }
 
 // Freeze computes the global route table (shared read-only by every
-// partition), the inbound queue lists, and the lookahead bound — the minimum
-// over cross-partition links of propagation delay plus the serialization
-// time of a minimum-size datagram, i.e. the least virtual time any
-// cross-partition interaction can take. Topology is immutable afterwards.
+// partition) and the inbound queue lists, and settles the lookahead bound —
+// the minimum over cross-partition links of propagation delay plus the
+// serialization time of a minimum-size datagram, i.e. the least virtual time
+// any cross-partition interaction can take. Topology is immutable afterwards,
+// and the link list, which only Freeze reads, is released.
 func (f *Fabric) Freeze() {
 	if f.frozen {
 		return
 	}
 	f.frozen = true
-	linkKeys := make([][2]NodeID, 0, len(f.topo))
-	for key := range f.topo {
-		linkKeys = append(linkKeys, key)
-	}
+	linkKeys := f.links
+	f.links = nil
 	nodes := make([]NodeID, 0, len(f.owner))
 	for id := range f.owner {
 		nodes = append(nodes, id)
@@ -249,19 +259,6 @@ func (f *Fabric) Freeze() {
 		n.multi = multi
 	}
 
-	// Lookahead: every cross-partition arrival is scheduled at
-	// txStart + serialization(size) + PropDelay with size ≥ UDPOverhead,
-	// so min(serMin + PropDelay) over cross links bounds it from below.
-	f.lookahead = 0
-	for _, key := range linkKeys {
-		if f.owner[key[0]] == f.owner[key[1]] {
-			continue
-		}
-		l := linkLatency(f.topo[key])
-		if f.lookahead == 0 || l < f.lookahead {
-			f.lookahead = l
-		}
-	}
 	if f.lookahead == 0 {
 		// No cross-partition links: partitions are mutually independent and
 		// any window is conservative.

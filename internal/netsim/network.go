@@ -86,8 +86,8 @@ type Network struct {
 	stats  Stats
 	tracer *trace.Tracer // nil = tracing off (the common, zero-cost case)
 
-	// Fabric membership (nil/zero outside sharded testbeds — these fields
-	// are untouched on the classic single-engine path). pidx is this
+	// Fabric membership (nil/zero on a standalone Network built with New
+	// and wired with Connect). pidx is this
 	// partition's index; par is the current epoch's write parity (set by
 	// the fabric's Begin hook; starts at 1 so setup-time pushes land where
 	// the first epoch reads); xout routes directed links whose far endpoint
@@ -268,7 +268,7 @@ func (n *Network) computeRoutes() {
 	}
 }
 
-// buildRouteTable is the shared BFS next-hop builder, used both by a classic
+// buildRouteTable is the shared BFS next-hop builder, used both by a standalone
 // Network (over its own links and nodes) and by a Fabric (over the global
 // topology spanning every partition). Both inputs may arrive in map order:
 // they are sorted here, because neighbour order steers BFS parent choice

@@ -1,6 +1,6 @@
 package netsim
 
-// Topology-aware partition planning for the sharded testbed (DESIGN.md
+// Topology-aware partition planning for the testbed (DESIGN.md
 // §10.6). Given the abstract topology — nodes, links, and co-location
 // constraints — the planner cuts the graph at its highest-latency links, so
 // the conservative lookahead (the minimum cut-link latency, see

@@ -18,7 +18,7 @@
 // looked up by key (never iterated), and one driver belongs to one client's
 // engine — so runs are byte-reproducible and independent of -parallel and
 // -shards (each client's driver lives on that client's engine partition,
-// exactly like the closed-loop sharded path).
+// exactly like the closed-loop drivers).
 package openloop
 
 import (
@@ -159,6 +159,8 @@ type Driver struct {
 	freeAct  []*action
 	inflight int
 	seq      uint64
+	drained  bool   // the arrival process has passed Duration
+	onDone   func() // fired once by checkDone
 }
 
 // New builds a driver. run receives one sample per measured completed action
@@ -188,6 +190,20 @@ func New(cfg Config, sess *client.Session, mix Mix, arr arrival.Source,
 func (d *Driver) Start(eng *sim.Engine) {
 	d.eng = eng
 	d.scheduleNext()
+	d.checkDone() // a driver with no arrival inside Duration is done already
+}
+
+// OnDone registers fn to run once, on the driver's engine, when the last
+// arrival has been generated and the last in-flight action has finished —
+// the point past which this driver schedules nothing more. Call before Start.
+func (d *Driver) OnDone(fn func()) { d.onDone = fn }
+
+func (d *Driver) checkDone() {
+	if d.drained && d.inflight == 0 && d.onDone != nil {
+		fn := d.onDone
+		d.onDone = nil
+		fn()
+	}
 }
 
 // Stats returns the driver counters. Read only after the engine has drained.
@@ -199,6 +215,7 @@ func (d *Driver) ActiveSessions() int { return len(d.active) }
 func (d *Driver) scheduleNext() {
 	t := d.arr.Next()
 	if t >= d.cfg.Duration {
+		d.drained = true
 		return
 	}
 	d.eng.At(t, d.onArrival)
@@ -330,6 +347,7 @@ func (d *Driver) finish(a *action) {
 	}
 	d.inflight--
 	d.putAction(a)
+	d.checkDone()
 }
 
 func (d *Driver) getSession(uid int) *session {

@@ -520,11 +520,13 @@ func (r *Runner) runShards(st *workerState, w int, wp, rp uint32, runTo sim.Time
 			sh.Drain(rp)
 		}
 		// Idle-shard fast path: if the shard's next event (after the
-		// drain) lies beyond the window, skip the engine run. Its clock
-		// lags, but Now only matters as a max across shards, and the
-		// bounded exit path advances every clock to the deadline.
+		// drain) lies beyond the window, skip the engine run. A window never
+		// moves a clock past the last event it fired (RunThrough, not
+		// RunUntil): Now is the max across shards, so after an unbounded Run
+		// it is the time of the last event, and only the bounded exit path
+		// advances every clock to the deadline.
 		if t, ok := sh.Eng.NextTime(); ok && t <= runTo {
-			sh.Eng.RunUntil(runTo)
+			sh.Eng.RunThrough(runTo)
 		} else {
 			st.idleSkips++
 		}
@@ -624,7 +626,9 @@ func (st *workerState) rebalance(mins []minSlot, parity uint32) {
 }
 
 // Now returns the maximum shard clock — after a bounded RunUntil all shards
-// agree on it; after an unbounded Run it is the time of the last event.
+// agree on it; after an unbounded Run it is the time of the last event (an
+// epoch window leaves each clock at the last event it fired, never at the
+// window's end).
 func (r *Runner) Now() sim.Time {
 	var max sim.Time
 	for i := range r.shards {

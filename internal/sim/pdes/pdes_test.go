@@ -188,6 +188,25 @@ func TestWorkerCountInvariance(t *testing.T) {
 	}
 }
 
+// TestRunLeavesClockAtLastEvent: an unbounded Run ends at the time of the last
+// event on every worker count — an epoch window must not park a drained
+// engine's clock at the window's end, which lies up to a lookahead later.
+func TestRunLeavesClockAtLastEvent(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		tn := newTestNet(2, 1000)
+		tn.engs[0].At(10, func() {})
+		tn.engs[1].At(1234, func() {})
+		r := tn.runner(workers)
+		r.Run()
+		if got := r.Now(); got != 1234 {
+			t.Errorf("workers=%d: Now() = %d after Run, want the last event's time 1234", workers, got)
+		}
+		if got := tn.engs[0].Now(); got != 10 {
+			t.Errorf("workers=%d: idle engine's clock at %d, want its last event's time 10", workers, got)
+		}
+	}
+}
+
 // TestRunUntilSemantics mirrors Engine.RunUntil: events past the deadline
 // stay queued, clocks land exactly on the deadline, and a later call resumes.
 func TestRunUntilSemantics(t *testing.T) {

@@ -239,24 +239,25 @@ func (e *Engine) Run() {
 	e.RunUntil(Time(math.MaxInt64))
 }
 
-// RunUntil executes events with time ≤ deadline. The clock is left at the
-// time of the last executed event (or at deadline if it advanced past all
-// events but the queue still has later entries).
-func (e *Engine) RunUntil(deadline Time) {
+// RunThrough executes events with time ≤ deadline and leaves the clock at the
+// last executed event: it never parks the clock at the deadline, so a run
+// carved into windows (the epochs of internal/sim/pdes) ends at the same
+// virtual time as one undivided Run.
+func (e *Engine) RunThrough(deadline Time) {
 	e.stopped = false
 	for !e.stopped {
 		t, ok := e.peekTime()
-		if !ok {
-			break
-		}
-		if t > deadline {
-			if e.now < deadline {
-				e.now = deadline
-			}
+		if !ok || t > deadline {
 			return
 		}
 		e.fire(e.popNext())
 	}
+}
+
+// RunUntil executes events with time ≤ deadline, then advances the clock to
+// the deadline (unless Stop was called, or the deadline is Run's "forever").
+func (e *Engine) RunUntil(deadline Time) {
+	e.RunThrough(deadline)
 	if !e.stopped && e.now < deadline && deadline < Time(math.MaxInt64) {
 		e.now = deadline
 	}

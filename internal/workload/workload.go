@@ -42,6 +42,16 @@ type DriverStats struct {
 	Failed      uint64
 }
 
+// Merge folds other into s.
+func (s *DriverStats) Merge(other DriverStats) {
+	s.Completed += other.Completed
+	s.Updates += other.Updates
+	s.Bypasses += other.Bypasses
+	s.LockOps += other.LockOps
+	s.LockRetries += other.LockRetries
+	s.Failed += other.Failed
+}
+
 // Driver plays a generator against a session in a closed loop: one
 // outstanding request, the next issued from the completion callback — the
 // synchronous RPC model of §II-A.

@@ -157,8 +157,8 @@ func TestCountersDeterministicAndComplete(t *testing.T) {
 	if got, want := byName["client.completed"], res.Bed.Session(0).Stats().Completed; got != want {
 		t.Errorf("client.completed=%d, session stats say %d", got, want)
 	}
-	if got, want := byName["engine.events"], res.Bed.Engine.EventsRun(); got != want {
-		t.Errorf("engine.events=%d, engine says %d", got, want)
+	if got, want := byName["engine.events"], res.Bed.EventsRun(); got != want {
+		t.Errorf("engine.events=%d, testbed says %d", got, want)
 	}
 	if byName["dev0.log.live"] != 0 {
 		t.Errorf("dev0.log.live=%d after quiescence, want 0", byName["dev0.log.live"])

@@ -93,35 +93,40 @@ type Config struct {
 	ImpairAckPath bool
 
 	// CrossTrafficGbps injects Poisson background traffic from a noise host
-	// toward the server at this rate, contending for the server-side links
-	// and switch queues — the shared-network tail-latency source of §I.
-	// Stop it with StopBackground once the workload completes (otherwise
-	// the event queue never drains).
+	// on the ToR toward the server at this rate, contending for the
+	// server-side links and switch queues — the shared-network tail-latency
+	// source of §I. The noise host and its link are ordinary entries of the
+	// cluster description; a cluster that has them is planned as one
+	// partition whatever Shards says (see cluster.plan). Stop the generator
+	// with StopBackground once the workload completes (otherwise the event
+	// queue never drains); harness.Run does.
 	CrossTrafficGbps float64
 
 	// Trace, when non-nil, records every request-lifecycle event and gauge
 	// sample into the tracer's ring. The tracer is bound to the testbed's
 	// engine by NewTestbed (a tracer serves exactly one testbed); nil keeps
-	// the hot paths on their zero-alloc untraced fast path. In a sharded
-	// testbed each topology partition records into its own sub-tracer and
-	// Run folds them into this one in a shard-count-invariant order.
+	// the hot paths on their zero-alloc untraced fast path. With several
+	// topology partitions each records into its own sub-tracer and Run folds
+	// them into this one in a shard-count-invariant order.
 	Trace *trace.Tracer
 
-	// Shards > 0 selects the conservative-PDES execution path: the topology
-	// is partitioned (a pure function of the configuration — never of the
-	// shard count), partitions are assigned round-robin to this many
-	// sim.Engine shards, and Run drives them in lookahead-bounded epochs on
-	// a bounded worker pool (internal/sim/pdes). Results are deterministic
-	// and byte-identical for every Shards ≥ 1; they differ statistically
-	// from the Shards == 0 single-engine path, which remains the default.
-	// CrossTrafficGbps > 0 forces the single-engine path (the generator's
-	// stop hook is an immediate cross-partition intervention) — the
-	// fallback depends only on the Config, so it cannot break shard-count
-	// invariance.
+	// Shards sets how the one execution path — a partitioned netsim.Fabric
+	// driven in lookahead-bounded epochs by internal/sim/pdes — is laid out.
+	// 0, the default, plans the whole cluster as one partition on one
+	// engine: no link is cut and no handoff queue exists, so events fire in
+	// plain (time, scheduling) order. Shards ≥ 1 cuts the cluster at its
+	// highest-latency links into up to 12 partitions — a pure function of the
+	// configuration, never of the shard count — assigns them round-robin to
+	// this many sim.Engine shards (at most one per partition) and runs the
+	// shards on a bounded worker pool. Results are deterministic and
+	// byte-identical for every Shards ≥ 1; they differ statistically from
+	// Shards == 0, because every partition draws from its own RNG stream and
+	// same-instant events of different partitions run in the handoff queues'
+	// merge order rather than one engine's scheduling order.
 	Shards int
 
-	// WorkerBudget, when non-nil, is consulted on every Run/RunFor of a
-	// sharded testbed: the run asks for extra worker tokens beyond its first
+	// WorkerBudget, when non-nil, is consulted on every Run/RunFor: the run
+	// asks for one extra worker token per engine shard beyond its first
 	// (non-blocking), drives the epoch loop with 1+granted workers, and
 	// returns the tokens when the segment completes. internal/harness
 	// installs its process-wide core budget here so parallel experiment
@@ -145,9 +150,7 @@ const (
 )
 
 // fabricTopology generates the switch fabric between the clients and the
-// rack ToR for non-star topologies; ok is false for the default star. A pure
-// function of the Config, shared by the classic builder, the sharded builder
-// and the partition planner so all three see the identical fabric.
+// rack ToR for non-star topologies; ok is false for the default star.
 func (cfg *Config) fabricTopology(link netsim.LinkConfig) (topo netsim.Topology, ok bool) {
 	switch cfg.Topology {
 	case LeafSpineTopology:
@@ -171,30 +174,9 @@ func (cfg *Config) fabricTopology(link netsim.LinkConfig) (topo netsim.Topology,
 	return netsim.Topology{}, false
 }
 
-// accessLinks resolves the client access-link pair (client→edge up,
-// edge→client down) with the configured impairments applied. ImpairAckPath
-// scopes the impairments to the down (ACK) direction only.
-func accessLinks(cfg *Config, link netsim.LinkConfig) (up, down netsim.LinkConfig) {
-	up, down = link, link
-	if cfg.Impair.Enabled() {
-		down.Impair = cfg.Impair
-		if !cfg.ImpairAckPath {
-			up.Impair = cfg.Impair
-		}
-	}
-	return up, down
-}
-
-// fabricUplink is the ServerEdge→ToR link config: the resolved host link at
-// the fabric's inter-rack propagation delay.
-func fabricUplink(link netsim.LinkConfig) netsim.LinkConfig {
-	link.PropDelay = 2 * link.PropDelay
-	return link
-}
-
 // WorkerBudget hands out extra worker tokens from a shared pool. Acquire
-// must not block: a sharded run can always proceed on the one worker it
-// implicitly owns.
+// must not block: a run can always proceed on the one worker it implicitly
+// owns.
 type WorkerBudget interface {
 	// Acquire returns up to want tokens (possibly 0) without blocking.
 	Acquire(want int) int
@@ -202,8 +184,8 @@ type WorkerBudget interface {
 	Release(n int)
 }
 
-// applyDefaults completes cfg with the paper-calibrated defaults shared by
-// the single-engine and sharded builders, returning the resolved link model.
+// applyDefaults completes cfg with the paper-calibrated defaults, returning
+// the resolved link model.
 func (cfg *Config) applyDefaults() netsim.LinkConfig {
 	if cfg.Clients <= 0 {
 		cfg.Clients = 1
@@ -239,19 +221,17 @@ func (cfg *Config) applyDefaults() netsim.LinkConfig {
 
 // Testbed is a built cluster ready to run on its virtual clock.
 //
-// Concurrency contract: a Testbed is single-threaded — one goroutine builds
-// it, drives it, and reads its results — but distinct Testbeds are fully
-// independent and may run concurrently (internal/harness executes experiment
-// cells on a worker pool). Every piece of mutable state (event engine,
-// virtual clock, PRNG streams, arenas, queues) is allocated per testbed in
-// NewTestbed; the only package-level state any of it touches (engine
-// factories, calibrated latency models, error sentinels) is written once at
-// init and read-only afterwards. Nothing here reads wall-clock time, so
-// scheduling order across testbeds cannot leak into results: a run's output
-// is a pure function of its Config (and so of the seed baked into it).
+// Concurrency contract: a Testbed is driven by one goroutine — it builds the
+// testbed, calls Run/RunFor, and reads the results — but distinct Testbeds
+// are fully independent and may run concurrently (internal/harness executes
+// experiment cells on a worker pool). Every piece of mutable state (event
+// engines, virtual clocks, PRNG streams, arenas, queues) is allocated per
+// testbed in NewTestbed; the only package-level state any of it touches
+// (engine factories, calibrated latency models, error sentinels) is written
+// once at init and read-only afterwards. Nothing here reads wall-clock time,
+// so scheduling order across testbeds cannot leak into results: a run's
+// output is a pure function of its Config (and so of the seed baked into it).
 type Testbed struct {
-	Engine   *sim.Engine
-	Network  *netsim.Network
 	Sessions []*client.Session
 	Clients  []*netsim.Host
 	Server   *server.Server      // the first (or only) server
@@ -266,39 +246,64 @@ type Testbed struct {
 	cross *netsim.CrossTraffic
 	cfg   Config
 
-	// Sharded-path state (nil on the classic single-engine path). Engine
-	// above is engines[0] so existing accessors stay valid; aggregate reads
-	// go through EventsRun/NetworkStats/Now, which dispatch on runner.
+	// Every testbed is a partitioned fabric (one partition by default)
+	// driven by an epoch runner over its engines.
 	fab         *netsim.Fabric
 	runner      *pdes.Runner
 	engines     []*sim.Engine
 	partTracers []*trace.Tracer
 }
 
-// Node IDs used by the builder: clients at 1..N, plain switch at 1000,
-// PMNet devices at 2000+i, servers at 3000+i, noise host at 4000.
-const (
-	torID    netsim.NodeID = 1000
-	devBase  netsim.NodeID = 2000
-	serverID netsim.NodeID = 3000
-	noiseID  netsim.NodeID = 4000
-)
-
-// NewTestbed builds the cluster described by cfg.
+// NewTestbed builds the cluster described by cfg: the cluster is listed once
+// (describeCluster), planned into partitions, and instantiated over a
+// netsim.Fabric whose engines a pdes.Runner drives.
 func NewTestbed(cfg Config) *Testbed {
 	link := cfg.applyDefaults()
-	if cfg.Shards > 0 && cfg.CrossTrafficGbps == 0 {
-		return newShardedTestbed(cfg, link)
-	}
+	cl := describeCluster(&cfg, link)
+	plan := cl.plan(&cfg)
 
-	eng := sim.NewEngine()
+	shards := cfg.Shards
+	if shards < 1 {
+		shards = 1
+	}
+	if shards > plan.NParts {
+		shards = plan.NParts // extra engines would sit empty at every epoch
+	}
+	engines := make([]*sim.Engine, shards)
+	for i := range engines {
+		engines[i] = sim.NewEngine()
+	}
+	assign := make([]int, plan.NParts)
+	for i := range assign {
+		assign[i] = i % shards
+	}
 	root := sim.NewRand(cfg.Seed + 1)
-	net := netsim.New(eng, root.Fork())
+	fab := netsim.NewFabric(engines, assign, root)
+	tb := &Testbed{cfg: cfg, fab: fab, engines: engines}
+
+	// Tracers are set before any layer is built: hosts, devices, servers and
+	// sessions cache their network's tracer at construction time. One
+	// partition records straight into cfg.Trace; several record into
+	// per-partition tracers sized so the fleet's total ring matches the
+	// parent's capacity (the split is a function of the partition count, so a
+	// partition's drop behavior is shard-count-invariant) and Run folds them.
 	if cfg.Trace != nil {
-		// Bind before any layer is built: hosts, devices, servers and
-		// sessions cache the network's tracer at construction time.
-		cfg.Trace.Bind(eng)
-		net.SetTracer(cfg.Trace)
+		if plan.NParts == 1 {
+			cfg.Trace.Bind(engines[0])
+			fab.Part(0).SetTracer(cfg.Trace)
+		} else {
+			partCap := cfg.Trace.Capacity() / plan.NParts
+			if partCap < 1 {
+				partCap = 1
+			}
+			tb.partTracers = make([]*trace.Tracer, plan.NParts)
+			for i := range tb.partTracers {
+				t := trace.NewTracer(partCap)
+				t.Bind(engines[assign[i]])
+				fab.Part(i).SetTracer(t)
+				tb.partTracers[i] = t
+			}
+		}
 	}
 
 	clientStack := netsim.ClientKernelStack
@@ -308,94 +313,43 @@ func NewTestbed(cfg Config) *Testbed {
 		serverStack = netsim.BypassStack
 	}
 
-	tb := &Testbed{Engine: eng, Network: net, cfg: cfg}
-
-	// Server hosts (a rack behind the same ToR / device chain).
-	serverHosts := make([]*netsim.Host, cfg.Servers)
-	for i := range serverHosts {
-		serverHosts[i] = netsim.NewHost(net, serverID+netsim.NodeID(i),
-			fmt.Sprintf("server-%d", i), serverStack, cfg.ServerWorkers, root.Fork())
-	}
-
-	// Plain ToR switch merging client traffic (§VI-A1).
-	tb.ToR = netsim.NewSwitch(net, torID, "tor", netsim.DefaultSwitchLatency)
-
-	// Generated switch fabric between the clients and the rack ToR (leaf-
-	// spine / fat-tree). Fabric switches carry no RNG and the fabric links no
-	// impairments, so the star path's fork order — and its goldens — are
-	// untouched.
-	var clientEdges []netsim.NodeID
-	if topo, ok := cfg.fabricTopology(link); ok {
-		for _, sw := range topo.Switches {
-			tb.FabricSwitches = append(tb.FabricSwitches,
-				netsim.NewSwitch(net, sw.ID, sw.Name, netsim.DefaultSwitchLatency))
-		}
-		for _, tl := range topo.Links {
-			net.Connect(tl.A, tl.B, tl.Cfg)
-		}
-		net.Connect(topo.ServerEdge, torID, fabricUplink(link))
-		if topo.ECMP {
-			net.SetECMP(true)
-		}
-		clientEdges = topo.ClientEdges
-	}
-
-	// Client hosts behind the ToR (or spread over the fabric's client edges).
-	up, down := accessLinks(&cfg, link)
-	for i := 0; i < cfg.Clients; i++ {
-		h := netsim.NewHost(net, netsim.NodeID(i+1), fmt.Sprintf("client-%d", i),
-			clientStack, 1, root.Fork())
-		tb.Clients = append(tb.Clients, h)
-		edge := torID
-		if len(clientEdges) > 0 {
-			edge = clientEdges[i%len(clientEdges)]
-		}
-		net.ConnectAsym(h.ID(), edge, up, down)
-	}
-
-	// PMNet devices between ToR and server (switch chain) or at the server
-	// (NIC). The chain implements §IV-C replication.
+	var serverHosts []*netsim.Host
 	var devIDs []netsim.NodeID
-	if cfg.Design != ClientServer {
-		devCfg := cfg.Device
-		n := cfg.Replication
-		for i := 0; i < n; i++ {
-			dc := devCfg
-			if cfg.CacheEntries > 0 && i == n-1 {
+	var noise *netsim.Network
+	for _, n := range cl.nodes {
+		net := fab.Part(plan.Part[n.id])
+		switch n.kind {
+		case serverNode:
+			serverHosts = append(serverHosts,
+				netsim.NewHost(net, n.id, n.name, serverStack, cfg.ServerWorkers, root.Fork()))
+		case switchNode:
+			sw := netsim.NewSwitch(net, n.id, n.name, netsim.DefaultSwitchLatency)
+			if n.id == torID {
+				tb.ToR = sw
+			} else {
+				tb.FabricSwitches = append(tb.FabricSwitches, sw)
+			}
+		case clientNode:
+			tb.Clients = append(tb.Clients, netsim.NewHost(net, n.id, n.name, clientStack, 1, root.Fork()))
+		case deviceNode:
+			dc := cfg.Device
+			if cfg.CacheEntries > 0 && len(devIDs) == cfg.Replication-1 {
 				// Cache on the device adjacent to the server (its ToR in the
 				// paper's caching deployment).
 				dc.CacheEntries = cfg.CacheEntries
 			}
-			id := devBase + netsim.NodeID(i)
-			d := dataplane.New(net, id, fmt.Sprintf("pmnet-%d", i), dc)
-			tb.Devices = append(tb.Devices, d)
-			devIDs = append(devIDs, id)
+			tb.Devices = append(tb.Devices, dataplane.New(net, n.id, n.name, dc))
+			devIDs = append(devIDs, n.id)
+		case noiseNode:
+			netsim.NewHost(net, n.id, n.name, clientStack, 1, root.Fork())
+			noise = net
 		}
-		// Wire: tor — dev0 — dev1 — ... — server. Chained PMNet devices sit
-		// adjacent in the rack (§IV-C places the switches in series), so the
-		// inter-device patch links are much shorter than the client links —
-		// this is what keeps the paper's replication overhead at ~16%.
-		prev := torID
-		for i, id := range devIDs {
-			l := link
-			if i > 0 {
-				l.PropDelay = 200 * sim.Nanosecond
-			}
-			net.Connect(prev, id, l)
-			prev = id
-		}
-		last := link
-		if cfg.Design == PMNetNIC {
-			// Bump-in-the-wire at the server: negligible wire length.
-			last.PropDelay = 100 * sim.Nanosecond
-		}
-		for i := range serverHosts {
-			net.Connect(prev, serverID+netsim.NodeID(i), last)
-		}
-	} else {
-		for i := range serverHosts {
-			net.Connect(torID, serverID+netsim.NodeID(i), link)
-		}
+	}
+	for _, l := range cl.links {
+		fab.ConnectAsym(l.a, l.b, l.ab, l.ba)
+	}
+	if cl.ecmp {
+		fab.SetECMP(true)
 	}
 
 	// Server libraries. Handlers that own persistent state (the KV and
@@ -414,12 +368,9 @@ func NewTestbed(cfg Config) *Testbed {
 	}
 	tb.Server = tb.Servers[0]
 
-	// Background cross-traffic: a noise host on the ToR blasting toward the
-	// server, sharing the server-side bottleneck with the workload.
-	if cfg.CrossTrafficGbps > 0 {
-		noise := netsim.NewHost(net, noiseID, "noise", clientStack, 1, root.Fork())
-		net.Connect(noise.ID(), torID, link)
-		tb.cross = netsim.NewCrossTraffic(net, root.Fork(), noise.ID(), serverID,
+	// Background cross-traffic: the noise host blasting toward the server.
+	if noise != nil {
+		tb.cross = netsim.NewCrossTraffic(noise, root.Fork(), noiseID, serverID,
 			1400, cfg.CrossTrafficGbps*1e9, 1)
 		tb.cross.Start()
 	}
@@ -443,6 +394,19 @@ func NewTestbed(cfg Config) *Testbed {
 		})
 		tb.Sessions = append(tb.Sessions, sess)
 	}
+
+	fab.Freeze()
+	runnerShards := make([]pdes.Shard, shards)
+	for s := range runnerShards {
+		runnerShards[s] = pdes.Shard{
+			Eng:        engines[s],
+			Begin:      fab.BeginFunc(s),
+			Drain:      fab.DrainFunc(s),
+			PendingOut: fab.PendingOutFunc(s),
+		}
+	}
+	tb.runner = pdes.New(runnerShards, fab.Lookahead(), shards)
+	tb.runner.SetQuiesce(fab.Quiesce)
 	return tb
 }
 
@@ -453,27 +417,21 @@ func (tb *Testbed) Session(i int) *client.Session { return tb.Sessions[i] }
 
 // Run drives the virtual clock until no events remain.
 func (tb *Testbed) Run() {
-	if tb.runner != nil {
-		tb.runSharded(func() { tb.runner.Run() })
-		return
-	}
-	tb.Engine.Run()
+	tb.runSegment(tb.runner.Run)
 }
 
 // RunFor advances the virtual clock by d.
 func (tb *Testbed) RunFor(d Time) {
-	if tb.runner != nil {
-		tb.runSharded(func() { tb.runner.RunUntil(tb.runner.Now() + d) })
-		return
-	}
-	tb.Engine.RunUntil(tb.Engine.Now() + d)
+	tb.runSegment(func() { tb.runner.RunUntil(tb.runner.Now() + d) })
 }
 
-// runSharded drives one sharded run segment under the worker budget: the
-// segment always owns one worker; extra workers are borrowed for its
-// duration when the budget has them to spare. Without a budget the runner
-// keeps the worker pool New sized to the shard count.
-func (tb *Testbed) runSharded(segment func()) {
+// runSegment drives one run segment under the worker budget: the segment
+// always owns one worker; extra workers are borrowed for its duration when
+// the budget has them to spare. Without a budget the runner keeps the worker
+// pool New sized to the shard count. Afterwards the per-partition tracers, if
+// any, are merged into cfg.Trace (AdoptMerged recomputes from scratch, so
+// repeated Run/RunFor calls stay correct).
+func (tb *Testbed) runSegment(segment func()) {
 	if b := tb.cfg.WorkerBudget; b != nil {
 		got := b.Acquire(len(tb.engines) - 1)
 		tb.runner.SetWorkers(1 + got)
@@ -482,65 +440,39 @@ func (tb *Testbed) runSharded(segment func()) {
 	} else {
 		segment()
 	}
-	tb.foldTrace()
+	if len(tb.partTracers) > 0 {
+		tb.cfg.Trace.AdoptMerged(tb.partTracers)
+	}
 }
 
 // Now returns the current virtual time.
-func (tb *Testbed) Now() Time {
-	if tb.runner != nil {
-		return tb.runner.Now()
-	}
-	return tb.Engine.Now()
-}
+func (tb *Testbed) Now() Time { return tb.runner.Now() }
 
-// Sharded reports whether the testbed runs on the conservative-PDES path.
-func (tb *Testbed) Sharded() bool { return tb.runner != nil }
+// RunnerPerf returns the epoch runner's wall-clock-class telemetry. Epochs is
+// deterministic; BarrierNs and IdleSkips are not, and must never feed the
+// byte-compared counter registry.
+func (tb *Testbed) RunnerPerf() pdes.PerfStats { return tb.runner.Perf() }
 
-// RunnerPerf returns the epoch runner's wall-clock-class telemetry (zero on
-// the classic path). Epochs is deterministic; BarrierNs and IdleSkips are
-// not, and must never feed the byte-compared counter registry.
-func (tb *Testbed) RunnerPerf() pdes.PerfStats {
-	if tb.runner == nil {
-		return pdes.PerfStats{}
-	}
-	return tb.runner.Perf()
-}
+// Shards returns the engine count: 1 unless Config.Shards asked for more and
+// the plan has the partitions to feed them.
+func (tb *Testbed) Shards() int { return len(tb.engines) }
 
-// Shards returns the shard (engine) count — 1 for a single-engine testbed.
-func (tb *Testbed) Shards() int {
-	if tb.runner == nil {
-		return 1
-	}
-	return len(tb.engines)
-}
+// Partitions returns the topology partition count: 1 at Shards == 0 or with
+// cross-traffic, otherwise a function of the cluster alone — the same for
+// every Shards ≥ 1.
+func (tb *Testbed) Partitions() int { return tb.fab.Parts() }
+
+// ClientPartition returns the partition client i was planned into. Clients
+// of one partition always share an engine (and so a worker goroutine).
+func (tb *Testbed) ClientPartition(i int) int { return tb.fab.Owner(tb.Clients[i].ID()) }
 
 // EventsRun returns the events executed across the whole testbed. The total
 // is deterministic and identical in every shard configuration: sharding
 // relocates events between engines, it never adds or removes any.
-func (tb *Testbed) EventsRun() uint64 {
-	if tb.runner != nil {
-		return tb.runner.EventsRun()
-	}
-	return tb.Engine.EventsRun()
-}
+func (tb *Testbed) EventsRun() uint64 { return tb.runner.EventsRun() }
 
-// NetworkStats returns delivery counters summed across the whole fabric (or
-// the single network's counters on the classic path).
-func (tb *Testbed) NetworkStats() netsim.Stats {
-	if tb.fab != nil {
-		return tb.fab.Stats()
-	}
-	return tb.Network.Stats()
-}
-
-// foldTrace merges the per-partition tracers into cfg.Trace after a sharded
-// run segment. AdoptMerged recomputes from scratch, so repeated Run/RunFor
-// calls stay correct.
-func (tb *Testbed) foldTrace() {
-	if tb.cfg.Trace != nil && len(tb.partTracers) > 0 {
-		tb.cfg.Trace.AdoptMerged(tb.partTracers)
-	}
-}
+// NetworkStats returns delivery counters summed across the whole fabric.
+func (tb *Testbed) NetworkStats() netsim.Stats { return tb.fab.Stats() }
 
 // CrashServer power-fails the server (§VI-B6's pulled power cord).
 func (tb *Testbed) CrashServer() { tb.Server.Crash() }
@@ -562,7 +494,7 @@ func (tb *Testbed) StopBackground() {
 // NodeName resolves a traced node id to its testbed name ("client-0", "tor",
 // "pmnet-1", ...) — the naming callback for trace.Tracer.ChromeJSON.
 func (tb *Testbed) NodeName(id uint64) string {
-	return tb.Network.Name(netsim.NodeID(id))
+	return tb.fab.Part(0).Name(netsim.NodeID(id)) // one name table spans all partitions
 }
 
 // Counters builds the unified metrics registry over every layer of the
@@ -581,25 +513,22 @@ func (tb *Testbed) Counters() *trace.Registry {
 	reg.Add("net.dropped_dead", func() uint64 { return tb.NetworkStats().DroppedDead })
 	reg.Add("net.dropped_burst", func() uint64 { return tb.NetworkStats().DroppedBurst })
 	reg.Add("net.duplicated", func() uint64 { return tb.NetworkStats().Duplicated })
-	if tb.fab != nil {
-		// Partition count is a pure function of the topology — identical at
-		// every shard count — so it is safe in the byte-compared counters
-		// (the shard count itself is not, and lives in the perf block).
-		parts := uint64(tb.fab.Parts())
-		reg.Add("sim.partitions", func() uint64 { return parts })
-		// Epoch count and mean events per epoch are pure functions of the
-		// global event set and the partition structure — invariant across
-		// shard AND worker counts — so they are registry-safe. Barrier wait
-		// time and idle skips are not (wall clock / shard structure) and stay
-		// in RunnerPerf.
-		reg.Add("sim.epochs", func() uint64 { return tb.runner.Perf().Epochs })
-		reg.Add("sim.events_per_epoch", func() uint64 {
-			if e := tb.runner.Perf().Epochs; e > 0 {
-				return tb.runner.EventsRun() / e
-			}
-			return 0
-		})
-	}
+	// Partition count is a pure function of the topology — identical at
+	// every shard count — so it is safe in the byte-compared counters (the
+	// shard count itself is not, and lives in the perf block).
+	parts := uint64(tb.fab.Parts())
+	reg.Add("sim.partitions", func() uint64 { return parts })
+	// Epoch count and mean events per epoch are pure functions of the global
+	// event set and the partition structure — invariant across shard AND
+	// worker counts — so they are registry-safe. Barrier wait time and idle
+	// skips are not (wall clock / shard structure) and stay in RunnerPerf.
+	reg.Add("sim.epochs", func() uint64 { return tb.runner.Perf().Epochs })
+	reg.Add("sim.events_per_epoch", func() uint64 {
+		if e := tb.runner.Perf().Epochs; e > 0 {
+			return tb.runner.EventsRun() / e
+		}
+		return 0
+	})
 
 	sessions := tb.Sessions
 	sumClient := func(pick func(client.Stats) uint64) func() uint64 {

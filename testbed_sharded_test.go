@@ -24,8 +24,8 @@ func (g *grantAll) Release(n int)        {}
 func runShardedUpdates(t *testing.T, cfg Config, n int) (lats [][]Time, events uint64, now Time) {
 	t.Helper()
 	tb := NewTestbed(cfg)
-	if !tb.Sharded() {
-		t.Fatalf("config did not take the sharded path: %+v", cfg)
+	if tb.Shards() != cfg.Shards {
+		t.Fatalf("%d engines for Shards=%d (%d partitions)", tb.Shards(), cfg.Shards, tb.Partitions())
 	}
 	lats = make([][]Time, cfg.Clients)
 	val := make([]byte, 100)
@@ -81,18 +81,42 @@ func TestShardedForcedMultiWorker(t *testing.T) {
 	}
 }
 
-// TestPlanTopologyShardInvariant: the partition plan must be a pure function
-// of the cluster config — never of cfg.Shards — or `-shards 1` and
-// `-shards N` would see different event interleavings.
-func TestPlanTopologyShardInvariant(t *testing.T) {
-	cfg := Config{Design: PMNetSwitch, Clients: 8, Replication: 3, Seed: 1}
+// planFor plans cfg's cluster the way NewTestbed does.
+func planFor(cfg Config) netsim.Plan {
 	link := cfg.applyDefaults()
-	want := planTopology(&cfg, link)
-	for _, sh := range []int{1, 4, 12} {
+	return describeCluster(&cfg, link).plan(&cfg)
+}
+
+// TestPlanTopologyShardInvariant: every Shards ≥ 1 gets the same plan — it
+// must be a function of the cluster alone, or `-shards 1` and `-shards N`
+// would see different event interleavings — while Shards == 0, and any
+// cluster with cross-traffic, is exactly one partition.
+func TestPlanTopologyShardInvariant(t *testing.T) {
+	cfg := Config{Design: PMNetSwitch, Clients: 8, Replication: 3, Seed: 1, Shards: 1}
+	want := planFor(cfg)
+	if want.NParts < 2 {
+		t.Fatalf("Shards=1 planned %d partitions, want several", want.NParts)
+	}
+	for _, sh := range []int{2, 4, 12} {
 		c := cfg
 		c.Shards = sh
-		if got := planTopology(&c, link); !reflect.DeepEqual(got, want) {
+		if got := planFor(c); !reflect.DeepEqual(got, want) {
 			t.Fatalf("plan changed with Shards=%d", sh)
+		}
+	}
+	for _, sh := range []int{0, 1, 4} {
+		c := cfg
+		c.Shards = sh
+		if sh > 0 {
+			c.CrossTrafficGbps = 1
+		}
+		p := planFor(c)
+		if p.NParts != 1 || p.Lookahead != 0 {
+			t.Errorf("Shards=%d cross=%v: %d partitions, lookahead %d; want one partition, nothing cut",
+				sh, c.CrossTrafficGbps, p.NParts, p.Lookahead)
+		}
+		if got, want := len(p.Part), len(describeCluster(&c, c.applyDefaults()).nodes); got != want {
+			t.Errorf("Shards=%d: plan places %d of %d nodes", sh, got, want)
 		}
 	}
 }
@@ -108,9 +132,7 @@ func TestPlanTopologyStructure(t *testing.T) {
 	edgeLat := link.PropDelay + sim.Time(float64(netsim.UDPOverhead*8)/link.Bandwidth*1e9)
 
 	t.Run("switch-chain", func(t *testing.T) {
-		cfg := Config{Design: PMNetSwitch, Clients: 6, Replication: 3}
-		link := cfg.applyDefaults()
-		p := planTopology(&cfg, link)
+		p := planFor(Config{Design: PMNetSwitch, Clients: 6, Replication: 3, Shards: 1})
 		if p.Lookahead != edgeLat {
 			t.Errorf("lookahead %d, want edge-link latency %d", p.Lookahead, edgeLat)
 		}
@@ -131,9 +153,7 @@ func TestPlanTopologyStructure(t *testing.T) {
 	})
 
 	t.Run("nic", func(t *testing.T) {
-		cfg := Config{Design: PMNetNIC, Clients: 4}
-		link := cfg.applyDefaults()
-		p := planTopology(&cfg, link)
+		p := planFor(Config{Design: PMNetNIC, Clients: 4, Shards: 1})
 		// The 100 ns bump-in-the-wire hop merges the NIC device with the
 		// server; the client edge links are the cut.
 		if p.Part[devBase] != p.Part[serverID] {
@@ -145,10 +165,9 @@ func TestPlanTopologyStructure(t *testing.T) {
 	})
 
 	t.Run("pin-with-tor", func(t *testing.T) {
-		cfg := Config{Design: PMNetSwitch, Clients: 4, Replication: 2}
+		cfg := Config{Design: PMNetSwitch, Clients: 4, Replication: 2, Shards: 1}
 		cfg.Device.Pin = dataplane.PinWithToR
-		link := cfg.applyDefaults()
-		p := planTopology(&cfg, link)
+		p := planFor(cfg)
 		for i := 0; i < 2; i++ {
 			if p.Part[devBase+netsim.NodeID(i)] != p.Part[torID] {
 				t.Errorf("device %d not co-located with ToR under PinWithToR", i)
@@ -157,9 +176,7 @@ func TestPlanTopologyStructure(t *testing.T) {
 	})
 
 	t.Run("multi-server", func(t *testing.T) {
-		cfg := Config{Design: PMNetSwitch, Clients: 4, Servers: 3}
-		link := cfg.applyDefaults()
-		p := planTopology(&cfg, link)
+		p := planFor(Config{Design: PMNetSwitch, Clients: 4, Servers: 3, Shards: 1})
 		s0 := p.Part[serverID]
 		for i := 1; i < 3; i++ {
 			if p.Part[serverID+netsim.NodeID(i)] != s0 {
