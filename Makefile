@@ -45,12 +45,17 @@ trace-smoke:
 	diff -q /tmp/pmnet_trace_smoke.json testdata/trace_smoke.json
 	@echo "trace-smoke: golden match + 8-way parallel byte-identical"
 
-# Hot-path micro-benchmarks (allocs/op must stay 0; see the pins in the
-# matching alloc_test.go files). Override BENCHTIME=1x for a CI smoke run.
+# Hot-path micro-benchmarks (allocs/op must stay 0 — 1, the payload, for
+# BenchmarkClientRoundtrip; see the pins in the matching alloc_test.go
+# files). Override BENCHTIME=1x for a CI smoke run.
 BENCHTIME ?= 1s
+# The update path's per-hop benchmarks (device, server, client), shared by
+# microbench and the sched-baseline/sched-gate pair.
+PATHBENCH = BenchmarkUpdateHop|BenchmarkServerApply|BenchmarkClientRoundtrip
+PATHPKGS = ./internal/dataplane ./internal/server ./internal/client
 microbench:
-	$(GO) test -run '^$$' -bench 'BenchmarkEngineSchedule|BenchmarkCancel|BenchmarkTransmit|BenchmarkPersistAll|BenchmarkEpochOverhead|BenchmarkBarrier' \
-		-benchtime $(BENCHTIME) -benchmem ./internal/sim ./internal/netsim ./internal/pmem ./internal/sim/pdes
+	$(GO) test -run '^$$' -bench 'BenchmarkEngineSchedule|BenchmarkCancel|BenchmarkTransmit|BenchmarkPersistAll|BenchmarkEpochOverhead|BenchmarkBarrier|$(PATHBENCH)' \
+		-benchtime $(BENCHTIME) -benchmem ./internal/sim ./internal/netsim ./internal/pmem ./internal/sim/pdes $(PATHPKGS)
 
 # Full experiment suite, cells on a GOMAXPROCS-sized worker pool.
 bench:
@@ -142,19 +147,22 @@ bench-regression:
 	$(GO) run ./cmd/pmnetbench -run all -seed 1 -parallel 0 -json > $(NEW)
 	$(GO) run ./cmd/benchdiff BENCH_baseline.json $(NEW)
 
-# Scheduler micro-benchmark gate. Fixed iteration counts (not -benchtime 1s)
-# keep the measured loop identical between baseline and candidate, so ns/op is
-# comparable even on a noisy single-core runner. The ns/op threshold is
-# deliberately generous (40%) — the tight screw is allocs/op, which is
-# deterministic and must not grow at all (benchdiff -gobench fails on any
-# increase). Refresh the committed baseline with `make sched-baseline` after an
-# intentional scheduler change or on new hardware.
+# Scheduler and update-path micro-benchmark gate. Fixed iteration counts (not
+# -benchtime 1s) keep the measured loop identical between baseline and
+# candidate, so ns/op is comparable even on a noisy single-core runner. The
+# ns/op threshold is deliberately generous (40%) — the tight screw is
+# allocs/op, which is deterministic and must not grow at all (benchdiff
+# -gobench fails on any increase). Refresh the committed baseline with `make
+# sched-baseline` after an intentional scheduler or update-path change or on
+# new hardware.
 SCHEDBENCHTIME ?= 300000x
+SCHEDBENCH = BenchmarkEngineSchedule|BenchmarkCancel|$(PATHBENCH)
+SCHEDPKGS = ./internal/sim $(PATHPKGS)
 sched-baseline:
-	$(GO) test -run '^$$' -bench 'BenchmarkEngineSchedule|BenchmarkCancel' \
-		-benchtime $(SCHEDBENCHTIME) -benchmem ./internal/sim | tee BENCH_sched_baseline.txt
+	$(GO) test -run '^$$' -bench '$(SCHEDBENCH)' \
+		-benchtime $(SCHEDBENCHTIME) -benchmem $(SCHEDPKGS) | tee BENCH_sched_baseline.txt
 
 sched-gate:
-	$(GO) test -run '^$$' -bench 'BenchmarkEngineSchedule|BenchmarkCancel' \
-		-benchtime $(SCHEDBENCHTIME) -benchmem ./internal/sim > /tmp/pmnet_sched_new.txt
+	$(GO) test -run '^$$' -bench '$(SCHEDBENCH)' \
+		-benchtime $(SCHEDBENCHTIME) -benchmem $(SCHEDPKGS) > /tmp/pmnet_sched_new.txt
 	$(GO) run ./cmd/benchdiff -gobench -threshold 40 BENCH_sched_baseline.txt /tmp/pmnet_sched_new.txt

@@ -16,7 +16,10 @@ var EngineNames = append([]string(nil), kv.EngineNames...)
 // persistent index engines (§VI-A2) on a fresh simulated PM arena of
 // arenaBytes (0 = 64 MiB). The handler serves OpGet/OpPut/OpDelete and the
 // server-side locking primitives of §III-C, charging CPU time derived from
-// the engine's actual PM work.
+// the engine's actual PM work. Its read responses carry the request's own
+// key bytes (Response{Args: {req.Args[0], value}}): legal under the Handler
+// contract, which lends a handler the Args array only for the call but lets
+// it keep the payload bytes the array points at.
 func NewKVHandler(engine string, arenaBytes int) (Handler, error) {
 	factory, ok := kv.Factories[engine]
 	if !ok {

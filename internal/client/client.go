@@ -232,18 +232,19 @@ func (s *Session) issue(typ protocol.Type, payload []byte, isUpdate bool, done f
 	} else {
 		first = s.nextBypSeq
 	}
-	msgs := protocol.Fragment(typ, s.cfg.Session, first, payload, s.cfg.MTU)
+	total := protocol.FragmentCount(len(payload), s.cfg.MTU)
 	if isUpdate {
-		s.nextUpdSeq += uint32(len(msgs))
+		s.nextUpdSeq += uint32(total)
 	} else {
-		s.nextBypSeq += uint32(len(msgs))
+		s.nextBypSeq += uint32(total)
 	}
 	p := s.getPending()
 	p.firstSeq = first
 	p.isUpdate = isUpdate
 	p.issued = s.eng.Now()
 	p.callback = done
-	for _, m := range msgs {
+	for i := 0; i < total; i++ {
+		m := protocol.FragmentAt(typ, s.cfg.Session, first, payload, s.cfg.MTU, i)
 		p.frags = append(p.frags, fragState{msg: m})
 		s.bySeq[m.Hdr.SeqNum] = p
 	}
@@ -253,7 +254,7 @@ func (s *Session) issue(typ protocol.Type, payload []byte, isUpdate bool, done f
 		if isUpdate {
 			upd = 1
 		}
-		s.tracer.Emit(trace.EvIssue, trace.SpanID(s.cfg.Session, first), uint64(len(msgs)), upd)
+		s.tracer.Emit(trace.EvIssue, trace.SpanID(s.cfg.Session, first), uint64(total), upd)
 		s.tracer.Emit(trace.GaugeInFlight, uint64(s.cfg.Session), uint64(len(s.requests)), 0)
 	}
 	s.transmit(p, false)
@@ -373,8 +374,8 @@ func (s *Session) requiredAcks() int {
 }
 
 func (s *Session) maybeCompleteUpdate(p *pending) {
-	for _, f := range p.frags {
-		if !f.done {
+	for i := range p.frags {
+		if !p.frags[i].done {
 			return
 		}
 	}

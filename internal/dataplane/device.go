@@ -109,8 +109,46 @@ type Device struct {
 	stats  Stats
 	tracer *trace.Tracer // picked up from the network at New; nil = off
 	down   bool
-	jobs   []*pipeJob // recycled egress records (per-device)
+	jobs   []*pipeJob   // recycled egress records (per-device)
+	upds   []*updateRec // recycled logged-update records (per-device)
+	args   [][]byte     // DecodeRequestInto scratch for the read cache's key extraction
 }
+
+// updateRec is one pooled logged update, from handleUpdate until its repair
+// timer fires for the last time: what the PMNet-ACK needs once the entry is
+// durable, and what the TTL check needs EntryTTL later. The record waits for
+// one thing at a time — the PM write, then the timer — so one callback,
+// bound once at allocation, serves both (durable says which). A record whose
+// persist never comes (the write lost a race with the server-ACK, or the
+// queue lost power) is not returned: the pool refills on a miss.
+type updateRec struct {
+	d                *Device
+	hdr              protocol.Header
+	client           netsim.NodeID
+	srcPort, dstPort uint16
+	durable          bool   // the entry is persistent: fn is now the repair timer
+	fn               func() // bound once: onPersist(u), then onEntryTTL(u)
+}
+
+func (d *Device) getUpdate() *updateRec {
+	if k := len(d.upds) - 1; k >= 0 {
+		u := d.upds[k]
+		d.upds = d.upds[:k]
+		u.durable = false
+		return u
+	}
+	u := &updateRec{d: d}
+	u.fn = func() {
+		if u.durable {
+			u.d.onEntryTTL(u)
+		} else {
+			u.d.onPersist(u)
+		}
+	}
+	return u
+}
+
+func (d *Device) putUpdate(u *updateRec) { d.upds = append(d.upds, u) }
 
 // pipeJob is one pooled traversal of the MAT pipeline: a packet waiting out
 // PipelineLatency before hitting the wire. Its callback is bound once at
@@ -320,11 +358,11 @@ func (d *Device) HandlePacket(pkt *netsim.Packet) {
 
 // cacheKeyValue extracts the (key, value) of a cacheable single-fragment
 // KV update, or ok=false.
-func cacheKeyValue(msg protocol.Message) (key string, value []byte, ok bool) {
+func (d *Device) cacheKeyValue(msg protocol.Message) (key string, value []byte, ok bool) {
 	if msg.Hdr.FragTotal > 1 {
 		return "", nil, false
 	}
-	req, err := protocol.DecodeRequest(msg.Payload)
+	req, err := protocol.DecodeRequestInto(msg.Payload, &d.args)
 	if err != nil || req.Op != protocol.OpPut || len(req.Args) < 2 {
 		return "", nil, false
 	}
@@ -344,45 +382,59 @@ func (d *Device) handleUpdate(pkt *netsim.Packet) {
 	d.forward(pkt)
 
 	msg := pkt.Msg
-	client := pkt.From
-	server := pkt.To
-	srcPort, dstPort := pkt.SrcPort, pkt.DstPort
-	res := d.log.Insert(msg, int(server), &d.stats.Log, func() {
-		d.armEntryTTL(msg.Hdr.HashVal)
-		if d.tracer != nil {
-			span := trace.SpanID(msg.Hdr.SessionID, msg.Hdr.SeqNum)
-			d.tracer.Emit(trace.EvPersist, uint64(d.id), uint64(msg.Hdr.HashVal), span)
-			d.tracer.Emit(trace.EvPMNetAck, uint64(d.id), 0, span)
-			d.emitGauges()
-		}
-		// Persist complete: generate the PMNet-ACK (egress step 6').
-		ack := protocol.Header{
-			Type:      protocol.TypePMNetACK,
-			SessionID: msg.Hdr.SessionID,
-			SeqNum:    msg.Hdr.SeqNum,
-			FragIdx:   msg.Hdr.FragIdx,
-			FragTotal: msg.Hdr.FragTotal,
-		}
-		ack.Seal()
-		d.stats.AcksSent++
-		d.sendNew(client, dstPort, srcPort, protocol.Message{Hdr: ack})
-	})
-	if res == insertAccepted && d.cache != nil {
-		if key, value, ok := cacheKeyValue(msg); ok {
+	u := d.getUpdate()
+	u.hdr = msg.Hdr
+	u.client = pkt.From
+	u.srcPort, u.dstPort = pkt.SrcPort, pkt.DstPort
+	res := d.log.Insert(msg, int(pkt.To), &d.stats.Log, u.fn)
+	if res != insertAccepted {
+		// Collision / queue-full / oversize: the packet was forwarded but not
+		// logged and the client gets no early ACK (§IV-B1). It will complete on
+		// the server's ACK instead.
+		d.putUpdate(u)
+		return
+	}
+	if d.cache != nil {
+		if key, value, ok := d.cacheKeyValue(msg); ok {
 			d.hashKey[msg.Hdr.HashVal] = key
 			d.cache.OnUpdate(key, value)
 		}
 	}
-	// Collision / queue-full / oversize: the packet was forwarded but not
-	// logged and the client gets no early ACK (§IV-B1). It will complete on
-	// the server's ACK instead.
+}
+
+// onPersist runs when a logged update is durable: arm its repair timer and
+// generate the PMNet-ACK (egress step 6').
+func (d *Device) onPersist(u *updateRec) {
+	u.durable = true
+	if d.cfg.EntryTTL >= 0 {
+		d.eng.After(d.cfg.EntryTTL, u.fn)
+	}
+	if d.tracer != nil {
+		span := trace.SpanID(u.hdr.SessionID, u.hdr.SeqNum)
+		d.tracer.Emit(trace.EvPersist, uint64(d.id), uint64(u.hdr.HashVal), span)
+		d.tracer.Emit(trace.EvPMNetAck, uint64(d.id), 0, span)
+		d.emitGauges()
+	}
+	ack := protocol.Header{
+		Type:      protocol.TypePMNetACK,
+		SessionID: u.hdr.SessionID,
+		SeqNum:    u.hdr.SeqNum,
+		FragIdx:   u.hdr.FragIdx,
+		FragTotal: u.hdr.FragTotal,
+	}
+	ack.Seal()
+	d.stats.AcksSent++
+	d.sendNew(u.client, u.dstPort, u.srcPort, protocol.Message{Hdr: ack})
+	if d.cfg.EntryTTL < 0 {
+		d.putUpdate(u) // no repair timer will hand it back
+	}
 }
 
 // handleBypass forwards reads and synchronization requests; with caching
 // enabled, GET requests may be served from the cache (Figure 10).
 func (d *Device) handleBypass(pkt *netsim.Packet) {
 	if d.cache != nil && pkt.Msg.Hdr.FragTotal <= 1 {
-		if req, err := protocol.DecodeRequest(pkt.Msg.Payload); err == nil && req.Op == protocol.OpGet && len(req.Args) >= 1 {
+		if req, err := protocol.DecodeRequestInto(pkt.Msg.Payload, &d.args); err == nil && req.Op == protocol.OpGet && len(req.Args) >= 1 {
 			key := req.Args[0]
 			if value, hit := d.cache.Lookup(string(key)); hit {
 				resp := protocol.Response{Status: protocol.StatusOK, Args: [][]byte{key, value}}
@@ -466,36 +518,30 @@ func (d *Device) emitGauges() {
 	d.tracer.Emit(trace.GaugePMDirty, uint64(d.id), uint64(d.pm.DirtyLines()), 0)
 }
 
-// armEntryTTL schedules the repair timer for a freshly persisted entry: if
-// the entry is still live when the timer fires, the forwarded copy or its
-// server-ACK was lost — resend the logged request; the server either
-// applies it (lost forward) or answers with a make-up server-ACK (lost
-// ACK), reclaiming the slot either way.
-func (d *Device) armEntryTTL(hash uint32) {
-	if d.cfg.EntryTTL < 0 {
+// onEntryTTL is the repair timer of a persisted entry: if the entry is still
+// live when it fires, the forwarded copy or its server-ACK was lost — resend
+// the logged request; the server either applies it (lost forward) or answers
+// with a make-up server-ACK (lost ACK), reclaiming the slot either way. The
+// timer then re-arms; once it finds the entry gone it recycles the record.
+func (d *Device) onEntryTTL(u *updateRec) {
+	idx := d.log.slotFor(u.hdr.HashVal)
+	s := &d.log.slots[idx]
+	if d.down || s.state != slotValid || s.hash != u.hdr.HashVal || // reclaimed (or replaced) in the meantime
+		s.resends >= d.cfg.ResendLimit { // give up; the recovery poll remains the backstop
+		d.putUpdate(u)
 		return
 	}
-	idx := d.log.slotFor(hash)
-	d.eng.After(d.cfg.EntryTTL, func() {
-		s := &d.log.slots[idx]
-		if d.down || s.state != slotValid || s.hash != hash {
-			return // reclaimed (or replaced) in the meantime
+	s.resends++
+	dst := netsim.NodeID(s.dst)
+	served := d.log.ReadSlot(idx, func(msg protocol.Message, ok bool) {
+		if !ok {
+			return // reclaimed while the read was queued
 		}
-		if s.resends >= d.cfg.ResendLimit {
-			return // give up; the recovery poll remains the backstop
-		}
-		s.resends++
-		dst := netsim.NodeID(s.dst)
-		served := d.log.ReadSlot(idx, func(msg protocol.Message, ok bool) {
-			if !ok {
-				return // reclaimed while the read was queued
-			}
-			d.stats.TTLResends++
-			d.sendNew(dst, 0, protocol.PortMin, msg)
-		})
-		_ = served // queue momentarily full: the rescheduled timer retries
-		d.armEntryTTL(hash)
+		d.stats.TTLResends++
+		d.sendNew(dst, 0, protocol.PortMin, msg)
 	})
+	_ = served // queue momentarily full: the rescheduled timer retries
+	d.eng.After(d.cfg.EntryTTL, u.fn)
 }
 
 // startRecovery replays every logged request destined for the recovering

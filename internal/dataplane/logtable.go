@@ -51,8 +51,63 @@ type LogTable struct {
 	queue    *pmem.Queue
 	slotSize int
 	slots    []slotMeta
-	live     int    // count of slotValid entries, kept incrementally
-	scratch  []byte // entry staging buffer (safe to reuse: TryWrite copies synchronously)
+	live     int         // count of slotValid entries, kept incrementally
+	scratch  []byte      // entry staging buffer (safe to reuse: TryWrite copies synchronously)
+	ops      []*insertOp // recycled insert records (per-table)
+}
+
+// insertOp is one pooled Insert waiting for its PM write to retire. Its
+// completion callback fn is bound once at allocation, so logging an update
+// schedules no new closure. A record whose write never retires (the queue
+// lost power) is not returned: the pool refills on a miss.
+type insertOp struct {
+	t         *LogTable
+	idx       int
+	stats     *LogStats
+	onPersist func()
+	fn        func() // bound once: retires this record
+}
+
+func (t *LogTable) getOp() *insertOp {
+	if k := len(t.ops) - 1; k >= 0 {
+		op := t.ops[k]
+		t.ops = t.ops[:k]
+		return op
+	}
+	op := &insertOp{t: t}
+	op.fn = func() { op.t.persisted(op) }
+	return op
+}
+
+func (t *LogTable) putOp(op *insertOp) {
+	op.stats, op.onPersist = nil, nil
+	t.ops = append(t.ops, op)
+}
+
+// persisted runs when an Insert's PM write has retired. The record is
+// recycled before onPersist runs, so the callback may log again at once.
+func (t *LogTable) persisted(op *insertOp) {
+	idx, stats, onPersist := op.idx, op.stats, op.onPersist
+	t.putOp(op)
+	s := &t.slots[idx]
+	if s.invalidateOnDone {
+		// A server-ACK arrived while the write was in the queue: the
+		// server has already processed the request, so reclaim
+		// immediately and do not acknowledge.
+		s.invalidateOnDone = false
+		t.reclaim(idx, stats)
+		return
+	}
+	// A re-logged entry (retransmission racing its own first PM
+	// write) completes twice: count the empty/writing → valid
+	// transition, not the callback.
+	if s.state != slotValid {
+		t.live++
+	}
+	s.state = slotValid
+	if onPersist != nil {
+		onPersist()
+	}
 }
 
 // LogStats counts log activity.
@@ -141,28 +196,10 @@ func (t *LogTable) Insert(msg protocol.Message, dst int, stats *LogStats, onPers
 	entry = msg.Hdr.Encode(entry)
 	entry = append(entry, msg.Payload...)
 	t.scratch = entry
-	ok := t.queue.TryWrite(t.slotOffset(idx), entry, func() {
-		switch {
-		case s.invalidateOnDone:
-			// A server-ACK arrived while the write was in the queue: the
-			// server has already processed the request, so reclaim
-			// immediately and do not acknowledge.
-			s.invalidateOnDone = false
-			t.reclaim(idx, stats)
-		default:
-			// A re-logged entry (retransmission racing its own first PM
-			// write) completes twice: count the empty/writing → valid
-			// transition, not the callback.
-			if s.state != slotValid {
-				t.live++
-			}
-			s.state = slotValid
-			if onPersist != nil {
-				onPersist()
-			}
-		}
-	})
-	if !ok {
+	op := t.getOp()
+	op.idx, op.stats, op.onPersist = idx, stats, onPersist
+	if !t.queue.TryWrite(t.slotOffset(idx), entry, op.fn) {
+		t.putOp(op)
 		stats.BypassedFull++
 		return insertQueueFull
 	}

@@ -1,0 +1,47 @@
+package harness
+
+// Whole-path allocation pin: the per-layer pins (dataplane, server, client,
+// workload alloc_test.go) each hold one hop to its count; this one holds
+// their sum, so an allocation site that appears between the layers — or in a
+// layer without a pin — cannot go unnoticed.
+
+import (
+	"runtime"
+	"testing"
+
+	"pmnet"
+	"pmnet/internal/raceflag"
+)
+
+// TestUpdatePathAllocsPerRequest runs the Fig. 16 saturation shape (64
+// closed-loop clients, 1000-byte updates, PMNet switch, ideal handler) at N
+// and at 2N requests. Set-up and pool warm-up cost the same in both — the
+// largest pool, the device's update records, is sized by the 5 ms EntryTTL,
+// not by the run — so the difference is N requests of steady state: one
+// allocation each, the encoded payload.
+func TestUpdatePathAllocsPerRequest(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("malloc counts are unreliable under the race detector")
+	}
+	mallocs := func(perClient int) uint64 {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		res, err := Run(RunConfig{Design: pmnet.PMNetSwitch, Workload: WLIdeal, Clients: 64,
+			Requests: perClient, Warmup: 100, ValueSize: 1000, UpdateRatio: 1, Seed: 1})
+		runtime.ReadMemStats(&m1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := uint64(64 * (perClient + 100)); res.Driver.Completed != want || res.Driver.Failed != 0 {
+			t.Fatalf("run incomplete: %+v, want %d completed", res.Driver, want)
+		}
+		return m1.Mallocs - m0.Mallocs
+	}
+	const perClient = 400 // 32 000 requests, ≈ 28 ms of virtual time: several TTL periods
+	n := float64(64 * perClient)
+	got := (float64(mallocs(2*perClient)) - float64(mallocs(perClient))) / n
+	t.Logf("%.4f objects per request", got)
+	if got > 1.1 || got < 0.9 {
+		t.Errorf("update path allocates %.3f objects per request in steady state, want 1 (≤ 1.1)", got)
+	}
+}

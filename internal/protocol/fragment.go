@@ -7,7 +7,16 @@ import (
 
 // Message is one PMNet packet: a sealed header plus its payload fragment.
 type Message struct {
-	Hdr     Header
+	Hdr Header
+	// Payload is immutable and GC-owned from the moment it is encoded.
+	// Nothing writes through it, so every holder — the client's pending
+	// record, a packet on the wire, the device's PM staging copy, the
+	// server's reorder buffer and run queue, a handler's stored value — may
+	// alias it for as long as it likes, and none of them owns its end of
+	// life: a PMNet client completes on the PMNet-ACK while the forwarded
+	// copy is still in flight. Builders therefore never encode into a reused
+	// backing array; the payload is the one object per request left to the
+	// garbage collector (DESIGN.md §10.2).
 	Payload []byte
 }
 
@@ -30,15 +39,23 @@ func DecodeMessage(b []byte) (Message, error) {
 	return Message{Hdr: hdr, Payload: rest}, nil
 }
 
-// Fragment splits a query payload into MTU-sized PMNet packets (§IV-A3).
-// Each fragment consumes one sequence number starting at firstSeq, carries
-// the shared session ID and type, and is individually sealed (per-fragment
-// HashVal, since each fragment is logged as its own PM entry and ACKed with
-// its own PMNet-ACK).
-//
-// mtu bounds the whole datagram body (header + payload chunk). A zero or
-// negative mtu uses the default MTU. Empty payloads produce one fragment.
-func Fragment(typ Type, session uint16, firstSeq uint32, payload []byte, mtu int) []Message {
+// FragmentCount returns how many MTU-sized PMNet packets a query payload of
+// payloadLen bytes needs (§IV-A3). mtu bounds the whole datagram body
+// (header + payload chunk); a zero or negative mtu uses the default MTU.
+// Empty payloads produce one fragment.
+func FragmentCount(payloadLen, mtu int) int {
+	chunk := fragmentChunk(mtu)
+	total := (payloadLen + chunk - 1) / chunk
+	if total == 0 {
+		total = 1
+	}
+	if total > 0xFFFF {
+		panic(fmt.Sprintf("protocol: query needs %d fragments (max 65535)", total))
+	}
+	return total
+}
+
+func fragmentChunk(mtu int) int {
 	if mtu <= 0 {
 		mtu = MTU
 	}
@@ -46,29 +63,35 @@ func Fragment(typ Type, session uint16, firstSeq uint32, payload []byte, mtu int
 	if chunk <= 0 {
 		panic(fmt.Sprintf("protocol: mtu %d leaves no room for payload", mtu))
 	}
-	total := (len(payload) + chunk - 1) / chunk
-	if total == 0 {
-		total = 1
+	return chunk
+}
+
+// FragmentAt builds fragment i of the FragmentCount(len(payload), mtu)
+// packets of a query. The fragment consumes sequence number firstSeq+i,
+// carries the shared session ID and type, and is individually sealed
+// (per-fragment HashVal, since each fragment is logged as its own PM entry
+// and ACKed with its own PMNet-ACK). Its Payload aliases payload.
+func FragmentAt(typ Type, session uint16, firstSeq uint32, payload []byte, mtu, i int) Message {
+	chunk := fragmentChunk(mtu)
+	lo := i * chunk
+	hi := min(lo+chunk, len(payload))
+	h := Header{
+		Type:      typ,
+		SessionID: session,
+		SeqNum:    firstSeq + uint32(i),
+		FragIdx:   uint16(i),
+		FragTotal: uint16(FragmentCount(len(payload), mtu)),
 	}
-	if total > 0xFFFF {
-		panic(fmt.Sprintf("protocol: query needs %d fragments (max 65535)", total))
-	}
+	h.Seal()
+	return Message{Hdr: h, Payload: payload[lo:hi]}
+}
+
+// Fragment splits a query payload into its FragmentCount packets, in order.
+func Fragment(typ Type, session uint16, firstSeq uint32, payload []byte, mtu int) []Message {
+	total := FragmentCount(len(payload), mtu)
 	msgs := make([]Message, 0, total)
 	for i := 0; i < total; i++ {
-		lo := i * chunk
-		hi := lo + chunk
-		if hi > len(payload) {
-			hi = len(payload)
-		}
-		h := Header{
-			Type:      typ,
-			SessionID: session,
-			SeqNum:    firstSeq + uint32(i),
-			FragIdx:   uint16(i),
-			FragTotal: uint16(total),
-		}
-		h.Seal()
-		msgs = append(msgs, Message{Hdr: h, Payload: payload[lo:hi]})
+		msgs = append(msgs, FragmentAt(typ, session, firstSeq, payload, mtu, i))
 	}
 	return msgs
 }

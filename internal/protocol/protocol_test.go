@@ -369,3 +369,70 @@ func TestQuickRequestRoundTrip(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestEncodeRejectsTooManyArgs: the argument count travels in one byte, so a
+// 256-argument request used to encode as a 0-argument one and decode, with
+// no error, to the wrong request. 255 is the last count that round-trips.
+func TestEncodeRejectsTooManyArgs(t *testing.T) {
+	params := make([][]byte, 254) // + the name = 255 arguments
+	for i := range params {
+		params[i] = []byte{byte(i)}
+	}
+	got, err := DecodeRequest(TxnReq([]byte("big"), params...).Encode())
+	if err != nil || len(got.Args) != 255 || got.Args[254][0] != 253 {
+		t.Fatalf("255 arguments did not round-trip: %d args, err %v", len(got.Args), err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("encoding 256 arguments did not panic")
+		}
+	}()
+	TxnReq([]byte("big"), append(params, []byte("one too many"))...).Encode()
+}
+
+// TestAppendEncodeAndDecodeInto: the append/into forms are the codec; Encode
+// and DecodeRequest are their nil-destination forms and must agree with
+// them byte for byte.
+func TestAppendEncodeAndDecodeInto(t *testing.T) {
+	req := PutReq([]byte("key"), []byte("value"))
+	prefix := []byte("hdr:")
+	out := req.AppendEncode(prefix)
+	if !bytes.Equal(out[:4], prefix) || !bytes.Equal(out[4:], req.Encode()) {
+		t.Fatalf("AppendEncode %q, want prefix + %q", out, req.Encode())
+	}
+	resp := Response{Status: StatusOK, Args: [][]byte{[]byte("k"), []byte("v")}}
+	if out := resp.AppendEncode(prefix); !bytes.Equal(out[4:], resp.Encode()) {
+		t.Fatalf("Response.AppendEncode %q, want prefix + %q", out, resp.Encode())
+	}
+	var backing [4][]byte
+	scratch := backing[:0]
+	got, err := DecodeRequestInto(req.Encode(), &scratch)
+	if err != nil || got.Op != OpPut || len(got.Args) != 2 || string(got.Args[1]) != "value" {
+		t.Fatalf("DecodeRequestInto: %+v, %v", got, err)
+	}
+	if &got.Args[0] != &backing[0] {
+		t.Fatal("DecodeRequestInto ignored a large enough scratch array")
+	}
+	big := TxnReq([]byte("t"), []byte("1"), []byte("2"), []byte("3"), []byte("4"))
+	if got, err := DecodeRequestInto(big.Encode(), &scratch); err != nil || len(got.Args) != 5 {
+		t.Fatalf("DecodeRequestInto past the scratch's capacity: %+v, %v", got, err)
+	}
+	if cap(scratch) < 5 || len(scratch) != 0 {
+		t.Fatalf("grown array not left in the scratch: len %d cap %d", len(scratch), cap(scratch))
+	}
+}
+
+// TestFragmentAtMatchesFragment: Fragment is FragmentAt in a loop.
+func TestFragmentAtMatchesFragment(t *testing.T) {
+	payload := bytes.Repeat([]byte("x"), 2500)
+	msgs := Fragment(TypeUpdateReq, 7, 100, payload, 1016)
+	if n := FragmentCount(len(payload), 1016); n != 3 || len(msgs) != n {
+		t.Fatalf("FragmentCount %d, Fragment %d, want 3", n, len(msgs))
+	}
+	for i, m := range msgs {
+		at := FragmentAt(TypeUpdateReq, 7, 100, payload, 1016, i)
+		if at.Hdr != m.Hdr || !bytes.Equal(at.Payload, m.Payload) {
+			t.Fatalf("fragment %d: %v vs %v", i, at.Hdr, m.Hdr)
+		}
+	}
+}

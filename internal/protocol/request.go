@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Op is the application-level operation carried in a request payload. All
@@ -106,19 +107,24 @@ var (
 	ErrBadOp     = errors.New("protocol: unknown operation")
 )
 
+// maxArgs is the most arguments a payload can carry: the count travels in
+// one byte.
+const maxArgs = 255
+
 func encodeArgs(dst []byte, args [][]byte) []byte {
+	if len(args) > maxArgs {
+		panic(fmt.Sprintf("protocol: %d arguments (max %d)", len(args), maxArgs))
+	}
 	dst = append(dst, byte(len(args)))
-	var tmp [binary.MaxVarintLen64]byte
 	for _, a := range args {
-		n := binary.PutUvarint(tmp[:], uint64(len(a)))
-		dst = append(dst, tmp[:n]...)
+		dst = binary.AppendUvarint(dst, uint64(len(a)))
 		dst = append(dst, a...)
 	}
 	return dst
 }
 
-// argsSize returns the encoded size of an argument vector, so Encode can
-// allocate its output in one shot instead of growing through appends.
+// argsSize returns the encoded size of an argument vector, so AppendEncode
+// can grow its output in one shot instead of through appends.
 func argsSize(args [][]byte) int {
 	n := 1 // arg count byte
 	var tmp [binary.MaxVarintLen64]byte
@@ -128,13 +134,18 @@ func argsSize(args [][]byte) int {
 	return n
 }
 
-func decodeArgs(b []byte) ([][]byte, error) {
+// decodeArgs parses an argument vector into args[:0], allocating only when
+// args is too small to hold it. The decoded slices alias b.
+func decodeArgs(b []byte, args [][]byte) ([][]byte, error) {
 	if len(b) < 1 {
 		return nil, ErrTruncated
 	}
 	argc := int(b[0])
 	b = b[1:]
-	args := make([][]byte, 0, argc)
+	if args == nil || cap(args) < argc {
+		args = make([][]byte, 0, argc)
+	}
+	args = args[:0]
 	for i := 0; i < argc; i++ {
 		l, n := binary.Uvarint(b)
 		if n <= 0 || uint64(len(b)-n) < l {
@@ -147,15 +158,25 @@ func decodeArgs(b []byte) ([][]byte, error) {
 	return args, nil
 }
 
-// Encode serializes the request as a payload.
-func (r Request) Encode() []byte {
-	out := make([]byte, 0, 1+argsSize(r.Args))
-	out = append(out, byte(r.Op))
-	return encodeArgs(out, r.Args)
+// AppendEncode appends the request's payload form to dst, growing it at
+// most once, and returns the extended slice. It panics past 255 arguments:
+// the count would wrap and the payload decode to a different request.
+func (r Request) AppendEncode(dst []byte) []byte {
+	dst = slices.Grow(dst, 1+argsSize(r.Args))
+	dst = append(dst, byte(r.Op))
+	return encodeArgs(dst, r.Args)
 }
 
-// DecodeRequest parses a request payload.
-func DecodeRequest(b []byte) (Request, error) {
+// Encode serializes the request as a fresh payload (see Message.Payload for
+// why a payload is never built into reused memory).
+func (r Request) Encode() []byte { return r.AppendEncode(nil) }
+
+// DecodeRequestInto parses a request payload, using *scratch as the backing
+// array of the result's Args when it is large enough and leaving the array
+// it used — grown if need be — in *scratch for the next call. The owner of
+// the scratch may therefore keep the request only until it decodes again;
+// the argument byte slices alias b and outlive that.
+func DecodeRequestInto(b []byte, scratch *[][]byte) (Request, error) {
 	if len(b) < 1 {
 		return Request{}, ErrTruncated
 	}
@@ -163,26 +184,37 @@ func DecodeRequest(b []byte) (Request, error) {
 	if op == OpNop || op >= opMax {
 		return Request{}, fmt.Errorf("%w: %d", ErrBadOp, b[0])
 	}
-	args, err := decodeArgs(b[1:])
+	args, err := decodeArgs(b[1:], *scratch)
 	if err != nil {
 		return Request{}, err
 	}
+	*scratch = args[:0]
 	return Request{Op: op, Args: args}, nil
 }
 
-// Encode serializes the response as a payload.
-func (r Response) Encode() []byte {
-	out := make([]byte, 0, 1+argsSize(r.Args))
-	out = append(out, byte(r.Status))
-	return encodeArgs(out, r.Args)
+// DecodeRequest parses a request payload into a freshly allocated Args.
+func DecodeRequest(b []byte) (Request, error) {
+	var fresh [][]byte
+	return DecodeRequestInto(b, &fresh)
 }
+
+// AppendEncode appends the response's payload form to dst, like
+// Request.AppendEncode.
+func (r Response) AppendEncode(dst []byte) []byte {
+	dst = slices.Grow(dst, 1+argsSize(r.Args))
+	dst = append(dst, byte(r.Status))
+	return encodeArgs(dst, r.Args)
+}
+
+// Encode serializes the response as a fresh payload.
+func (r Response) Encode() []byte { return r.AppendEncode(nil) }
 
 // DecodeResponse parses a response payload.
 func DecodeResponse(b []byte) (Response, error) {
 	if len(b) < 1 {
 		return Response{}, ErrTruncated
 	}
-	args, err := decodeArgs(b[1:])
+	args, err := decodeArgs(b[1:], nil)
 	if err != nil {
 		return Response{}, err
 	}

@@ -20,6 +20,13 @@ import (
 // Handler executes application requests. It returns the response and the
 // CPU cost of processing, which the library charges to the host's worker
 // pool — that cost is the paper's "server processing time".
+//
+// The req.Args slice header array is the library's per-session scratch: it
+// is valid only during Handle, so a handler must not keep req.Args (or a
+// sub-slice of it) nor return it as the response's Args. The byte slices it
+// points at are payload (protocol.Message.Payload: immutable, GC-owned) and
+// may be kept or returned freely — Response{Args: [][]byte{req.Args[0], v}}
+// is legal.
 type Handler interface {
 	Handle(req protocol.Request) (protocol.Response, sim.Time)
 }
@@ -86,10 +93,12 @@ type Stats struct {
 	Crashes        uint64
 }
 
+// query is one complete request: its (reassembled) payload, the sequence
+// numbers it covers and where its acknowledgement goes.
 type query struct {
 	firstSeq uint32
 	lastSeq  uint32
-	req      protocol.Request
+	payload  []byte
 	from     netsim.NodeID
 	srcPort  uint16
 	dstPort  uint16
@@ -99,8 +108,7 @@ type query struct {
 // buffer. It copies the fields the ordered path needs out of the carrying
 // packet: the packet itself is pool-owned and recycled when the host's
 // receive callback returns, so it must never be retained across virtual
-// time. (Msg.Payload may be aliased freely — payload buffers are not
-// pooled.)
+// time. (Msg.Payload may be aliased freely: see protocol.Message.)
 type bufferedFrag struct {
 	msg     protocol.Message
 	from    netsim.NodeID
@@ -113,10 +121,42 @@ type sessState struct {
 	nextSeq  uint32
 	buffered map[uint32]bufferedFrag
 	reasm    map[uint32]*protocol.Reassembler
-	queue    []query
-	busy     bool
 	gapArmed bool
 	retrans  map[uint32]int // retransmission attempts per missing seq
+	args     [][]byte       // DecodeRequestInto scratch: what a Handler sees as req.Args
+
+	// Ordered execution: queries wait in queue[qhead:] and run one at a
+	// time. The one on the CPU is the session's apply record — cur, stamped
+	// with the server generation it was submitted under — and applyFn, its
+	// completion, is bound once when the session is created.
+	queue   []query
+	qhead   int
+	busy    bool
+	cur     query
+	gen     uint64
+	applyFn func()
+}
+
+// push appends a query to the run queue. Before growing it reclaims the
+// consumed prefix, so a queue that never quite drains stays bounded by its
+// peak depth.
+func (st *sessState) push(q query) {
+	if st.qhead > 0 && len(st.queue) == cap(st.queue) {
+		n := copy(st.queue, st.queue[st.qhead:])
+		clear(st.queue[n:])
+		st.queue, st.qhead = st.queue[:n], 0
+	}
+	st.queue = append(st.queue, q)
+}
+
+// pop removes the head of the run queue, keeping the slice's capacity.
+func (st *sessState) pop() query {
+	q := st.queue[st.qhead]
+	st.queue[st.qhead] = query{} // drop the payload reference
+	if st.qhead++; st.qhead == len(st.queue) {
+		st.queue, st.qhead = st.queue[:0], 0
+	}
+	return q
 }
 
 // Server is the PMNet server library bound to one host.
@@ -174,6 +214,7 @@ func (s *Server) session(id uint16) *sessState {
 			reasm:    make(map[uint32]*protocol.Reassembler),
 			retrans:  make(map[uint32]int),
 		}
+		st.applyFn = func() { s.applied(id, st) }
 		s.sess[id] = st
 	}
 	return st
@@ -251,13 +292,8 @@ func (s *Server) onBypass(pkt *netsim.Packet) {
 	st := s.session(hdr.SessionID)
 	st.client = pkt.From
 	firstSeq := hdr.SeqNum - uint32(hdr.FragIdx)
-	var payload []byte
-	if hdr.FragTotal <= 1 {
-		// Single-fragment query — the common case for small values: skip the
-		// reassembler and its parts table. The copy is still required: the
-		// packet's payload memory is pooled and recycled after delivery.
-		payload = append(make([]byte, 0, len(pkt.Msg.Payload)), pkt.Msg.Payload...)
-	} else {
+	payload := pkt.Msg.Payload
+	if hdr.FragTotal > 1 { // single-fragment queries skip the reassembler
 		r, ok := st.reasm[firstSeq]
 		if !ok {
 			r = protocol.NewReassembler(firstSeq, hdr.FragTotal)
@@ -270,9 +306,9 @@ func (s *Server) onBypass(pkt *netsim.Packet) {
 		}
 		delete(st.reasm, firstSeq)
 	}
-	req, derr := protocol.DecodeRequest(payload)
-	q := query{firstSeq: firstSeq, lastSeq: hdr.SeqNum - uint32(hdr.FragIdx) + uint32(hdr.FragTotal) - 1,
-		req: req, from: pkt.From, srcPort: pkt.SrcPort, dstPort: pkt.DstPort}
+	q := query{firstSeq: firstSeq, lastSeq: firstSeq + uint32(hdr.FragTotal) - 1,
+		from: pkt.From, srcPort: pkt.SrcPort, dstPort: pkt.DstPort}
+	req, derr := protocol.DecodeRequestInto(payload, &st.args)
 	if derr != nil {
 		s.respondRead(hdr.SessionID, q, protocol.Response{Status: protocol.StatusError})
 		return
@@ -333,7 +369,7 @@ func (s *Server) onUpdate(pkt *netsim.Packet) {
 	case seq == st.nextSeq:
 		delete(st.retrans, seq)
 		st.nextSeq++
-		s.applyInOrder(hdr.SessionID, st, frag)
+		s.applyInOrder(st, frag)
 		// Drain any buffered successors.
 		for {
 			next, ok := st.buffered[st.nextSeq]
@@ -344,7 +380,7 @@ func (s *Server) onUpdate(pkt *netsim.Packet) {
 			delete(st.retrans, st.nextSeq)
 			st.nextSeq++
 			s.stats.Reordered++
-			s.applyInOrder(hdr.SessionID, st, next)
+			s.applyInOrder(st, next)
 		}
 	default: // seq > st.nextSeq: a gap
 		if _, dup := st.buffered[seq]; dup {
@@ -435,7 +471,7 @@ func (s *Server) armGapCheck(sessID uint16, st *sessState) {
 			delete(st.retrans, st.nextSeq)
 			st.nextSeq++
 			s.stats.Reordered++
-			s.applyInOrder(sessID, st, next)
+			s.applyInOrder(st, next)
 		}
 		s.armGapCheck(sessID, st)
 	})
@@ -443,15 +479,11 @@ func (s *Server) armGapCheck(sessID uint16, st *sessState) {
 
 // applyInOrder feeds one in-order fragment to reassembly and enqueues the
 // completed query for serial per-session execution.
-func (s *Server) applyInOrder(sessID uint16, st *sessState, f bufferedFrag) {
+func (s *Server) applyInOrder(st *sessState, f bufferedFrag) {
 	hdr := f.msg.Hdr
 	firstSeq := hdr.SeqNum - uint32(hdr.FragIdx)
-	var payload []byte
-	if hdr.FragTotal <= 1 {
-		// Single-fragment fast path, mirroring onBypass: no reassembler, one
-		// payload copy (the fragment's memory belongs to the packet pool).
-		payload = append(make([]byte, 0, len(f.msg.Payload)), f.msg.Payload...)
-	} else {
+	payload := f.msg.Payload
+	if hdr.FragTotal > 1 { // single-fragment queries skip the reassembler
 		r, ok := st.reasm[firstSeq]
 		if !ok {
 			r = protocol.NewReassembler(firstSeq, hdr.FragTotal)
@@ -464,48 +496,50 @@ func (s *Server) applyInOrder(sessID uint16, st *sessState, f bufferedFrag) {
 		}
 		delete(st.reasm, firstSeq)
 	}
-	req, derr := protocol.DecodeRequest(payload)
-	if derr != nil {
-		return // corrupt query: ignore; client will time out and resend
-	}
-	st.queue = append(st.queue, query{
+	st.push(query{
 		firstSeq: firstSeq,
 		lastSeq:  firstSeq + uint32(hdr.FragTotal) - 1,
-		req:      req,
+		payload:  payload,
 		from:     f.from,
 		srcPort:  f.srcPort,
 		dstPort:  f.dstPort,
 	})
-	s.runNext(sessID, st)
+	s.runNext(st)
 }
 
 // runNext executes queued queries one at a time per session, preserving the
 // client's order even across the multi-worker CPU.
-func (s *Server) runNext(sessID uint16, st *sessState) {
-	if st.busy || len(st.queue) == 0 {
-		return
+func (s *Server) runNext(st *sessState) {
+	for !st.busy && st.qhead < len(st.queue) {
+		q := st.pop()
+		req, err := protocol.DecodeRequestInto(q.payload, &st.args)
+		if err != nil {
+			continue // corrupt query: ignore; client will time out and resend
+		}
+		st.busy = true
+		st.cur, st.gen = q, s.gen
+		// Updates acknowledge with server-ACKs, not a response payload.
+		_, cost := s.handler.Handle(req)
+		s.host.CPU().Submit(cost, st.applyFn)
 	}
-	st.busy = true
-	q := st.queue[0]
-	st.queue = st.queue[1:]
-	gen := s.gen
-	resp, cost := s.handler.Handle(q.req)
-	_ = resp // updates acknowledge with server-ACKs, not a response payload
-	s.host.CPU().Submit(cost, func() {
-		if gen != s.gen {
-			return
-		}
-		// The handler's state mutations are durable (engines persist before
-		// returning); now persist the watermark and acknowledge.
-		s.setLastApplied(sessID, q.lastSeq)
-		s.stats.UpdatesApplied++
-		if s.tracer != nil {
-			s.tracer.Emit(trace.EvServerApply, uint64(s.host.ID()), 0, trace.SpanID(sessID, q.lastSeq))
-		}
-		s.sendServerAck(sessID, q)
-		st.busy = false
-		s.runNext(sessID, st)
-	})
+}
+
+// applied is the CPU completion of the session's running query.
+func (s *Server) applied(sessID uint16, st *sessState) {
+	if st.gen != s.gen {
+		return // submitted before a crash: this session state is gone
+	}
+	q := st.cur
+	// The handler's state mutations are durable (engines persist before
+	// returning); now persist the watermark and acknowledge.
+	s.setLastApplied(sessID, q.lastSeq)
+	s.stats.UpdatesApplied++
+	if s.tracer != nil {
+		s.tracer.Emit(trace.EvServerApply, uint64(s.host.ID()), 0, trace.SpanID(sessID, q.lastSeq))
+	}
+	s.sendServerAck(sessID, q)
+	st.busy = false
+	s.runNext(st)
 }
 
 // DebugSessions reports, per session, the next expected sequence number and

@@ -258,3 +258,35 @@ func TestCancelStormAllocs(t *testing.T) {
 		t.Errorf("cancel storm allocated %.1f objects per round, want 0", got)
 	}
 }
+
+// TestCancelZombieBound pins the compaction trigger: over a standing
+// population of long timers (the device's EntryTTL timers at saturation),
+// a stream of schedule-then-cancel pairs (client retransmission timers) may
+// park at most as many dead nodes as there are live ones, and a sweep may
+// come no more often than once per live-population's worth of cancels.
+func TestCancelZombieBound(t *testing.T) {
+	eng := NewEngine()
+	nop := func() {}
+	const standing = 1000
+	for i := 0; i < standing; i++ {
+		eng.After(Time(5_000_000+i), nop)
+	}
+	sweeps := 0
+	for i := 0; i < 20*standing; i++ {
+		ev := eng.After(1_000_000, nop)
+		before := eng.dead
+		ev.Cancel()
+		if eng.dead <= before {
+			sweeps++
+		}
+		if eng.dead > max(compactMin, eng.live) {
+			t.Fatalf("cancel %d: %d dead nodes parked over %d live", i, eng.dead, eng.live)
+		}
+	}
+	if sweeps == 0 || sweeps > 20 {
+		t.Fatalf("%d sweeps over %d cancels on %d live timers, want 1..20", sweeps, 20*standing, standing)
+	}
+	if eng.Pending() != standing {
+		t.Fatalf("Pending() = %d, want the %d standing timers", eng.Pending(), standing)
+	}
+}

@@ -61,8 +61,11 @@ const (
 
 // compactMin is the dead-node floor below which Cancel never triggers a
 // compaction sweep; above it, a sweep runs whenever dead nodes outnumber
-// live nodes by more than an eighth, keeping the pool footprint within ~12%
-// of the live population at O(1) amortized sweep cost per cancel.
+// live ones. A sweep visits every queued node, so it costs at most two node
+// visits per cancel that led up to it, and the pool's footprint stays within
+// 2× the live population. (A tighter trigger buys little memory and costs
+// a sweep of the whole standing population — thousands of 5 ms EntryTTL
+// timers at saturation — every few client-timer cancels.)
 const compactMin = 16
 
 // node is one pooled event record, linked intrusively into a wheel slot's
@@ -117,7 +120,7 @@ func (ev Event) Cancel() {
 	n.cancelGen = ev.gen
 	e.live--
 	e.dead++
-	if e.dead > compactMin && e.dead*8 > e.live {
+	if e.dead > compactMin && e.dead > e.live {
 		e.compact()
 	}
 }

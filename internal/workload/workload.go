@@ -12,7 +12,9 @@ import (
 	"pmnet/internal/sim"
 )
 
-// Op is one request to issue.
+// Op is one request to issue. An Op returned by Generator.Next is the
+// caller's to keep; one filled by (*YCSB).NextInto is scratch, valid until
+// the next draw into it.
 type Op struct {
 	Req protocol.Request
 	// Update selects update-req framing (persistent logging) vs bypass.
@@ -69,6 +71,16 @@ type Driver struct {
 	eng       *sim.Engine
 	stats     DriverStats
 	lockDepth int
+
+	// Loop state. Everything the completion path needs lives here and the
+	// two callbacks are bound once in Run, so a step allocates nothing.
+	n        uint64
+	done     func(DriverStats)
+	ycsb     *YCSB // Gen, when it can draw into op's own storage
+	op       Op    // the request in flight; refilled in place when ycsb != nil
+	retries  int   // lock-conflict retries of op so far
+	onResult func(client.Result)
+	reissue  func()
 }
 
 // Run issues n requests (completions counted; lock retries re-issue the
@@ -83,68 +95,81 @@ func (d *Driver) Run(eng *sim.Engine, n uint64, done func(DriverStats)) {
 	if d.MaxLockRetries <= 0 {
 		d.MaxLockRetries = 2000
 	}
-	var issue func()
-	issue = func() {
-		if d.stats.Completed >= n && d.lockDepth == 0 {
-			if done != nil {
-				done(d.stats)
-			}
-			return
-		}
-		op := d.Gen.Next()
-		d.play(op, 0, issue)
-	}
-	issue()
+	d.n, d.done = n, done
+	d.ycsb, _ = d.Gen.(*YCSB)
+	d.onResult, d.reissue = d.handle, d.issue
+	d.next()
 }
 
-// play issues one op, retrying lock conflicts, then continues with next.
-func (d *Driver) play(op Op, retries int, next func()) {
-	handle := func(r client.Result) {
-		if r.Err != nil {
-			d.stats.Failed++
-			d.stats.Completed++
-			next()
-			return
+// next draws the following request and issues it, or finishes the run.
+func (d *Driver) next() {
+	if d.stats.Completed >= d.n && d.lockDepth == 0 {
+		if d.done != nil {
+			d.done(d.stats)
 		}
-		if op.Retry && r.Status == protocol.StatusLocked {
-			if retries >= d.MaxLockRetries {
-				d.stats.Failed++
-				d.stats.Completed++
-				next()
-				return
-			}
-			d.stats.LockRetries++
-			d.eng.After(d.RetryDelay, func() { d.play(op, retries+1, next) })
-			return
-		}
-		switch op.Req.Op {
-		case protocol.OpLockAcquire:
-			if r.Status == protocol.StatusOK {
-				d.lockDepth++
-			}
-		case protocol.OpLockRelease:
-			if d.lockDepth > 0 {
-				d.lockDepth--
-			}
-		}
-		if d.Record != nil {
-			d.Record(r.Latency, op)
-		}
-		d.stats.Completed++
-		next()
+		return
 	}
+	if d.ycsb != nil {
+		d.ycsb.NextInto(&d.op)
+	} else {
+		d.op = d.Gen.Next()
+	}
+	d.retries = 0
+	d.issue()
+}
+
+// issue sends the current op; a lock conflict sends it again.
+func (d *Driver) issue() {
 	switch {
-	case op.Req.Op == protocol.OpLockAcquire || op.Req.Op == protocol.OpLockRelease:
+	case d.op.Req.Op == protocol.OpLockAcquire || d.op.Req.Op == protocol.OpLockRelease:
 		d.stats.LockOps++
 		d.stats.Bypasses++
-		d.Sess.Bypass(op.Req, handle)
-	case op.Update:
+		d.Sess.Bypass(d.op.Req, d.onResult)
+	case d.op.Update:
 		d.stats.Updates++
-		d.Sess.SendUpdate(op.Req, handle)
+		d.Sess.SendUpdate(d.op.Req, d.onResult)
 	default:
 		d.stats.Bypasses++
-		d.Sess.Bypass(op.Req, handle)
+		d.Sess.Bypass(d.op.Req, d.onResult)
 	}
+}
+
+// handle completes the current op: retry a lock conflict, otherwise record
+// it and move on.
+func (d *Driver) handle(r client.Result) {
+	if r.Err != nil {
+		d.stats.Failed++
+		d.stats.Completed++
+		d.next()
+		return
+	}
+	if d.op.Retry && r.Status == protocol.StatusLocked {
+		if d.retries >= d.MaxLockRetries {
+			d.stats.Failed++
+			d.stats.Completed++
+			d.next()
+			return
+		}
+		d.stats.LockRetries++
+		d.retries++
+		d.eng.After(d.RetryDelay, d.reissue)
+		return
+	}
+	switch d.op.Req.Op {
+	case protocol.OpLockAcquire:
+		if r.Status == protocol.StatusOK {
+			d.lockDepth++
+		}
+	case protocol.OpLockRelease:
+		if d.lockDepth > 0 {
+			d.lockDepth--
+		}
+	}
+	if d.Record != nil {
+		d.Record(r.Latency, d.op)
+	}
+	d.stats.Completed++
+	d.next()
 }
 
 // Stats returns the driver counters so far.

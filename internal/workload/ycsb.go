@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"slices"
 	"strconv"
 
 	"pmnet/internal/protocol"
@@ -50,43 +51,66 @@ func NewYCSB(rand *sim.Rand, cfg YCSBConfig) *YCSB {
 }
 
 // YCSBKey returns the i-th key in the keyspace (for prefill). It produces
-// exactly fmt.Sprintf("user%08d", i) for non-negative i, formatted by hand:
-// key generation runs once per request on the hot path and Sprintf costs
-// several allocations per call.
-func YCSBKey(i int) []byte {
+// exactly fmt.Sprintf("user%08d", i) for non-negative i.
+func YCSBKey(i int) []byte { return appendYCSBKey(nil, i) }
+
+// appendYCSBKey appends the i-th key to dst, growing it at most once. The
+// key is formatted by hand: key generation runs once per request on the hot
+// path and Sprintf costs several allocations per call.
+func appendYCSBKey(dst []byte, i int) []byte {
 	var digits [20]byte
 	n := strconv.AppendInt(digits[:0], int64(i), 10)
-	b := make([]byte, 0, 4+8+len(n))
-	b = append(b, "user"...)
+	dst = slices.Grow(dst, 4+max(8, len(n)))
+	dst = append(dst, "user"...)
 	for pad := 8 - len(n); pad > 0; pad-- {
-		b = append(b, '0')
+		dst = append(dst, '0')
 	}
-	return append(b, n...)
+	return append(dst, n...)
 }
 
-func (y *YCSB) nextKey() []byte {
-	var i int
+func (y *YCSB) nextIndex() int {
 	if y.zipf != nil {
-		i = y.zipf.Next()
-	} else {
-		i = y.rand.Intn(y.cfg.Keys)
+		return y.zipf.Next()
 	}
-	return YCSBKey(i)
+	return y.rand.Intn(y.cfg.Keys)
 }
 
-// Next implements Generator.
-func (y *YCSB) Next() Op {
+// NextInto draws the next request into *op, reusing the storage op already
+// has from an earlier NextInto — its argument array and its key bytes — so
+// a caller that keeps one Op and refills it allocates nothing in steady
+// state. Such an op is scratch: it is valid until the next NextInto on it,
+// and whoever needs a request for longer must copy what it keeps (the
+// client's Encode does). The value argument is shared by every update the
+// generator draws and is never written.
+func (y *YCSB) NextInto(op *Op) {
 	y.seq++
-	key := y.nextKey()
-	if y.rand.Float64() < y.cfg.UpdateRatio {
-		return Op{Req: protocol.PutReq(key, y.value), Update: true}
+	args := op.Req.Args
+	var key []byte
+	if len(args) > 0 {
+		key = args[0][:0]
 	}
-	if y.cfg.ScanRatio > 0 && y.rand.Float64() < y.cfg.ScanRatio {
+	if cap(args) < 2 {
+		args = make([][]byte, 0, 2)
+	}
+	key = appendYCSBKey(key, y.nextIndex())
+	switch {
+	case y.rand.Float64() < y.cfg.UpdateRatio:
+		*op = Op{Req: protocol.Request{Op: protocol.OpPut, Args: append(args[:0], key, y.value)}, Update: true}
+	case y.cfg.ScanRatio > 0 && y.rand.Float64() < y.cfg.ScanRatio:
 		scanLen := y.cfg.ScanLen
 		if scanLen <= 0 {
 			scanLen = 10
 		}
-		return Op{Req: protocol.ScanReq(key, scanLen)}
+		*op = Op{Req: protocol.Request{Op: protocol.OpScan, Args: append(args[:0], key, strconv.AppendInt(nil, int64(scanLen), 10))}}
+	default:
+		*op = Op{Req: protocol.Request{Op: protocol.OpGet, Args: append(args[:0], key)}}
 	}
-	return Op{Req: protocol.GetReq(key)}
+}
+
+// Next implements Generator: NextInto on a fresh Op, which the caller may
+// keep.
+func (y *YCSB) Next() Op {
+	var op Op
+	y.NextInto(&op)
+	return op
 }

@@ -54,7 +54,10 @@ type Status = protocol.Status
 type Result = client.Result
 
 // Handler executes application requests on the server, returning the
-// response and the modelled CPU cost.
+// response and the modelled CPU cost. The request's Args array is the
+// server library's scratch, valid only during Handle — do not keep req.Args
+// or return it as the response's Args; the byte slices it holds are payload
+// and may be kept or returned (see server.Handler).
 type Handler = server.Handler
 
 // HandlerFunc adapts a function to Handler.
