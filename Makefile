@@ -1,7 +1,7 @@
 GO ?= go
 
 .PHONY: all build test race vet lint lint-sarif ci bench bench-json microbench trace-smoke \
-	shard-smoke openloop-smoke speedup-smoke impairments-smoke bench-baseline \
+	shard-smoke speedup-smoke impairments-smoke bench-baseline \
 	bench-regression benchdiff sched-baseline sched-gate
 
 all: build test
@@ -29,8 +29,8 @@ lint-sarif:
 	$(GO) run ./cmd/pmnetlint -format sarif ./... > lint.sarif
 
 # Everything CI runs, in the same order.
-ci: build test race vet lint trace-smoke shard-smoke openloop-smoke speedup-smoke \
-	impairments-smoke sched-gate
+ci: build test race vet lint trace-smoke shard-smoke speedup-smoke impairments-smoke \
+	sched-gate
 
 # Trace determinism smoke: the pinned scenario's chrome://tracing bytes must
 # match the golden (same bytes TestTraceGoldenSmoke pins), and 8 concurrent
@@ -85,15 +85,6 @@ shard-smoke:
 		-shards 4 -trace /tmp/pmnet_sim_cross4.json >/dev/null
 	diff -q /tmp/pmnet_sim_cross0.json /tmp/pmnet_sim_cross4.json
 	@echo "shard-smoke: shards 1 vs 4 byte-identical (tables + trace); cross-traffic shards 0 vs 4 too"
-
-# Open-loop scale smoke: live state must be O(active sessions), never
-# O(users). TestOpenLoopMemoryFlat runs the same offered load against 10k and
-# 100k logical users and asserts (a) the active-session table stays bounded
-# by the admission cap and (b) retained heap does not grow with the user
-# count — the invariant that makes "retwis at 1M users" a config number.
-openloop-smoke:
-	$(GO) test -run TestOpenLoopMemoryFlat -v ./internal/harness
-	@echo "openloop-smoke: 10x users, flat retained heap"
 
 # Speedup-curve smoke: the "speedup" experiment runs one pinned scenario at
 # shards 1, 2 and 4 and renders the per-shard virtual-time observables side

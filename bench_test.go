@@ -25,7 +25,7 @@ import (
 func BenchmarkFig2Breakdown(b *testing.B) {
 	var share float64
 	for i := 0; i < b.N; i++ {
-		res := harness.Fig2Breakdown(uint64(i + 1))
+		res := harness.RunSpec(harness.Specs["fig2"], uint64(i+1), 1)
 		share = res.Metrics["server_share"]
 	}
 	b.ReportMetric(share*100, "server-side-%")
@@ -116,7 +116,7 @@ func BenchmarkShardedSaturation4(b *testing.B) { benchShardedSaturation(b, 4) }
 func BenchmarkFig18AltDesigns(b *testing.B) {
 	var m map[string]float64
 	for i := 0; i < b.N; i++ {
-		m = harness.Fig18AltDesigns(uint64(i + 1)).Metrics
+		m = harness.RunSpec(harness.Specs["fig18"], uint64(i+1), 1).Metrics
 	}
 	b.ReportMetric(m["pmnet_us"], "pmnet-us(paper:21.5)")
 	b.ReportMetric(m["server_us"], "serverlog-us(paper:47.97)")
@@ -186,7 +186,7 @@ func BenchmarkFig20Cache(b *testing.B) {
 func BenchmarkFig21Replication(b *testing.B) {
 	var m map[string]float64
 	for i := 0; i < b.N; i++ {
-		m = harness.Fig21Replication(uint64(i + 1)).Metrics
+		m = harness.RunSpec(harness.Specs["fig21"], uint64(i+1), 1).Metrics
 	}
 	b.ReportMetric(m["pmnet_vs_server_repl"], "vs-server-repl(paper:5.88)")
 	b.ReportMetric(m["repl_overhead"]*100, "overhead-%(paper:16)")
@@ -195,7 +195,7 @@ func BenchmarkFig21Replication(b *testing.B) {
 func BenchmarkFig22OptStack(b *testing.B) {
 	var m map[string]float64
 	for i := 0; i < b.N; i++ {
-		m = harness.Fig22OptStack(uint64(i + 1)).Metrics
+		m = harness.RunSpec(harness.Specs["fig22"], uint64(i+1), 1).Metrics
 	}
 	b.ReportMetric(m["kernel_speedup"], "kernel-speedup(paper:3.08)")
 	b.ReportMetric(m["bypass_speedup"], "bypass-speedup(paper:3.56)")
@@ -204,7 +204,7 @@ func BenchmarkFig22OptStack(b *testing.B) {
 func BenchmarkRecovery(b *testing.B) {
 	var per float64
 	for i := 0; i < b.N; i++ {
-		per = harness.RecoveryExperiment(uint64(i + 1)).Metrics["per_request_us"]
+		per = harness.RunSpec(harness.Specs["recovery"], uint64(i+1), 1).Metrics["per_request_us"]
 	}
 	b.ReportMetric(per, "us-per-resend(paper:67)")
 }

@@ -3,7 +3,6 @@ package pmnet
 import (
 	"fmt"
 
-	"pmnet/internal/dataplane"
 	"pmnet/internal/netsim"
 	"pmnet/internal/sim"
 )
@@ -25,14 +24,10 @@ const (
 // more shards than the testbed ever usefully runs.
 const maxPartitions = 12
 
-// serverColoGroup / torColoGroup are the planner co-location groups: all
-// server hosts must share one partition (a plain cfg.Handler is one shared
-// instance across the rack, so servers must stay on one engine), and under
-// PinWithToR the PMNet devices are pinned into the ToR's partition.
-const (
-	serverColoGroup = 0
-	torColoGroup    = 1
-)
+// serverColoGroup is the planner co-location group of the server hosts: they
+// must share one partition, because a plain cfg.Handler is one shared
+// instance across the rack and so must stay on one engine.
+const serverColoGroup = 0
 
 // nodeKind says what NewTestbed instantiates for a cluster node.
 type nodeKind uint8
@@ -88,11 +83,7 @@ func describeCluster(cfg *Config, link netsim.LinkConfig) *cluster {
 		c.node(serverID+netsim.NodeID(i), fmt.Sprintf("server-%d", i), serverNode, serverColoGroup)
 	}
 	// Plain ToR switch merging client traffic (§VI-A1).
-	devGroup := -1
-	if cfg.Design != ClientServer && cfg.Device.Pin == dataplane.PinWithToR {
-		devGroup = torColoGroup
-	}
-	c.node(torID, "tor", switchNode, devGroup)
+	c.node(torID, "tor", switchNode, -1)
 
 	// Generated switch fabric between the clients and the rack ToR (leaf-
 	// spine / fat-tree): clients spread round-robin over its client edges and
@@ -137,7 +128,7 @@ func describeCluster(cfg *Config, link netsim.LinkConfig) *cluster {
 	if cfg.Design != ClientServer {
 		for i := 0; i < cfg.Replication; i++ {
 			id := devBase + netsim.NodeID(i)
-			c.node(id, fmt.Sprintf("pmnet-%d", i), deviceNode, devGroup)
+			c.node(id, fmt.Sprintf("pmnet-%d", i), deviceNode, -1)
 			l := link
 			if i > 0 {
 				l.PropDelay = 200 * sim.Nanosecond

@@ -224,6 +224,14 @@ func (h *RedisHandler) Handle(req protocol.Request) (protocol.Response, sim.Time
 	return resp, h.Cost.Charge(before, h.dev.Stats())
 }
 
+// redisArity is the number of arguments each command reads after its name.
+// Requests arrive decoded from the wire, so a short one is outside input and
+// is answered StatusError, never indexed.
+var redisArity = map[string]int{
+	"SET": 2, "GET": 1, "INCR": 1, "LPUSH": 2, "LRANGE": 3, "SADD": 2,
+	"SISMEMBER": 2, "SCARD": 1, "DEL": 1, "EXISTS": 1, "LLEN": 1,
+}
+
 func (h *RedisHandler) apply(req protocol.Request) protocol.Response {
 	okResp := protocol.Response{Status: protocol.StatusOK}
 	errResp := func(err error) protocol.Response {
@@ -232,6 +240,9 @@ func (h *RedisHandler) apply(req protocol.Request) protocol.Response {
 	// Plain KV ops map onto string commands (lets YCSB run against Redis).
 	switch req.Op {
 	case protocol.OpGet:
+		if len(req.Args) < 1 {
+			return protocol.Response{Status: protocol.StatusError}
+		}
 		v, ok, err := h.Store.Get(req.Args[0])
 		if err != nil {
 			return errResp(err)
@@ -241,6 +252,9 @@ func (h *RedisHandler) apply(req protocol.Request) protocol.Response {
 		}
 		return protocol.Response{Status: protocol.StatusOK, Args: [][]byte{req.Args[0], v}}
 	case protocol.OpPut:
+		if len(req.Args) < 2 {
+			return protocol.Response{Status: protocol.StatusError}
+		}
 		if err := h.Store.Set(req.Args[0], req.Args[1]); err != nil {
 			return errResp(err)
 		}
@@ -255,6 +269,10 @@ func (h *RedisHandler) apply(req protocol.Request) protocol.Response {
 	}
 	cmd := string(req.Args[0])
 	args := req.Args[1:]
+	if len(args) < redisArity[cmd] {
+		return protocol.Response{Status: protocol.StatusError,
+			Args: [][]byte{[]byte("too few arguments for " + cmd)}}
+	}
 	switch cmd {
 	case "SET":
 		if err := h.Store.Set(args[0], args[1]); err != nil {

@@ -7,6 +7,7 @@ import (
 	"pmnet/internal/kv"
 	"pmnet/internal/protocol"
 	"pmnet/internal/rediskv"
+	"pmnet/internal/sim"
 )
 
 func newKVHandler(t *testing.T, engine string) *KVHandler {
@@ -174,6 +175,45 @@ func TestRedisHandlerPlainKVOps(t *testing.T) {
 	resp, _ := h.Handle(protocol.GetReq([]byte("yk")))
 	if string(resp.Args[1]) != "yv" {
 		t.Fatal("plain GET")
+	}
+}
+
+// TestShortRequestsAnswerError: requests reach a handler decoded from the
+// wire, so one with fewer arguments than its command reads is outside input.
+// Both handlers must answer StatusError, not index past the arguments.
+func TestShortRequestsAnswerError(t *testing.T) {
+	type handler interface {
+		Handle(protocol.Request) (protocol.Response, sim.Time)
+	}
+	k := []byte("k")
+	cases := []struct {
+		name string
+		h    handler
+		req  protocol.Request
+	}{
+		{"kv GET no key", newKVHandler(t, "btree"), protocol.Request{Op: protocol.OpGet}},
+		{"kv PUT no value", newKVHandler(t, "btree"), protocol.Request{Op: protocol.OpPut, Args: [][]byte{k}}},
+		{"kv DELETE no key", newKVHandler(t, "btree"), protocol.Request{Op: protocol.OpDelete}},
+		{"kv SCAN no limit", newKVHandler(t, "btree"), protocol.Request{Op: protocol.OpScan, Args: [][]byte{k}}},
+		{"redis GET op no key", newRedisHandler(t), protocol.Request{Op: protocol.OpGet}},
+		{"redis PUT op no value", newRedisHandler(t), protocol.Request{Op: protocol.OpPut, Args: [][]byte{k}}},
+		{"redis TXN no command", newRedisHandler(t), protocol.Request{Op: protocol.OpTxn}},
+	}
+	for name, arity := range redisArity {
+		for n := 0; n < arity; n++ {
+			args := []string{"k", "0", "9"}[:n]
+			cases = append(cases, struct {
+				name string
+				h    handler
+				req  protocol.Request
+			}{fmt.Sprintf("redis %s with %d of %d", name, n, arity), newRedisHandler(t), cmd(name, args...)})
+		}
+	}
+	for _, c := range cases {
+		resp, _ := c.h.Handle(c.req) // a panic here is the regression
+		if resp.Status != protocol.StatusError {
+			t.Errorf("%s: status %v, want StatusError", c.name, resp.Status)
+		}
 	}
 }
 

@@ -43,24 +43,7 @@ type Config struct {
 	// PM overrides the PM device model; zero value uses the paper-calibrated
 	// defaults with LogBytes capacity.
 	PM pmem.Config
-	// Pin places the device in the sharded testbed's partition plan
-	// (ignored by unsharded runs). The device chain normally forms its own
-	// partition so it pipelines against the ToR and the servers; PinWithToR
-	// glues it into the ToR's partition instead — the right call when the
-	// ToR→device patch link is so short it would drag the fabric lookahead
-	// (and with it every epoch) down.
-	Pin PinMode
 }
-
-// PinMode selects a device's partition in a sharded testbed.
-type PinMode uint8
-
-const (
-	// PinChain: devices form the chain partition (default).
-	PinChain PinMode = iota
-	// PinWithToR: devices join the ToR's partition.
-	PinWithToR
-)
 
 // DefaultConfig returns the paper's device configuration.
 //

@@ -140,9 +140,6 @@ func NewLogTable(dev *pmem.Device, queue *pmem.Queue, slotSize int) *LogTable {
 	}
 }
 
-// Slots returns the number of slots in the table.
-func (t *LogTable) Slots() int { return len(t.slots) }
-
 // LiveEntries returns the number of valid (un-reclaimed) entries. Maintained
 // incrementally so the observability gauge can sample it per packet without
 // an O(slots) scan (tables are sized for the bandwidth-delay product, easily
@@ -335,22 +332,6 @@ func (t *LogTable) ReadSlot(idx int, done func(msg protocol.Message, ok bool)) b
 		msg, err := decodeSlot(raw)
 		done(msg, err == nil)
 	})
-}
-
-// DebugLiveHeaders synchronously decodes the headers of all live entries —
-// for tests and diagnostics only (bypasses the queue/latency model).
-func (t *LogTable) DebugLiveHeaders() []protocol.Header {
-	var out []protocol.Header
-	buf := make([]byte, t.slotSize)
-	for _, i := range t.ValidSlots() {
-		if err := t.dev.ReadAt(buf, t.slotOffset(i)); err != nil {
-			continue
-		}
-		if msg, err := decodeSlot(buf); err == nil {
-			out = append(out, msg.Hdr)
-		}
-	}
-	return out
 }
 
 // RebuildIndex reconstructs the SRAM mirror by scanning the persistent

@@ -63,81 +63,9 @@ func fig19Spec(clients, requests int) *Spec {
 	}
 }
 
-// Experiments maps experiment IDs to their single-call runners. Retained as
-// the sequential per-figure API; RunExperiments executes batches on a worker
-// pool.
-var Experiments = map[string]func(seed uint64) Result{
-	"fig2":        Fig2Breakdown,
-	"fig15":       Fig15PayloadSweep,
-	"fig16":       Fig16StressTest,
-	"fig18":       Fig18AltDesigns,
-	"fig19":       Fig19Throughput,
-	"fig20":       Fig20CacheCDF,
-	"fig21":       Fig21Replication,
-	"fig22":       Fig22OptStack,
-	"recovery":    RecoveryExperiment,
-	"tpcclock":    TPCCLockStats,
-	"tail":        TailContention,
-	"fig20cdf":    Fig20FullCDF,
-	"scale":       ScaleSharded,
-	"openloop":    OpenLoopKnee,
-	"speedup":     SpeedupCurve,
-	"impairments": ImpairmentMatrix,
-}
-
 // ExperimentOrder lists experiments in the paper's presentation order.
 var ExperimentOrder = []string{
 	"fig2", "fig15", "fig16", "fig18", "fig19", "fig20", "fig20cdf", "fig21",
 	"fig22", "recovery", "tpcclock", "tail", "scale", "openloop", "speedup",
 	"impairments",
 }
-
-// Fig2Breakdown reproduces Figure 2 (see fig2Render).
-func Fig2Breakdown(seed uint64) Result { return RunSpec(Specs["fig2"], seed, 1) }
-
-// Fig15PayloadSweep reproduces Figure 15 (see fig15Render).
-func Fig15PayloadSweep(seed uint64) Result { return RunSpec(Specs["fig15"], seed, 1) }
-
-// Fig16StressTest reproduces Figure 16 (see fig16Render).
-func Fig16StressTest(seed uint64) Result { return RunSpec(Specs["fig16"], seed, 1) }
-
-// Fig18AltDesigns reproduces Figure 18 (see fig18Render).
-func Fig18AltDesigns(seed uint64) Result { return RunSpec(Specs["fig18"], seed, 1) }
-
-// Fig19Throughput reproduces Figure 19 at full size (see fig19Render).
-func Fig19Throughput(seed uint64) Result { return RunSpec(Specs["fig19"], seed, 1) }
-
-// fig19 runs a custom-size Figure 19 sweep (tests use smaller instances).
-func fig19(seed uint64, clients, requests int) Result {
-	return RunSpec(fig19Spec(clients, requests), seed, 1)
-}
-
-// Fig20CacheCDF reproduces Figure 20's percentile table (see fig20Render).
-func Fig20CacheCDF(seed uint64) Result { return RunSpec(Specs["fig20"], seed, 1) }
-
-// Fig20FullCDF emits Figure 20's full CDFs (see fig20cdfRender).
-func Fig20FullCDF(seed uint64) Result { return RunSpec(Specs["fig20cdf"], seed, 1) }
-
-// Fig21Replication reproduces Figure 21 (see fig21Render).
-func Fig21Replication(seed uint64) Result { return RunSpec(Specs["fig21"], seed, 1) }
-
-// Fig22OptStack reproduces Figure 22 (see fig22Render).
-func Fig22OptStack(seed uint64) Result { return RunSpec(Specs["fig22"], seed, 1) }
-
-// RecoveryExperiment reproduces §VI-B6 (see recoveryRender).
-func RecoveryExperiment(seed uint64) Result { return RunSpec(Specs["recovery"], seed, 1) }
-
-// TPCCLockStats reproduces the §III-C lock statistic (see tpcclockRender).
-func TPCCLockStats(seed uint64) Result { return RunSpec(Specs["tpcclock"], seed, 1) }
-
-// TailContention runs the server-contention extension (see tailRender).
-func TailContention(seed uint64) Result { return RunSpec(Specs["tail"], seed, 1) }
-
-// ScaleSharded runs the sharded saturation sweep (see scaleRender).
-func ScaleSharded(seed uint64) Result { return RunSpec(Specs["scale"], seed, 1) }
-
-// OpenLoopKnee runs the million-user open-loop sweep (see openloopRender).
-func OpenLoopKnee(seed uint64) Result { return RunSpec(Specs["openloop"], seed, 1) }
-
-// SpeedupCurve runs one scenario at -shards 1/2/4 (see speedup.go).
-func SpeedupCurve(seed uint64) Result { return RunSpec(Specs["speedup"], seed, 1) }

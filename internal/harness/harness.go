@@ -1,6 +1,6 @@
 // Package harness regenerates every table and figure of the paper's
-// evaluation (§VI) on the simulated testbed: one exported function per
-// experiment, each returning the rows the paper plots. Absolute numbers
+// evaluation (§VI) on the simulated testbed: one Spec per experiment
+// (Specs), each rendering the rows the paper plots. Absolute numbers
 // come from the calibrated latency model (DESIGN.md §5); the comparisons —
 // who wins, by what factor, where the crossovers sit — are the
 // reproduction targets.
@@ -195,99 +195,136 @@ type OpenLoopResult struct {
 	Reservoir *stats.Reservoir
 }
 
-// buildHandler creates the server application for a workload, returning the
-// handler plus a prefill function run before measurement.
-func buildHandler(w Workload, cfg *RunConfig) (pmnet.Handler, func(), error) {
-	switch w {
-	case WLIdeal:
-		return pmnet.IdealHandler{}, func() {}, nil
-	case WLRedis, WLTwitter:
+// workloadDef is one row of the workload table: everything that differs
+// between workloads. server builds the application handler plus the prefill
+// run before measurement; gen is one closed-loop client's request stream;
+// mix is the open loop's action source, shared by every client's driver.
+type workloadDef struct {
+	server serverFunc
+	gen    genFunc
+	mix    func(cfg *RunConfig) workload.Mix
+}
+
+type (
+	serverFunc func(cfg *RunConfig) (handler pmnet.Handler, prefill func(), err error)
+	genFunc    func(cfg *RunConfig, clientID int, r *sim.Rand) workload.Generator
+)
+
+var workloads = map[Workload]workloadDef{
+	WLIdeal:    {idealServer, ycsbGen, kvMix},
+	WLRedis:    {redisServer(prefillRedisKeys), ycsbGen, kvMix},
+	WLTwitter:  {redisServer(prefillTimelines), twitterGen, twitterMix},
+	WLTPCC:     {engineServer(kv.OpenHashmap, 64<<20, prefillStock), tpccGen, tpccMix},
+	WLBTree:    {engineServer(kv.OpenBTree, 128<<20, prefillKeys), ycsbGen, kvMix},
+	WLCTree:    {engineServer(kv.OpenCTree, 128<<20, prefillKeys), ycsbGen, kvMix},
+	WLRBTree:   {engineServer(kv.OpenRBTree, 128<<20, prefillKeys), ycsbGen, kvMix},
+	WLHashmap:  {engineServer(kv.OpenHashmap, 128<<20, prefillKeys), ycsbGen, kvMix},
+	WLSkiplist: {engineServer(kv.OpenSkiplist, 128<<20, prefillKeys), ycsbGen, kvMix},
+}
+
+func idealServer(*RunConfig) (pmnet.Handler, func(), error) {
+	return pmnet.IdealHandler{}, func() {}, nil
+}
+
+// engineServer serves one PMDK-style engine on an arena of the given size.
+func engineServer(open kv.Factory, arenaBytes int, prefill func(*RunConfig, kv.Engine)) serverFunc {
+	return func(cfg *RunConfig) (pmnet.Handler, func(), error) {
+		arena := kv.NewArena(arenaBytes)
+		engine, err := open(arena)
+		if err != nil {
+			return nil, nil, err
+		}
+		return apps.NewKVHandler(engine, arena), func() { prefill(cfg, engine) }, nil
+	}
+}
+
+func prefillKeys(cfg *RunConfig, engine kv.Engine) {
+	for i := 0; i < cfg.Keys; i++ {
+		if err := engine.Put(workload.YCSBKey(i), make([]byte, cfg.ValueSize)); err != nil {
+			panic(err)
+		}
+	}
+}
+
+func prefillStock(_ *RunConfig, engine kv.Engine) {
+	for wh := 0; wh < 4; wh++ {
+		for it := 0; it < 1000; it++ {
+			_ = engine.Put([]byte(fmt.Sprintf("tpcc:stock:%d:%d", wh, it)), []byte("100"))
+		}
+	}
+}
+
+// redisServer serves the Redis command subset on a fresh store.
+func redisServer(prefill func(*RunConfig, *rediskv.Store)) serverFunc {
+	return func(cfg *RunConfig) (pmnet.Handler, func(), error) {
 		arena := kv.NewArena(64 << 20)
 		store, err := rediskv.Open(arena)
 		if err != nil {
 			return nil, nil, err
 		}
-		h := apps.NewRedisHandler(store, arena)
-		prefill := func() {
-			if w == WLRedis {
-				for i := 0; i < cfg.Keys; i++ {
-					if err := store.Set(workload.YCSBKey(i), make([]byte, cfg.ValueSize)); err != nil {
-						panic(err)
-					}
-				}
-				return
-			}
-			// Twitter: seed timelines and a few posts so reads hit data.
-			users := 1000
-			for u := 0; u < users; u += 7 {
-				_ = store.Set([]byte(fmt.Sprintf("post:c%d-1", u)), []byte("seed post"))
-				_, _ = store.LPush([]byte(fmt.Sprintf("timeline:%d", u)), []byte(fmt.Sprintf("c%d-1", u)), 100)
-			}
-			_ = store.Set([]byte("post:latest"), []byte("latest"))
-		}
-		return h, prefill, nil
-	case WLTPCC:
-		arena := kv.NewArena(64 << 20)
-		engine, err := kv.OpenHashmap(arena)
-		if err != nil {
-			return nil, nil, err
-		}
-		h := apps.NewKVHandler(engine, arena)
-		prefill := func() {
-			for wh := 0; wh < 4; wh++ {
-				for it := 0; it < 1000; it++ {
-					_ = engine.Put([]byte(fmt.Sprintf("tpcc:stock:%d:%d", wh, it)), []byte("100"))
-				}
-			}
-		}
-		return h, prefill, nil
-	default: // the five PMDK engines
-		factory, ok := kv.Factories[string(w)]
-		if !ok {
-			return nil, nil, fmt.Errorf("harness: unknown workload %q", w)
-		}
-		arena := kv.NewArena(128 << 20)
-		engine, err := factory(arena)
-		if err != nil {
-			return nil, nil, err
-		}
-		h := apps.NewKVHandler(engine, arena)
-		prefill := func() {
-			for i := 0; i < cfg.Keys; i++ {
-				if err := engine.Put(workload.YCSBKey(i), make([]byte, cfg.ValueSize)); err != nil {
-					panic(err)
-				}
-			}
-		}
-		return h, prefill, nil
+		return apps.NewRedisHandler(store, arena), func() { prefill(cfg, store) }, nil
 	}
 }
 
-// buildGenerator creates the per-client request generator.
-func buildGenerator(w Workload, cfg *RunConfig, clientID int, r *sim.Rand) workload.Generator {
-	switch w {
-	case WLTwitter:
-		return workload.NewTwitter(r, clientID, workload.TwitterConfig{
-			Users:       1000,
-			UpdateRatio: cfg.UpdateRatio,
-			PostLen:     cfg.ValueSize,
-		})
-	case WLTPCC:
-		return workload.NewTPCC(r, clientID, workload.TPCCConfig{UpdateRatio: cfg.UpdateRatio})
-	default:
-		return workload.NewYCSB(r, workload.YCSBConfig{
-			Keys:        cfg.Keys,
-			UpdateRatio: cfg.UpdateRatio,
-			ValueSize:   cfg.ValueSize,
-			Zipfian:     cfg.Zipfian,
-		})
+func prefillRedisKeys(cfg *RunConfig, store *rediskv.Store) {
+	for i := 0; i < cfg.Keys; i++ {
+		if err := store.Set(workload.YCSBKey(i), make([]byte, cfg.ValueSize)); err != nil {
+			panic(err)
+		}
 	}
+}
+
+// prefillTimelines seeds timelines and a few posts so Twitter reads hit data.
+func prefillTimelines(_ *RunConfig, store *rediskv.Store) {
+	users := 1000
+	for u := 0; u < users; u += 7 {
+		_ = store.Set([]byte(fmt.Sprintf("post:c%d-1", u)), []byte("seed post"))
+		_, _ = store.LPush([]byte(fmt.Sprintf("timeline:%d", u)), []byte(fmt.Sprintf("c%d-1", u)), 100)
+	}
+	_ = store.Set([]byte("post:latest"), []byte("latest"))
+}
+
+func ycsbGen(cfg *RunConfig, _ int, r *sim.Rand) workload.Generator {
+	return workload.NewYCSB(r, workload.YCSBConfig{
+		Keys:        cfg.Keys,
+		UpdateRatio: cfg.UpdateRatio,
+		ValueSize:   cfg.ValueSize,
+		Zipfian:     cfg.Zipfian,
+	})
+}
+
+func kvMix(cfg *RunConfig) workload.Mix {
+	return workload.NewKVMix(cfg.Keys, cfg.ValueSize, cfg.UpdateRatio)
+}
+
+// A closed-loop Twitter run has 1000 users, the population prefillTimelines
+// seeds; an open-loop one has the run's logical users.
+func twitterGen(cfg *RunConfig, clientID int, r *sim.Rand) workload.Generator {
+	return workload.NewTwitter(r, clientID, workload.TwitterConfig{
+		Users: 1000, UpdateRatio: cfg.UpdateRatio, PostLen: cfg.ValueSize})
+}
+
+func twitterMix(cfg *RunConfig) workload.Mix {
+	return workload.NewTwitterMix(workload.TwitterConfig{
+		Users: cfg.Users, UpdateRatio: cfg.UpdateRatio, PostLen: cfg.ValueSize})
+}
+
+func tpccGen(cfg *RunConfig, clientID int, r *sim.Rand) workload.Generator {
+	return workload.NewTPCC(r, clientID, workload.TPCCConfig{UpdateRatio: cfg.UpdateRatio})
+}
+
+func tpccMix(cfg *RunConfig) workload.Mix {
+	return workload.NewTPCCMix(workload.TPCCConfig{UpdateRatio: cfg.UpdateRatio})
 }
 
 // Run executes one experiment run and returns the merged statistics.
 func Run(cfg RunConfig) (*RunResult, error) {
 	cfg.defaults()
-	handler, prefill, err := buildHandler(cfg.Workload, &cfg)
+	wl, ok := workloads[cfg.Workload]
+	if !ok {
+		return nil, fmt.Errorf("harness: unknown workload %q", cfg.Workload)
+	}
+	handler, prefill, err := wl.server(&cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -319,9 +356,9 @@ func Run(cfg RunConfig) (*RunResult, error) {
 	})
 	prefill()
 	if cfg.OfferedLoad > 0 || cfg.ArrivalTrace != "" {
-		return runOpenLoop(&cfg, bed)
+		return runOpenLoop(&cfg, bed, wl.mix(&cfg))
 	}
-	return runClosedLoop(&cfg, bed)
+	return runClosedLoop(&cfg, bed, wl.gen)
 }
 
 // partSlot is the private measurement state of one topology partition's
@@ -379,7 +416,7 @@ func (c *partCountdown) unfinished() int {
 // on how partitions interleave across engines. Slots merge in partition
 // order after bed.Run() returns. With one partition (the default) that is
 // one histogram recorded in global event order.
-func runClosedLoop(cfg *RunConfig, bed *pmnet.Testbed) (*RunResult, error) {
+func runClosedLoop(cfg *RunConfig, bed *pmnet.Testbed, gen genFunc) (*RunResult, error) {
 	rootRand := sim.NewRand(cfg.Seed + 77)
 	slots := make([]partSlot, bed.Partitions())
 	clients := newPartCountdown(bed)
@@ -393,7 +430,7 @@ func runClosedLoop(cfg *RunConfig, bed *pmnet.Testbed) (*RunResult, error) {
 		seen := 0
 		d := &workload.Driver{
 			Sess: bed.Session(i),
-			Gen:  buildGenerator(cfg.Workload, cfg, i, rootRand.Fork()),
+			Gen:  gen(cfg, i, rootRand.Fork()),
 			Record: func(lat sim.Time, op workload.Op) {
 				seen++
 				if seen <= cfg.Warmup {

@@ -12,7 +12,7 @@ import (
 // contract from DESIGN.md.
 
 func TestFig2ServerSideDominates(t *testing.T) {
-	r := Fig2Breakdown(1)
+	r := RunSpec(Specs["fig2"], 1, 1)
 	share := r.Metrics["server_share"]
 	if share < 0.55 || share > 0.85 {
 		t.Fatalf("server-side share %.2f, paper ≈0.70\n%s", share, r.Table.Format())
@@ -20,7 +20,7 @@ func TestFig2ServerSideDominates(t *testing.T) {
 }
 
 func TestFig15SpeedupShape(t *testing.T) {
-	r := Fig15PayloadSweep(2)
+	r := RunSpec(Specs["fig15"], 2, 1)
 	s50 := r.Metrics["speedup_switch_50"]
 	s1000 := r.Metrics["speedup_switch_1000"]
 	if s50 < 1.8 {
@@ -45,7 +45,7 @@ func TestFig15SpeedupShape(t *testing.T) {
 }
 
 func TestFig16SaturationShape(t *testing.T) {
-	r := Fig16StressTest(3)
+	r := RunSpec(Specs["fig16"], 3, 1)
 	// Below saturation PMNet latency < baseline.
 	if r.Metrics["lat_us_pmnet_4"] >= r.Metrics["lat_us_base_4"] {
 		t.Fatalf("PMNet not faster at low load\n%s", r.Table.Format())
@@ -65,7 +65,7 @@ func TestFig16SaturationShape(t *testing.T) {
 }
 
 func TestFig18Ordering(t *testing.T) {
-	r := Fig18AltDesigns(4)
+	r := RunSpec(Specs["fig18"], 4, 1)
 	m := r.Metrics
 	// Unreplicated: client-side < PMNet < server-side (paper 10.4/21.5/47.97).
 	if !(m["client_us"] < m["pmnet_us"] && m["pmnet_us"] < m["server_us"]) {
@@ -82,7 +82,7 @@ func TestFig18Ordering(t *testing.T) {
 }
 
 func TestFig19SpeedupShape(t *testing.T) {
-	r := fig19(5, 4, 60) // smaller instance for test speed
+	r := RunSpec(fig19Spec(4, 60), 5, 1) // smaller instance for test speed
 	avg100 := r.Metrics["avg_100"]
 	avg25 := r.Metrics["avg_25"]
 	if avg100 < 1.6 {
@@ -101,7 +101,7 @@ func TestFig19SpeedupShape(t *testing.T) {
 }
 
 func TestFig20CacheShape(t *testing.T) {
-	r := Fig20CacheCDF(6)
+	r := RunSpec(Specs["fig20"], 6, 1)
 	m := r.Metrics
 	// 100% updates: PMNet mean and p99 well below baseline (paper 3.23x p99).
 	if m["mean_us_PMNet_100"] >= m["mean_us_Client-Server_100"] {
@@ -125,7 +125,7 @@ func TestFig20CacheShape(t *testing.T) {
 }
 
 func TestFig21ReplicationShape(t *testing.T) {
-	r := Fig21Replication(7)
+	r := RunSpec(Specs["fig21"], 7, 1)
 	if v := r.Metrics["pmnet_vs_server_repl"]; v < 2.5 {
 		t.Fatalf("PMNet repl vs server repl = %.2fx, want ≥2.5 (paper 5.88)\n%s",
 			v, r.Table.Format())
@@ -136,7 +136,7 @@ func TestFig21ReplicationShape(t *testing.T) {
 }
 
 func TestFig22StackShape(t *testing.T) {
-	r := Fig22OptStack(8)
+	r := RunSpec(Specs["fig22"], 8, 1)
 	k := r.Metrics["kernel_speedup"]
 	b := r.Metrics["bypass_speedup"]
 	if k < 1.5 {
@@ -148,7 +148,7 @@ func TestFig22StackShape(t *testing.T) {
 }
 
 func TestRecoveryShape(t *testing.T) {
-	r := RecoveryExperiment(9)
+	r := RunSpec(Specs["recovery"], 9, 1)
 	if r.Metrics["replayed"] == 0 {
 		t.Fatalf("nothing replayed\n%s", r.Table.Format())
 	}
@@ -162,7 +162,7 @@ func TestRecoveryShape(t *testing.T) {
 }
 
 func TestTPCCLockFractionReproduced(t *testing.T) {
-	r := TPCCLockStats(10)
+	r := RunSpec(Specs["tpcclock"], 10, 1)
 	f := r.Metrics["lock_fraction"]
 	if f < 0.10 || f > 0.18 {
 		t.Fatalf("lock fraction %.3f, paper 0.137\n%s", f, r.Table.Format())
@@ -181,15 +181,14 @@ func TestAllExperimentsProduceTables(t *testing.T) {
 		t.Skip("full experiment sweep in long mode only")
 	}
 	for _, id := range ExperimentOrder {
-		fn := Experiments[id]
-		if fn == nil {
+		if Specs[id] == nil {
 			t.Fatalf("experiment %s missing from registry", id)
 		}
 	}
 }
 
 func TestTailContentionShape(t *testing.T) {
-	r := TailContention(11)
+	r := RunSpec(Specs["tail"], 11, 1)
 	m := r.Metrics
 	// Server contention must inflate the baseline p99 substantially...
 	if m["p99_us_base_1"] < m["p99_us_base_0"]*1.3 {
@@ -208,7 +207,7 @@ func TestTailContentionShape(t *testing.T) {
 }
 
 func TestFig20CDFKneeShape(t *testing.T) {
-	r := Fig20FullCDF(12)
+	r := RunSpec(Specs["fig20cdf"], 12, 1)
 	m := r.Metrics
 	// Below the knee (p30) PMNet-no-cache rides the fast path...
 	if m["pmnet_p30.0"] > m["base_p30.0"]*0.6 {

@@ -244,7 +244,3 @@ func impairmentsSpec(clients, requests int) *Spec {
 		Render: impairmentsRender,
 	}
 }
-
-// ImpairmentMatrix runs the impairment scenario scorecard (see
-// impairmentsRender).
-func ImpairmentMatrix(seed uint64) Result { return RunSpec(Specs["impairments"], seed, 1) }

@@ -8,6 +8,7 @@ import (
 	"pmnet/internal/openloop"
 	"pmnet/internal/sim"
 	"pmnet/internal/stats"
+	"pmnet/internal/workload"
 )
 
 // reservoirCap sizes the per-client exact-tail sample. Small on purpose: the
@@ -26,21 +27,6 @@ type openSlot struct {
 	drv *openloop.Driver
 }
 
-// buildMix constructs the shared per-run action mix for a workload. Mixes
-// are read-only after construction, so one instance serves every client's
-// driver even when drivers execute on different shard workers.
-func buildMix(cfg *RunConfig) (openloop.Mix, error) {
-	switch cfg.Workload {
-	case WLTwitter:
-		return openloop.NewTwitterMix(cfg.Users, cfg.UpdateRatio, cfg.ValueSize), nil
-	case WLTPCC:
-		return openloop.NewTPCCMix(cfg.UpdateRatio), nil
-	case WLIdeal, WLRedis, WLBTree, WLCTree, WLRBTree, WLHashmap, WLSkiplist:
-		return openloop.NewKVMix(cfg.Keys, cfg.ValueSize, cfg.UpdateRatio), nil
-	}
-	return nil, fmt.Errorf("harness: no open-loop mix for workload %q", cfg.Workload)
-}
-
 // runOpenLoop wires per-client open-loop drivers onto the testbed and merges
 // their results. Determinism mirrors runClosedLoop: the root rand forks once
 // per client in client-index order, each driver draws only from its own
@@ -52,7 +38,7 @@ func buildMix(cfg *RunConfig) (openloop.Mix, error) {
 // arriving inside the window is measured even if it completes during the
 // post-Duration drain, so tail latencies past the knee are not censored.
 // Goodput is therefore measured completions over the window length.
-func runOpenLoop(cfg *RunConfig, bed *pmnet.Testbed) (*RunResult, error) {
+func runOpenLoop(cfg *RunConfig, bed *pmnet.Testbed, mix workload.Mix) (*RunResult, error) {
 	if cfg.Arrival.Rate != 0 {
 		return nil, fmt.Errorf("harness: Arrival.Rate is derived from OfferedLoad; leave it zero")
 	}
@@ -72,10 +58,6 @@ func runOpenLoop(cfg *RunConfig, bed *pmnet.Testbed) (*RunResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("harness: arrival trace: %w", err)
 		}
-	}
-	mix, err := buildMix(cfg)
-	if err != nil {
-		return nil, err
 	}
 	rootRand := sim.NewRand(cfg.Seed + 177)
 	perRate := cfg.OfferedLoad / float64(cfg.Clients)
@@ -148,11 +130,8 @@ func runOpenLoop(cfg *RunConfig, bed *pmnet.Testbed) (*RunResult, error) {
 	// window, regardless of when stragglers drained.
 	run.End = cfg.Duration
 	var agg = RunResult{Bed: bed, Run: run, Open: open}
+	agg.Driver.StepStats = open.StepStats
 	agg.Driver.Completed = open.Requests
-	agg.Driver.Updates = open.Updates
-	agg.Driver.Bypasses = open.Bypasses
-	agg.Driver.LockOps = open.LockOps
-	agg.Driver.LockRetries = open.LockRetries
 	agg.Driver.Failed = open.FailedReqs
 	return &agg, nil
 }

@@ -169,8 +169,8 @@ func runCells(cells []Cell, workers int) []CellResult {
 }
 
 // RunSpec executes one spec on a pool of the given size and renders it,
-// panicking on cell failure — the per-figure API (Fig2Breakdown, ...)
-// treats setup failure as fatal, like mustRun.
+// panicking on cell failure — a single figure's run treats setup failure as
+// fatal, like mustRun.
 func RunSpec(s *Spec, seed uint64, workers int) Result {
 	cells := runCells(s.Enumerate(seed), workers)
 	for _, c := range cells {

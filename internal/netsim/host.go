@@ -214,13 +214,6 @@ func (h *Host) Engine() *sim.Engine { return h.eng }
 // Network exposes the network the host is attached to.
 func (h *Host) Network() *Network { return h.net }
 
-// Stack returns the host's stack model.
-func (h *Host) Stack() StackModel { return h.stack }
-
-// SetStack replaces the stack model (e.g. switching to the bypass stack for
-// the Fig. 22 experiment).
-func (h *Host) SetStack(m StackModel) { h.stack = m }
-
 // OnReceive registers the application callback invoked for packets addressed
 // to this host, after RX stack latency.
 func (h *Host) OnReceive(fn func(pkt *Packet)) { h.recv = fn }

@@ -372,16 +372,6 @@ func buildMultiRouteTable(linkKeys [][2]NodeID, srcs []NodeID) map[NodeID]map[No
 	return multi
 }
 
-// NextHop returns the neighbour to which `at` should forward traffic headed
-// for dst, and whether a route exists.
-func (n *Network) NextHop(at, dst NodeID) (NodeID, bool) {
-	if n.routes == nil {
-		n.computeRoutes()
-	}
-	hop, ok := n.routes[at][dst]
-	return hop, ok
-}
-
 // nextHopFor picks the egress neighbour for pkt at `from`: the single-path
 // table normally, a flow-hashed choice among the equal-cost next hops under
 // ECMP. The hash covers (switch, From, To, ports), so one flow always takes
@@ -419,9 +409,6 @@ func ecmpFlowHash(at NodeID, pkt *Packet) uint64 {
 func (n *Network) SetNodeDown(id NodeID, down bool) {
 	n.down[id] = down
 }
-
-// NodeDown reports whether the node is currently failed.
-func (n *Network) NodeDown(id NodeID) bool { return n.down[id] }
 
 // NewPacketID mints a unique packet identity. Inside a fabric the id carries
 // the partition index in its high bits over a per-partition counter: ids stay

@@ -1,177 +1,13 @@
 package openloop
 
-import (
-	"fmt"
+import "pmnet/internal/workload"
 
-	"pmnet/internal/protocol"
-	"pmnet/internal/sim"
-	"pmnet/internal/workload"
-)
+// Mix is the action definition the driver plays; the applications are
+// defined once, in internal/workload, for both loops.
+type Mix = workload.Mix
 
-// The mixes mirror the closed-loop generators' request shapes (see
-// internal/workload twitter.go / tpcc.go / ycsb.go) reparameterized by user:
-// the closed-loop generators key state to a client ID, while here every
-// action names the logical user an arrival picked. Mixes are stateless apart
-// from read-only buffers, so one instance serves every driver of a run even
-// when drivers execute on different shard workers.
-
-func redisCmd(update bool, cmd string, args ...[]byte) workload.Op {
-	return workload.Op{Req: protocol.TxnReq([]byte(cmd), args...), Update: update}
-}
-
-// TwitterMix emits retwis actions — post, follow, timeline read — for
-// arbitrary user IDs.
-type TwitterMix struct {
-	Users       int     // global user population (targets of follows/reads)
-	UpdateRatio float64 // fraction of actions that mutate
-	PostLen     int
-	TimelineLen int
-	post        []byte
-}
-
-// NewTwitterMix completes the config with the retwis defaults.
-func NewTwitterMix(users int, updateRatio float64, postLen int) *TwitterMix {
-	if users <= 0 {
-		users = 1000
-	}
-	if postLen <= 0 {
-		postLen = 100
-	}
-	if updateRatio == 0 {
-		updateRatio = 0.5
-	}
-	m := &TwitterMix{Users: users, UpdateRatio: updateRatio, PostLen: postLen,
-		TimelineLen: 10, post: make([]byte, postLen)}
-	for i := range m.post {
-		m.post[i] = byte('t')
-	}
-	return m
-}
-
-// Action implements Mix.
-func (m *TwitterMix) Action(r *sim.Rand, uid int, seq uint64, ops []workload.Op) []workload.Op {
-	if r.Float64() < m.UpdateRatio {
-		if r.Float64() < 0.7 {
-			// Post: allocate a post id, store the tweet, push onto own and
-			// global timelines. (uid, seq) is unique because drivers own
-			// disjoint user ranges and seq is driver-monotone.
-			pid := fmt.Sprintf("u%d-%d", uid, seq)
-			return append(ops,
-				redisCmd(true, "INCR", []byte("next_post_id")),
-				redisCmd(true, "SET", []byte("post:"+pid), m.post),
-				redisCmd(true, "LPUSH", []byte(fmt.Sprintf("timeline:%d", uid)), []byte(pid)),
-				redisCmd(true, "LPUSH", []byte("timeline:global"), []byte(pid)),
-			)
-		}
-		other := r.Intn(m.Users)
-		return append(ops,
-			redisCmd(true, "SADD", []byte(fmt.Sprintf("followers:%d", other)), []byte(fmt.Sprintf("%d", uid))),
-			redisCmd(true, "SADD", []byte(fmt.Sprintf("following:%d", uid)), []byte(fmt.Sprintf("%d", other))),
-		)
-	}
-	who := r.Intn(m.Users)
-	return append(ops,
-		redisCmd(false, "LRANGE", []byte(fmt.Sprintf("timeline:%d", who)),
-			[]byte("0"), []byte(fmt.Sprintf("%d", m.TimelineLen-1))),
-		redisCmd(false, "GET", []byte(fmt.Sprintf("post:c%d-1", who%1000))),
-		redisCmd(false, "GET", []byte("post:latest")),
-	)
-}
-
-// TPCCMix emits the TPCC subset — new-order (lock-bracketed), payment,
-// order-status — with the user as the terminal.
-type TPCCMix struct {
-	Warehouses  int
-	Districts   int
-	Items       int
-	UpdateRatio float64
-	OrderLines  int
-}
-
-// NewTPCCMix completes the config with the closed-loop TPCC defaults.
-func NewTPCCMix(updateRatio float64) *TPCCMix {
-	if updateRatio == 0 {
-		updateRatio = 0.88
-	}
-	return &TPCCMix{Warehouses: 4, Districts: 10, Items: 1000,
-		UpdateRatio: updateRatio, OrderLines: 5}
-}
-
-func tpccKey(parts ...any) []byte {
-	s := "tpcc"
-	for _, p := range parts {
-		s += fmt.Sprintf(":%v", p)
-	}
-	return []byte(s)
-}
-
-// Action implements Mix.
-func (m *TPCCMix) Action(r *sim.Rand, uid int, seq uint64, ops []workload.Op) []workload.Op {
-	w := r.Intn(m.Warehouses)
-	d := r.Intn(m.Districts)
-	if r.Float64() < m.UpdateRatio {
-		if r.Float64() < 0.6 {
-			// New-order: lock the stock row, read, write inside the critical
-			// section, unlock — the §III-C pattern.
-			item := r.Intn(m.Items)
-			lock := tpccKey("stocklock", w, item)
-			owner := []byte(fmt.Sprintf("user%d", uid))
-			orderID := fmt.Sprintf("u%d-%d", uid, seq)
-			ops = append(ops,
-				workload.Op{Req: protocol.Request{Op: protocol.OpLockAcquire, Args: [][]byte{lock, owner}}, Retry: true},
-				workload.Op{Req: protocol.GetReq(tpccKey("stock", w, item))},
-				workload.Op{Req: protocol.PutReq(tpccKey("stock", w, item), []byte("qty-updated")), Update: true},
-			)
-			for l := 0; l < m.OrderLines; l++ {
-				ops = append(ops, workload.Op{
-					Req:    protocol.PutReq(tpccKey("orderline", w, d, orderID, l), []byte("line")),
-					Update: true,
-				})
-			}
-			return append(ops,
-				workload.Op{Req: protocol.PutReq(tpccKey("order", w, d, orderID), []byte("placed")), Update: true},
-				workload.Op{Req: protocol.Request{Op: protocol.OpLockRelease, Args: [][]byte{lock, owner}}},
-			)
-		}
-		return append(ops,
-			workload.Op{Req: protocol.PutReq(tpccKey("customer", w, d, uid, "balance"), []byte("bal")), Update: true},
-			workload.Op{Req: protocol.PutReq(tpccKey("district", w, d, "ytd", uid), []byte("ytd")), Update: true},
-		)
-	}
-	return append(ops,
-		workload.Op{Req: protocol.GetReq(tpccKey("customer", w, d, uid, "balance"))},
-		workload.Op{Req: protocol.GetReq(tpccKey("order", w, d, fmt.Sprintf("u%d-%d", uid, seq)))},
-	)
-}
-
-// KVMix emits single-request YCSB-style actions over a shared keyspace, for
-// open-loop runs against the plain KV workloads.
-type KVMix struct {
-	Keys        int
-	UpdateRatio float64
-	value       []byte
-}
-
-// NewKVMix completes the config with the YCSB defaults.
-func NewKVMix(keys, valueSize int, updateRatio float64) *KVMix {
-	if keys <= 0 {
-		keys = 10000
-	}
-	if valueSize <= 0 {
-		valueSize = 100
-	}
-	m := &KVMix{Keys: keys, UpdateRatio: updateRatio, value: make([]byte, valueSize)}
-	for i := range m.value {
-		m.value[i] = byte('a' + i%26)
-	}
-	return m
-}
-
-// Action implements Mix.
-func (m *KVMix) Action(r *sim.Rand, uid int, seq uint64, ops []workload.Op) []workload.Op {
-	key := workload.YCSBKey(r.Intn(m.Keys))
-	if r.Float64() < m.UpdateRatio {
-		return append(ops, workload.Op{Req: protocol.PutReq(key, m.value), Update: true})
-	}
-	return append(ops, workload.Op{Req: protocol.GetReq(key)})
+// NewTwitterMix is workload.NewTwitterMix in the positional form the
+// benchmark's own wiring calls.
+func NewTwitterMix(users int, updateRatio float64, postLen int) *workload.TwitterMix {
+	return workload.NewTwitterMix(workload.TwitterConfig{Users: users, UpdateRatio: updateRatio, PostLen: postLen})
 }

@@ -26,7 +26,6 @@ import (
 
 	"pmnet/internal/arrival"
 	"pmnet/internal/client"
-	"pmnet/internal/protocol"
 	"pmnet/internal/sim"
 	"pmnet/internal/stats"
 	"pmnet/internal/workload"
@@ -50,32 +49,6 @@ type Config struct {
 	// actions arriving at or after Warmup are measured.
 	Warmup   sim.Time
 	Duration sim.Time
-	// RetryDelay backs off lock-acquire retries (0 = 5 µs); MaxLockRetries
-	// caps them per step (0 = 2000). Same semantics as workload.Driver.
-	RetryDelay     sim.Time
-	MaxLockRetries int
-}
-
-func (c *Config) defaults() {
-	if c.MaxInFlight <= 0 {
-		c.MaxInFlight = 128
-	}
-	if c.RetryDelay <= 0 {
-		c.RetryDelay = 5 * sim.Microsecond
-	}
-	if c.MaxLockRetries <= 0 {
-		c.MaxLockRetries = 2000
-	}
-}
-
-// Mix produces one user action: the request steps a logical user issues for
-// a single site interaction (post a tweet, read a timeline, place an order).
-// Implementations must draw randomness only from r and may share read-only
-// state across drivers; seq is a driver-unique action counter for ID
-// allocation. Steps are issued sequentially — step k+1 only after step k
-// completes — so lock-bracketed transactions keep their ordering.
-type Mix interface {
-	Action(r *sim.Rand, uid int, seq uint64, ops []workload.Op) []workload.Op
 }
 
 // Stats counts driver activity. Measured* fields cover only arrivals inside
@@ -87,15 +60,12 @@ type Stats struct {
 	Actions       uint64 // actions fully completed
 	ActionsFailed uint64 // actions with at least one failed step
 	Requests      uint64 // request completions across all steps
-	Updates       uint64
-	Bypasses      uint64
-	LockOps       uint64
-	LockRetries   uint64
 	FailedReqs    uint64
-	PeakActive    int    // high-water mark of concurrently active actions
-	PeakSessions  int    // high-water mark of the active-session table
-	MeasuredOff   uint64 // arrivals inside the measurement window
-	MeasuredDone  uint64 // completed actions that arrived inside it
+	workload.StepStats
+	PeakActive   int    // high-water mark of concurrently active actions
+	PeakSessions int    // high-water mark of the active-session table
+	MeasuredOff  uint64 // arrivals inside the measurement window
+	MeasuredDone uint64 // completed actions that arrived inside it
 }
 
 // Merge folds other into s (harness merges per-client stats in client-index
@@ -107,11 +77,8 @@ func (s *Stats) Merge(other Stats) {
 	s.Actions += other.Actions
 	s.ActionsFailed += other.ActionsFailed
 	s.Requests += other.Requests
-	s.Updates += other.Updates
-	s.Bypasses += other.Bypasses
-	s.LockOps += other.LockOps
-	s.LockRetries += other.LockRetries
 	s.FailedReqs += other.FailedReqs
+	s.StepStats.Merge(other.StepStats)
 	if other.PeakActive > s.PeakActive {
 		s.PeakActive = other.PeakActive
 	}
@@ -130,12 +97,15 @@ type session struct {
 	inflight int
 }
 
-// action is one in-flight user action, pooled across the run.
+// action is one in-flight user action, pooled across the run. Its stepper
+// is bound once, when the action is first made, and plays every step of
+// every action the record is recycled for.
 type action struct {
+	d        *Driver
+	step     workload.Stepper
 	ops      []workload.Op
 	idx      int
 	arrived  sim.Time
-	retries  int // lock retries on the current step
 	failed   bool
 	measured bool
 	sess     *session
@@ -168,7 +138,9 @@ type Driver struct {
 // samples for exact-tail spot checks.
 func New(cfg Config, sess *client.Session, mix Mix, arr arrival.Source,
 	r *sim.Rand, run *stats.Run, res *stats.Reservoir) *Driver {
-	cfg.defaults()
+	if cfg.MaxInFlight <= 0 {
+		cfg.MaxInFlight = 128
+	}
 	if cfg.Users <= 0 {
 		panic("openloop: driver owns no users")
 	}
@@ -254,7 +226,7 @@ func (d *Driver) onArrival() {
 	a.sess = s
 	d.seq++
 	a.ops = d.mix.Action(d.rand, uid, d.seq, a.ops[:0])
-	d.step(a)
+	a.next()
 }
 
 // pickUser draws this arrival's user from the driver's ID range.
@@ -270,58 +242,27 @@ func (d *Driver) pickUser() int {
 	return d.cfg.UserBase + uid
 }
 
-// step issues the current op of a, or finishes the action when none remain.
-func (d *Driver) step(a *action) {
+// next issues a's current step, or finishes the action when none remain.
+func (a *action) next() {
 	if a.idx >= len(a.ops) {
-		d.finish(a)
+		a.d.finish(a)
 		return
 	}
-	a.retries = 0
-	d.issue(a)
+	a.step.Issue(&a.ops[a.idx])
 }
 
-// issue plays one step with closed-loop semantics inside the action: locked
-// responses retry with delay, failures are recorded but later steps still
-// run (a failed step inside a lock bracket must not leak the lock).
-func (d *Driver) issue(a *action) {
-	op := a.ops[a.idx]
-	handle := func(r client.Result) {
-		if r.Err != nil {
-			d.st.FailedReqs++
-			a.failed = true
-			a.idx++
-			d.step(a)
-			return
-		}
-		if op.Retry && r.Status == protocol.StatusLocked {
-			if a.retries >= d.cfg.MaxLockRetries {
-				d.st.FailedReqs++
-				a.failed = true
-				a.idx++
-				d.step(a)
-				return
-			}
-			a.retries++
-			d.st.LockRetries++
-			d.eng.After(d.cfg.RetryDelay, func() { d.issue(a) })
-			return
-		}
-		d.st.Requests++
-		a.idx++
-		d.step(a)
+// stepDone moves a past a finished step. A failure marks the action but the
+// later steps still run: a failed step inside a lock bracket must not leak
+// the lock.
+func (a *action) stepDone(_ client.Result, ok bool) {
+	if ok {
+		a.d.st.Requests++
+	} else {
+		a.d.st.FailedReqs++
+		a.failed = true
 	}
-	switch {
-	case op.Req.Op == protocol.OpLockAcquire || op.Req.Op == protocol.OpLockRelease:
-		d.st.LockOps++
-		d.st.Bypasses++
-		d.sess.Bypass(op.Req, handle)
-	case op.Update:
-		d.st.Updates++
-		d.sess.SendUpdate(op.Req, handle)
-	default:
-		d.st.Bypasses++
-		d.sess.Bypass(op.Req, handle)
-	}
+	a.idx++
+	a.next()
 }
 
 func (d *Driver) finish(a *action) {
@@ -370,12 +311,14 @@ func (d *Driver) getAction() *action {
 		d.freeAct = d.freeAct[:k]
 		return a
 	}
-	return &action{}
+	a := &action{d: d}
+	a.step.Init(d.eng, d.sess, &d.st.StepStats, a.stepDone)
+	return a
 }
 
-// putAction recycles a finished action, keeping its ops slice capacity.
+// putAction recycles a finished action, keeping its stepper binding and its
+// ops slice capacity.
 func (d *Driver) putAction(a *action) {
-	ops := a.ops[:0]
-	*a = action{ops: ops}
+	a.ops, a.idx, a.failed, a.sess = a.ops[:0], 0, false, nil
 	d.freeAct = append(d.freeAct, a)
 }

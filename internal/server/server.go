@@ -8,7 +8,6 @@ package server
 
 import (
 	"encoding/binary"
-	"slices"
 
 	"pmnet/internal/netsim"
 	"pmnet/internal/pmem"
@@ -540,37 +539,6 @@ func (s *Server) applied(sessID uint16, st *sessState) {
 	s.sendServerAck(sessID, q)
 	st.busy = false
 	s.runNext(st)
-}
-
-// DebugSessions reports, per session, the next expected sequence number and
-// the sequence numbers parked in the reorder buffer — for tests and
-// diagnostics.
-func (s *Server) DebugSessions() map[uint16]struct {
-	NextSeq  uint32
-	Buffered []uint32
-} {
-	out := make(map[uint16]struct {
-		NextSeq  uint32
-		Buffered []uint32
-	})
-	ids := make([]uint16, 0, len(s.sess))
-	for id := range s.sess {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	for _, id := range ids {
-		st := s.sess[id]
-		var buf []uint32
-		for seq := range st.buffered {
-			buf = append(buf, seq)
-		}
-		slices.Sort(buf)
-		out[id] = struct {
-			NextSeq  uint32
-			Buffered []uint32
-		}{st.nextSeq, buf}
-	}
-	return out
 }
 
 // Crash power-fails the server: the host drops traffic, volatile library

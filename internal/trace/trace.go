@@ -123,9 +123,6 @@ func (k Kind) String() string {
 	return "kind(?)"
 }
 
-// IsGauge reports whether the kind is a time-series gauge sample.
-func (k Kind) IsGauge() bool { return k >= GaugeLinkQueue }
-
 // Record is one ring entry: a virtual timestamp, a kind, and three generic
 // arguments whose meaning the kind documents. Fixed-size and pointer-free so
 // a ring of them is one allocation and no GC pressure.

@@ -16,15 +16,21 @@ import (
 )
 
 // farNode plays device and server: it PMNet-ACKs every update and hands
-// bypass requests to onBypass, which returns the response status.
+// bypass requests to onBypass, which returns the response status. A mute
+// node answers nothing, so requests time out.
 type farNode struct {
 	id       netsim.NodeID
 	net      *netsim.Network
 	onBypass func(payload []byte) protocol.Status
+	mute     bool
 }
 
 func (f *farNode) ID() netsim.NodeID { return f.id }
 func (f *farNode) HandlePacket(pkt *netsim.Packet) {
+	if f.mute {
+		f.net.FreePacket(pkt)
+		return
+	}
 	h := pkt.Msg.Hdr
 	out := f.net.AllocPacket()
 	out.From, out.To = f.id, pkt.From

@@ -18,21 +18,17 @@ type TPCCConfig struct {
 	Districts   int // per warehouse
 	Items       int
 	UpdateRatio float64 // fraction of mutating transactions (Fig. 19 sweep)
-	OrderLines  int     // items per new-order (default 3)
+	OrderLines  int     // items per new-order (default 5)
 }
 
-// TPCC generates the request steps of new-order, payment and order-status
-// transactions.
-type TPCC struct {
-	cfg    TPCCConfig
-	rand   *sim.Rand
-	client int
-	queue  []Op
-	orders uint64
+// TPCCMix emits the request steps of new-order, payment and order-status
+// transactions, with the acting user as the terminal.
+type TPCCMix struct {
+	cfg TPCCConfig
 }
 
-// NewTPCC builds a generator for one client (terminal).
-func NewTPCC(rand *sim.Rand, clientID int, cfg TPCCConfig) *TPCC {
+// NewTPCCMix completes cfg with the calibrated defaults.
+func NewTPCCMix(cfg TPCCConfig) *TPCCMix {
 	if cfg.Warehouses <= 0 {
 		cfg.Warehouses = 4
 	}
@@ -49,7 +45,13 @@ func NewTPCC(rand *sim.Rand, clientID int, cfg TPCCConfig) *TPCC {
 		cfg.UpdateRatio = 0.88 // TPC-C is ~92% read-write txns; tuned so lock
 		// requests are ≈13.7% of all requests, matching §III-C.
 	}
-	return &TPCC{cfg: cfg, rand: rand, client: clientID}
+	return &TPCCMix{cfg: cfg}
+}
+
+// NewTPCC builds the closed-loop generator of one client: the mix played by
+// terminal clientID with a private order counter.
+func NewTPCC(rand *sim.Rand, clientID int, cfg TPCCConfig) *Player {
+	return &Player{mix: NewTPCCMix(cfg), rand: rand, uid: clientID}
 }
 
 func tpccKey(parts ...any) []byte {
@@ -60,75 +62,56 @@ func tpccKey(parts ...any) []byte {
 	return []byte(s)
 }
 
-// Next implements Generator.
-func (t *TPCC) Next() Op {
-	if len(t.queue) > 0 {
-		op := t.queue[0]
-		t.queue = t.queue[1:]
-		return op
-	}
-	if t.rand.Float64() < t.cfg.UpdateRatio {
-		if t.rand.Float64() < 0.6 {
-			t.enqueueNewOrder()
-		} else {
-			t.enqueuePayment()
-		}
-	} else {
-		t.enqueueOrderStatus()
-	}
-	return t.Next()
+// Action implements Mix.
+func (m *TPCCMix) Action(r *sim.Rand, uid int, seq uint64, ops []Op) []Op {
+	seq--
+	return m.steps(r, uid, &seq, ops)
 }
 
-// enqueueNewOrder: the Figure 5 pattern — lock the stock row, read it,
-// write the updated stock and the order lines, unlock. The lock requests
-// travel as bypass; the writes inside the critical section are update-reqs
-// that PMNet logs.
-func (t *TPCC) enqueueNewOrder() {
-	t.orders++
-	w := t.rand.Intn(t.cfg.Warehouses)
-	d := t.rand.Intn(t.cfg.Districts)
-	item := t.rand.Intn(t.cfg.Items)
+func (m *TPCCMix) steps(r *sim.Rand, uid int, ids *uint64, ops []Op) []Op {
+	if r.Float64() >= m.cfg.UpdateRatio {
+		// Order-status: read-only, of the terminal's latest order.
+		w, d := r.Intn(m.cfg.Warehouses), r.Intn(m.cfg.Districts)
+		return append(ops,
+			Op{Req: protocol.GetReq(tpccKey("customer", w, d, uid, "balance"))},
+			Op{Req: protocol.GetReq(tpccKey("order", w, d, fmt.Sprintf("o%d-%d", uid, *ids)))},
+		)
+	}
+	if r.Float64() >= 0.6 {
+		// Payment: customer balance and district YTD updates; no lock (the
+		// per-customer rows are terminal-partitioned in our setup).
+		w, d := r.Intn(m.cfg.Warehouses), r.Intn(m.cfg.Districts)
+		return append(ops,
+			Op{Req: protocol.PutReq(tpccKey("customer", w, d, uid, "balance"), []byte("bal")), Update: true},
+			Op{Req: protocol.PutReq(tpccKey("district", w, d, "ytd", uid), []byte("ytd")), Update: true},
+			Op{Req: protocol.PutReq(tpccKey("history", w, d, uid), []byte("h")), Update: true},
+		)
+	}
+	// New-order, the Figure 5 pattern: lock the stock row, read it, write
+	// the updated stock and the order lines, unlock. The lock requests
+	// travel as bypass; the writes inside the critical section are
+	// update-reqs that PMNet logs.
+	*ids++
+	w, d := r.Intn(m.cfg.Warehouses), r.Intn(m.cfg.Districts)
+	item := r.Intn(m.cfg.Items)
 	lock := tpccKey("stocklock", w, item)
-	owner := []byte(fmt.Sprintf("client%d", t.client))
-	orderID := fmt.Sprintf("o%d-%d", t.client, t.orders)
-
-	t.queue = append(t.queue,
+	owner := []byte(fmt.Sprintf("client%d", uid))
+	orderID := fmt.Sprintf("o%d-%d", uid, *ids)
+	ops = append(ops,
 		Op{Req: protocol.Request{Op: protocol.OpLockAcquire, Args: [][]byte{lock, owner}}, Retry: true},
 		Op{Req: protocol.GetReq(tpccKey("stock", w, item))},
-		Op{Req: protocol.GetReq(tpccKey("customer", w, d, t.client, "info"))},
+		Op{Req: protocol.GetReq(tpccKey("customer", w, d, uid, "info"))},
 		Op{Req: protocol.PutReq(tpccKey("stock", w, item), []byte("qty-updated")), Update: true},
 	)
-	for l := 0; l < t.cfg.OrderLines; l++ {
-		t.queue = append(t.queue, Op{
+	for l := 0; l < m.cfg.OrderLines; l++ {
+		ops = append(ops, Op{
 			Req:    protocol.PutReq(tpccKey("orderline", w, d, orderID, l), []byte("line")),
 			Update: true,
 		})
 	}
-	t.queue = append(t.queue,
+	return append(ops,
 		Op{Req: protocol.PutReq(tpccKey("order", w, d, orderID), []byte("placed")), Update: true},
 		Op{Req: protocol.PutReq(tpccKey("district", w, d, "nextoid"), []byte("oid")), Update: true},
 		Op{Req: protocol.Request{Op: protocol.OpLockRelease, Args: [][]byte{lock, owner}}},
-	)
-}
-
-// enqueuePayment: customer balance and district YTD updates; no lock (the
-// per-customer rows are client-partitioned in our setup).
-func (t *TPCC) enqueuePayment() {
-	w := t.rand.Intn(t.cfg.Warehouses)
-	d := t.rand.Intn(t.cfg.Districts)
-	t.queue = append(t.queue,
-		Op{Req: protocol.PutReq(tpccKey("customer", w, d, t.client, "balance"), []byte("bal")), Update: true},
-		Op{Req: protocol.PutReq(tpccKey("district", w, d, "ytd", t.client), []byte("ytd")), Update: true},
-		Op{Req: protocol.PutReq(tpccKey("history", w, d, t.client), []byte("h")), Update: true},
-	)
-}
-
-// enqueueOrderStatus: read-only transaction.
-func (t *TPCC) enqueueOrderStatus() {
-	w := t.rand.Intn(t.cfg.Warehouses)
-	d := t.rand.Intn(t.cfg.Districts)
-	t.queue = append(t.queue,
-		Op{Req: protocol.GetReq(tpccKey("customer", w, d, t.client, "balance"))},
-		Op{Req: protocol.GetReq(tpccKey("order", w, d, fmt.Sprintf("o%d-%d", t.client, t.orders)))},
 	)
 }

@@ -8,30 +8,28 @@ import (
 )
 
 // TwitterConfig parameterizes the Retwis-style Twitter workload (§VI-A2,
-// Figure 4). Clients post tweets, follow users, and read timelines; there
-// is no cross-client ordering (each client allocates IDs via independent
-// INCR calls), which is exactly the lock-free structure the paper exploits.
+// Figure 4). Users post tweets, follow users, and read timelines; there is
+// no cross-client ordering (each poster allocates IDs via independent INCR
+// calls), which is exactly the lock-free structure the paper exploits.
 type TwitterConfig struct {
-	Users       int     // user population
+	Users       int     // user population (targets of follows and reads)
 	UpdateRatio float64 // fraction of *actions* that mutate (post/follow)
 	PostLen     int     // tweet payload size (default 100)
 	TimelineLen int     // LRANGE window on reads (default 10)
 }
 
-// Twitter generates Redis-command requests (encoded as OpTxn) implementing
-// the retwis operations. Multi-request actions are emitted step by step so
-// the closed-loop driver preserves the synchronous model.
-type Twitter struct {
-	cfg    TwitterConfig
-	rand   *sim.Rand
-	me     int // this client's user id
-	queue  []Op
-	post   []byte
-	posted uint64
+// TwitterMix emits the retwis actions — post, follow, timeline read — as
+// Redis commands riding in OpTxn requests: Args[0] is the command name, the
+// rest its arguments, interpreted by the server-side RedisHandler.
+type TwitterMix struct {
+	cfg  TwitterConfig
+	tag  byte // first byte of a post id: the id space the poster numbers in
+	post []byte
 }
 
-// NewTwitter builds a generator for one client instance.
-func NewTwitter(rand *sim.Rand, clientID int, cfg TwitterConfig) *Twitter {
+// NewTwitterMix completes cfg with the retwis defaults. Its post ids are
+// u<uid>-<seq>; NewTwitter's closed-loop clients number theirs c<uid>-<n>.
+func NewTwitterMix(cfg TwitterConfig) *TwitterMix {
 	if cfg.Users <= 0 {
 		cfg.Users = 1000
 	}
@@ -44,73 +42,61 @@ func NewTwitter(rand *sim.Rand, clientID int, cfg TwitterConfig) *Twitter {
 	if cfg.UpdateRatio == 0 {
 		cfg.UpdateRatio = 0.5 // retwis default mix: half posts/follows
 	}
-	t := &Twitter{cfg: cfg, rand: rand, me: clientID % cfg.Users, post: make([]byte, cfg.PostLen)}
-	for i := range t.post {
-		t.post[i] = byte('t')
+	m := &TwitterMix{cfg: cfg, tag: 'u', post: make([]byte, cfg.PostLen)}
+	for i := range m.post {
+		m.post[i] = byte('t')
 	}
-	return t
+	return m
 }
 
-// Redis commands ride in OpTxn requests: Args[0] = command name, then the
-// command arguments. The server-side RedisHandler interprets them.
+// NewTwitter builds the closed-loop generator of one client: the mix played
+// by user clientID with a private post counter.
+func NewTwitter(rand *sim.Rand, clientID int, cfg TwitterConfig) *Player {
+	m := NewTwitterMix(cfg)
+	m.tag = 'c'
+	return &Player{mix: m, rand: rand, uid: clientID % m.cfg.Users}
+}
+
 func redisCmd(update bool, cmd string, args ...[]byte) Op {
 	return Op{Req: protocol.TxnReq([]byte(cmd), args...), Update: update}
 }
 
-func userKey(prefix string, uid int) []byte {
-	return []byte(fmt.Sprintf("%s:%d", prefix, uid))
+// Action implements Mix.
+func (m *TwitterMix) Action(r *sim.Rand, uid int, seq uint64, ops []Op) []Op {
+	seq--
+	return m.steps(r, uid, &seq, ops)
 }
 
-// Next implements Generator.
-func (t *Twitter) Next() Op {
-	if len(t.queue) > 0 {
-		op := t.queue[0]
-		t.queue = t.queue[1:]
-		return op
-	}
-	if t.rand.Float64() < t.cfg.UpdateRatio {
-		if t.rand.Float64() < 0.7 {
-			t.enqueuePost()
-		} else {
-			t.enqueueFollow()
+func (m *TwitterMix) steps(r *sim.Rand, uid int, ids *uint64, ops []Op) []Op {
+	if r.Float64() < m.cfg.UpdateRatio {
+		if r.Float64() < 0.7 {
+			// Post: allocate a post id (getUID in Figure 4 — no cross-client
+			// ordering), store the tweet, push it onto the poster's timeline
+			// and the global timeline.
+			*ids++
+			pid := fmt.Sprintf("%c%d-%d", m.tag, uid, *ids)
+			return append(ops,
+				redisCmd(true, "INCR", []byte("next_post_id")),
+				redisCmd(true, "SET", []byte("post:"+pid), m.post),
+				redisCmd(true, "LPUSH", []byte(fmt.Sprintf("timeline:%d", uid)), []byte(pid)),
+				redisCmd(true, "LPUSH", []byte("timeline:global"), []byte(pid)),
+			)
 		}
-	} else {
-		t.enqueueTimelineRead()
+		// Follow: two set insertions.
+		other := r.Intn(m.cfg.Users)
+		return append(ops,
+			redisCmd(true, "SADD", []byte(fmt.Sprintf("followers:%d", other)), []byte(fmt.Sprintf("%d", uid))),
+			redisCmd(true, "SADD", []byte(fmt.Sprintf("following:%d", uid)), []byte(fmt.Sprintf("%d", other))),
+		)
 	}
-	return t.Next()
-}
-
-// enqueuePost emits the retwis "post" action: allocate a post id (getUID in
-// Figure 4 — no cross-client ordering), store the tweet, push it onto the
-// poster's timeline and the global timeline.
-func (t *Twitter) enqueuePost() {
-	t.posted++
-	pid := fmt.Sprintf("c%d-%d", t.me, t.posted) // client-local id, like getUID
-	t.queue = append(t.queue,
-		redisCmd(true, "INCR", []byte("next_post_id")),
-		redisCmd(true, "SET", []byte("post:"+pid), t.post),
-		redisCmd(true, "LPUSH", userKey("timeline", t.me), []byte(pid)),
-		redisCmd(true, "LPUSH", []byte("timeline:global"), []byte(pid)),
-	)
-}
-
-// enqueueFollow emits the "follow" action: two set insertions.
-func (t *Twitter) enqueueFollow() {
-	other := t.rand.Intn(t.cfg.Users)
-	t.queue = append(t.queue,
-		redisCmd(true, "SADD", userKey("followers", other), []byte(fmt.Sprintf("%d", t.me))),
-		redisCmd(true, "SADD", userKey("following", t.me), []byte(fmt.Sprintf("%d", other))),
-	)
-}
-
-// enqueueTimelineRead emits the "home timeline" action: fetch the post list
-// then two posts.
-func (t *Twitter) enqueueTimelineRead() {
-	who := t.rand.Intn(t.cfg.Users)
-	t.queue = append(t.queue,
-		redisCmd(false, "LRANGE", userKey("timeline", who),
-			[]byte("0"), []byte(fmt.Sprintf("%d", t.cfg.TimelineLen-1))),
-		redisCmd(false, "GET", []byte(fmt.Sprintf("post:c%d-1", who))),
+	// Home timeline: fetch the post list, then two posts. Only the first
+	// 1000 users' first posts are seeded (harness prefill), so the read
+	// folds who into that range.
+	who := r.Intn(m.cfg.Users)
+	return append(ops,
+		redisCmd(false, "LRANGE", []byte(fmt.Sprintf("timeline:%d", who)),
+			[]byte("0"), []byte(fmt.Sprintf("%d", m.cfg.TimelineLen-1))),
+		redisCmd(false, "GET", []byte(fmt.Sprintf("post:c%d-1", who%1000))),
 		redisCmd(false, "GET", []byte("post:latest")),
 	)
 }

@@ -105,55 +105,83 @@ func TestTwitterNoLocks(t *testing.T) {
 	}
 }
 
-func TestTPCCLockFraction(t *testing.T) {
-	g := NewTPCC(sim.NewRand(6), 1, TPCCConfig{})
-	locks, total := 0, 0
-	for i := 0; i < 50000; i++ {
-		op := g.Next()
-		total++
-		if op.Req.Op == protocol.OpLockAcquire || op.Req.Op == protocol.OpLockRelease {
-			locks++
-		}
-		if op.Req.Op == protocol.OpLockAcquire && !op.Retry {
-			t.Fatal("lock acquire must be retryable")
-		}
+// tpccPlayers returns the TPCC definition's request stream under both of its
+// players: the closed loop's fixed-terminal Player, and Mix.Action called as
+// the open loop calls it (a fresh user and the next sequence per action).
+func tpccPlayers(seed uint64, cfg TPCCConfig) map[string]func() Op {
+	r := sim.NewRand(seed)
+	mix := NewTPCCMix(cfg)
+	var ops []Op
+	var seq uint64
+	return map[string]func() Op{
+		"closed": NewTPCC(sim.NewRand(seed), 1, cfg).Next,
+		"mix": func() Op {
+			if len(ops) == 0 {
+				seq++
+				ops = mix.Action(r, r.Intn(100000), seq, nil)
+			}
+			op := ops[0]
+			ops = ops[1:]
+			return op
+		},
 	}
-	frac := float64(locks) / float64(total)
-	// Paper §III-C: 13.7% of TPCC requests access the locking primitive.
-	if math.Abs(frac-0.137) > 0.02 {
-		t.Fatalf("lock fraction %.3f, want ≈0.137", frac)
+}
+
+func TestTPCCLockFraction(t *testing.T) {
+	for name, next := range tpccPlayers(6, TPCCConfig{}) {
+		t.Run(name, func(t *testing.T) {
+			locks, total := 0, 0
+			for i := 0; i < 50000; i++ {
+				op := next()
+				total++
+				if op.Req.Op == protocol.OpLockAcquire || op.Req.Op == protocol.OpLockRelease {
+					locks++
+				}
+				if op.Req.Op == protocol.OpLockAcquire && !op.Retry {
+					t.Fatal("lock acquire must be retryable")
+				}
+			}
+			frac := float64(locks) / float64(total)
+			// Paper §III-C: 13.7% of TPCC requests access the locking primitive.
+			if math.Abs(frac-0.137) > 0.02 {
+				t.Fatalf("lock fraction %.3f, want ≈0.137", frac)
+			}
+		})
 	}
 }
 
 func TestTPCCCriticalSectionOrder(t *testing.T) {
-	g := NewTPCC(sim.NewRand(7), 2, TPCCConfig{UpdateRatio: 1.0})
-	depth := 0
-	sawStockPut := false
-	for i := 0; i < 5000; i++ {
-		op := g.Next()
-		switch op.Req.Op {
-		case protocol.OpLockAcquire:
-			if depth != 0 {
-				t.Fatal("nested lock acquire")
-			}
-			depth++
-			sawStockPut = false
-		case protocol.OpLockRelease:
-			if depth != 1 {
-				t.Fatal("release without acquire")
-			}
-			if !sawStockPut {
-				t.Fatal("critical section without stock update")
-			}
-			depth--
-		case protocol.OpPut:
-			if strings.HasPrefix(string(op.Req.Key()), "tpcc:stock:") {
-				if depth != 1 {
-					t.Fatal("stock update outside critical section (Fig. 5)")
+	for name, next := range tpccPlayers(7, TPCCConfig{UpdateRatio: 1.0}) {
+		t.Run(name, func(t *testing.T) {
+			depth := 0
+			sawStockPut := false
+			for i := 0; i < 5000; i++ {
+				op := next()
+				switch op.Req.Op {
+				case protocol.OpLockAcquire:
+					if depth != 0 {
+						t.Fatal("nested lock acquire")
+					}
+					depth++
+					sawStockPut = false
+				case protocol.OpLockRelease:
+					if depth != 1 {
+						t.Fatal("release without acquire")
+					}
+					if !sawStockPut {
+						t.Fatal("critical section without stock update")
+					}
+					depth--
+				case protocol.OpPut:
+					if strings.HasPrefix(string(op.Req.Key()), "tpcc:stock:") {
+						if depth != 1 {
+							t.Fatal("stock update outside critical section (Fig. 5)")
+						}
+						sawStockPut = true
+					}
 				}
-				sawStockPut = true
 			}
-		}
+		})
 	}
 }
 

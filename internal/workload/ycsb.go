@@ -40,14 +40,20 @@ func NewYCSB(rand *sim.Rand, cfg YCSBConfig) *YCSB {
 	if cfg.Theta == 0 {
 		cfg.Theta = 0.99
 	}
-	y := &YCSB{cfg: cfg, rand: rand, value: make([]byte, cfg.ValueSize)}
-	for i := range y.value {
-		y.value[i] = byte('a' + i%26)
-	}
+	y := &YCSB{cfg: cfg, rand: rand, value: ycsbValue(cfg.ValueSize)}
 	if cfg.Zipfian {
 		y.zipf = sim.NewZipf(rand.Fork(), cfg.Keys, cfg.Theta)
 	}
 	return y
+}
+
+// ycsbValue is the n-byte payload every update of one generator shares.
+func ycsbValue(n int) []byte {
+	v := make([]byte, n)
+	for i := range v {
+		v[i] = byte('a' + i%26)
+	}
+	return v
 }
 
 // YCSBKey returns the i-th key in the keyspace (for prefill). It produces
@@ -113,4 +119,33 @@ func (y *YCSB) Next() Op {
 	var op Op
 	y.NextInto(&op)
 	return op
+}
+
+// KVMix is the key-value workload as a Mix, for open-loop runs against the
+// plain KV servers: every action is one request over a shared uniform
+// keyspace.
+type KVMix struct {
+	keys        int
+	updateRatio float64
+	value       []byte
+}
+
+// NewKVMix completes the config with the YCSB defaults.
+func NewKVMix(keys, valueSize int, updateRatio float64) *KVMix {
+	if keys <= 0 {
+		keys = 10000
+	}
+	if valueSize <= 0 {
+		valueSize = 100
+	}
+	return &KVMix{keys: keys, updateRatio: updateRatio, value: ycsbValue(valueSize)}
+}
+
+// Action implements Mix.
+func (m *KVMix) Action(r *sim.Rand, uid int, seq uint64, ops []Op) []Op {
+	key := YCSBKey(r.Intn(m.keys))
+	if r.Float64() < m.updateRatio {
+		return append(ops, Op{Req: protocol.PutReq(key, m.value), Update: true})
+	}
+	return append(ops, Op{Req: protocol.GetReq(key)})
 }

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"pmnet/internal/dataplane"
 	"pmnet/internal/netsim"
 	"pmnet/internal/sim"
 )
@@ -123,8 +122,7 @@ func TestPlanTopologyShardInvariant(t *testing.T) {
 
 // TestPlanTopologyStructure checks the planner's cuts on the real testbed
 // topologies: low-latency chain patches and NIC hops merge, full-latency
-// edge links are cut (maximizing lookahead), servers co-locate, and
-// PinWithToR glues devices to the ToR.
+// edge links are cut (maximizing lookahead), and servers co-locate.
 func TestPlanTopologyStructure(t *testing.T) {
 	// DefaultLink edge latency: 600 ns propagation + 46-byte UDP overhead
 	// serialized at 10 Gb/s.
@@ -137,7 +135,7 @@ func TestPlanTopologyStructure(t *testing.T) {
 			t.Errorf("lookahead %d, want edge-link latency %d", p.Lookahead, edgeLat)
 		}
 		// The 200 ns chain patches merge the devices into one partition,
-		// separate from the ToR (PinChain default).
+		// separate from the ToR.
 		d0 := p.Part[devBase]
 		for i := 1; i < 3; i++ {
 			if p.Part[devBase+netsim.NodeID(i)] != d0 {
@@ -145,7 +143,7 @@ func TestPlanTopologyStructure(t *testing.T) {
 			}
 		}
 		if p.Part[torID] == d0 {
-			t.Error("ToR merged into the device chain under PinChain")
+			t.Error("ToR merged into the device chain")
 		}
 		if p.NParts > maxPartitions {
 			t.Errorf("%d partitions exceed the %d cap", p.NParts, maxPartitions)
@@ -161,17 +159,6 @@ func TestPlanTopologyStructure(t *testing.T) {
 		}
 		if p.Lookahead != edgeLat {
 			t.Errorf("lookahead %d, want edge-link latency %d", p.Lookahead, edgeLat)
-		}
-	})
-
-	t.Run("pin-with-tor", func(t *testing.T) {
-		cfg := Config{Design: PMNetSwitch, Clients: 4, Replication: 2, Shards: 1}
-		cfg.Device.Pin = dataplane.PinWithToR
-		p := planFor(cfg)
-		for i := 0; i < 2; i++ {
-			if p.Part[devBase+netsim.NodeID(i)] != p.Part[torID] {
-				t.Errorf("device %d not co-located with ToR under PinWithToR", i)
-			}
 		}
 	})
 
