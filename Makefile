@@ -46,13 +46,16 @@ trace-smoke:
 	@echo "trace-smoke: golden match + 8-way parallel byte-identical"
 
 # Hot-path micro-benchmarks (allocs/op must stay 0 — 1, the payload, for
-# BenchmarkClientRoundtrip; see the pins in the matching alloc_test.go
-# files). Override BENCHTIME=1x for a CI smoke run.
+# BenchmarkClientRoundtrip; 2 and 3 for BenchmarkEnginePut/Get, whose loops
+# format their own key: the engines add 0 and 1, the returned value; see the
+# pins in the matching alloc_test.go files). Override BENCHTIME=1x for a CI
+# smoke run.
 BENCHTIME ?= 1s
-# The update path's per-hop benchmarks (device, server, client), shared by
-# microbench and the sched-baseline/sched-gate pair.
-PATHBENCH = BenchmarkUpdateHop|BenchmarkServerApply|BenchmarkClientRoundtrip
-PATHPKGS = ./internal/dataplane ./internal/server ./internal/client
+# The request path's per-hop benchmarks (device, server, client, and the KV
+# engines in the root package's bench_test.go), shared by microbench and the
+# sched-baseline/sched-gate pair.
+PATHBENCH = BenchmarkUpdateHop|BenchmarkServerApply|BenchmarkClientRoundtrip|BenchmarkEnginePut|BenchmarkEngineGet
+PATHPKGS = ./internal/dataplane ./internal/server ./internal/client .
 microbench:
 	$(GO) test -run '^$$' -bench 'BenchmarkEngineSchedule|BenchmarkCancel|BenchmarkTransmit|BenchmarkPersistAll|BenchmarkEpochOverhead|BenchmarkBarrier|$(PATHBENCH)' \
 		-benchtime $(BENCHTIME) -benchmem ./internal/sim ./internal/netsim ./internal/pmem ./internal/sim/pdes $(PATHPKGS)

@@ -21,6 +21,12 @@
 // describe different batches, so the regression gate is computed from the
 // matched cells only (sum of events over sum of wall time on each side).
 //
+// Wall-clock numbers compare only between like machines. When both documents
+// record their core count ("cpus") and the counts differ, benchdiff says so
+// and skips the gate: the deltas are still printed, and the deterministic
+// columns (event counts, the workload-mismatch check) still diffed, but a
+// rate recorded on two cores is not a baseline for one recorded on eight.
+//
 // The same tool reads speedups: run `pmnetbench -run scale -parallel 1 -json`
 // at -shards 1 and -shards 4, then benchdiff the two files; a speedup of
 // 2.0x prints as a -50% wall / +100% events-per-second delta.
@@ -93,10 +99,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	fmt.Fprintf(stdout, "old: %s  (seed %d, parallel %d, shards %d)\n",
-		fs.Arg(0), oldDoc.Seed, oldDoc.Parallel, oldDoc.Shards)
-	fmt.Fprintf(stdout, "new: %s  (seed %d, parallel %d, shards %d)\n\n",
-		fs.Arg(1), newDoc.Seed, newDoc.Parallel, newDoc.Shards)
+	fmt.Fprintf(stdout, "old: %s  (seed %d, parallel %d, shards %d, cpus %d)\n",
+		fs.Arg(0), oldDoc.Seed, oldDoc.Parallel, oldDoc.Shards, oldDoc.CPUs)
+	fmt.Fprintf(stdout, "new: %s  (seed %d, parallel %d, shards %d, cpus %d)\n\n",
+		fs.Arg(1), newDoc.Seed, newDoc.Parallel, newDoc.Shards, newDoc.CPUs)
 
 	fmt.Fprintf(stdout, "%-24s %14s %14s %10s\n", "batch", "old", "new", "delta")
 	fmt.Fprintf(stdout, "%-24s %14.1f %14.1f %10s\n", "wall_ms",
@@ -175,6 +181,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if workloadMismatch {
 		fmt.Fprintln(stdout, "\n[!] some matched cells simulated different event counts; their")
 		fmt.Fprintln(stdout, "    wall-clock deltas compare different workloads, not performance.")
+	}
+
+	// A document from before the field existed reads cpus 0: unknown, and
+	// gated as before.
+	if oldDoc.CPUs != 0 && newDoc.CPUs != 0 && oldDoc.CPUs != newDoc.CPUs {
+		fmt.Fprintf(stdout, "\nwarn: recorded on different core counts (cpus %d old, %d new): the wall-clock and\n"+
+			"    events-per-second deltas above compare machines, not code; gate skipped\n",
+			oldDoc.CPUs, newDoc.CPUs)
+		return 0
 	}
 
 	// Regression gate. When both documents cover exactly the same cells the

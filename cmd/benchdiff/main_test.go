@@ -190,6 +190,53 @@ func TestIdenticalDocsPass(t *testing.T) {
 	}
 }
 
+// TestDifferentCPUsSkipGate: a rate recorded on two cores is not a baseline
+// for one recorded on eight. benchdiff must say so and skip the gate rather
+// than fail (or pass) on a cross-machine delta — while still printing the
+// deltas and still flagging a workload mismatch, which is deterministic. A
+// document without the field (cpus 0: it predates it) gates as before.
+func TestDifferentCPUsSkipGate(t *testing.T) {
+	dir := t.TempDir()
+	doc := func(cpus int, events uint64, rate float64) benchfmt.Doc {
+		return benchfmt.Doc{Schema: benchfmt.Schema, Seed: 1, CPUs: cpus,
+			Perf:        benchfmt.Perf{Events: events, EventsPerSec: rate},
+			Experiments: []benchfmt.Experiment{exp("fig2", cell("a", events, 1))}}
+	}
+	oldPath := writeDoc(t, dir, "old.json", doc(2, 1000, 1e6))
+	for _, c := range []struct {
+		name     string
+		newDoc   benchfmt.Doc
+		code     int
+		want     []string
+		dontWant []string
+	}{
+		{"slower on other cpus", doc(8, 1000, 0.5e6), 0,
+			[]string{"cpus 2 old, 8 new", "gate skipped", "-50.0%"}, []string{"FAIL", "OK:", "[!]"}},
+		{"different workload on other cpus", doc(8, 2000, 0.5e6), 0,
+			[]string{"gate skipped", "[!] event counts differ"}, []string{"FAIL", "OK:"}},
+		{"slower on same cpus", doc(2, 1000, 0.5e6), 1,
+			[]string{"FAIL: events_per_sec regressed 50.0%"}, []string{"gate skipped"}},
+		{"slower, cpus unrecorded", doc(0, 1000, 0.5e6), 1,
+			[]string{"FAIL: events_per_sec regressed 50.0%"}, []string{"gate skipped"}},
+	} {
+		newPath := writeDoc(t, dir, "new.json", c.newDoc)
+		var out, errOut strings.Builder
+		if code := run([]string{oldPath, newPath}, &out, &errOut); code != c.code {
+			t.Errorf("%s: exit %d, want %d\noutput:\n%s%s", c.name, code, c.code, out.String(), errOut.String())
+		}
+		for _, w := range c.want {
+			if !strings.Contains(out.String(), w) {
+				t.Errorf("%s: output lacks %q:\n%s", c.name, w, out.String())
+			}
+		}
+		for _, w := range c.dontWant {
+			if strings.Contains(out.String(), w) {
+				t.Errorf("%s: output has %q:\n%s", c.name, w, out.String())
+			}
+		}
+	}
+}
+
 func writeText(t *testing.T, dir, name, content string) string {
 	t.Helper()
 	path := filepath.Join(dir, name)

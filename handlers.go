@@ -19,7 +19,9 @@ var EngineNames = append([]string(nil), kv.EngineNames...)
 // the engine's actual PM work. Its read responses carry the request's own
 // key bytes (Response{Args: {req.Args[0], value}}): legal under the Handler
 // contract, which lends a handler the Args array only for the call but lets
-// it keep the payload bytes the array points at.
+// it keep the payload bytes the array points at. The response's Args array
+// is the handler's scratch, rebuilt by its next Handle — the same contract
+// read the other way; the value in it is a copy the caller owns.
 func NewKVHandler(engine string, arenaBytes int) (Handler, error) {
 	factory, ok := kv.Factories[engine]
 	if !ok {

@@ -8,7 +8,7 @@
 package apps
 
 import (
-	"fmt"
+	"strconv"
 
 	"pmnet/internal/kv"
 	"pmnet/internal/pmem"
@@ -81,6 +81,16 @@ func lockArgs(req protocol.Request) (name, owner string) {
 	return
 }
 
+// respArgs is a handler's response-argument scratch: the array behind the
+// Args of the response it last returned, reused by the next (the contract on
+// server.Handler lets a handler do so).
+type respArgs [][]byte
+
+func (r *respArgs) of(args ...[]byte) [][]byte {
+	*r = append((*r)[:0], args...)
+	return *r
+}
+
 // KVHandler serves GET/PUT/DELETE and lock requests on one storage engine.
 type KVHandler struct {
 	Engine kv.Engine
@@ -88,6 +98,7 @@ type KVHandler struct {
 	arena  *pmobj.Arena
 	dev    *pmem.Device
 	locks  *lockTable
+	args   respArgs
 }
 
 // NewKVHandler builds a handler over an engine living on arena.
@@ -140,10 +151,10 @@ func (h *KVHandler) apply(req protocol.Request) protocol.Response {
 		}
 		v, ok := h.Engine.Get(req.Args[0])
 		if !ok {
-			return protocol.Response{Status: protocol.StatusNotFound, Args: [][]byte{req.Args[0]}}
+			return protocol.Response{Status: protocol.StatusNotFound, Args: h.args.of(req.Args[0])}
 		}
 		// [key, value] so the in-network cache can index the response.
-		return protocol.Response{Status: protocol.StatusOK, Args: [][]byte{req.Args[0], v}}
+		return protocol.Response{Status: protocol.StatusOK, Args: h.args.of(req.Args[0], v)}
 	case protocol.OpPut:
 		if len(req.Args) < 2 {
 			return protocol.Response{Status: protocol.StatusError}
@@ -195,6 +206,7 @@ type RedisHandler struct {
 	Cost  CostModel
 	arena *pmobj.Arena
 	dev   *pmem.Device
+	args  respArgs
 }
 
 // NewRedisHandler builds a handler over a store living on arena.
@@ -224,6 +236,11 @@ func (h *RedisHandler) Handle(req protocol.Request) (protocol.Response, sim.Time
 	return resp, h.Cost.Charge(before, h.dev.Stats())
 }
 
+// number answers OK with n in decimal.
+func (h *RedisHandler) number(n int64) protocol.Response {
+	return protocol.Response{Status: protocol.StatusOK, Args: h.args.of(strconv.AppendInt(nil, n, 10))}
+}
+
 // redisArity is the number of arguments each command reads after its name.
 // Requests arrive decoded from the wire, so a short one is outside input and
 // is answered StatusError, never indexed.
@@ -248,9 +265,9 @@ func (h *RedisHandler) apply(req protocol.Request) protocol.Response {
 			return errResp(err)
 		}
 		if !ok {
-			return protocol.Response{Status: protocol.StatusNotFound, Args: [][]byte{req.Args[0]}}
+			return protocol.Response{Status: protocol.StatusNotFound, Args: h.args.of(req.Args[0])}
 		}
-		return protocol.Response{Status: protocol.StatusOK, Args: [][]byte{req.Args[0], v}}
+		return protocol.Response{Status: protocol.StatusOK, Args: h.args.of(req.Args[0], v)}
 	case protocol.OpPut:
 		if len(req.Args) < 2 {
 			return protocol.Response{Status: protocol.StatusError}
@@ -285,16 +302,15 @@ func (h *RedisHandler) apply(req protocol.Request) protocol.Response {
 			return errResp(err)
 		}
 		if !ok {
-			return protocol.Response{Status: protocol.StatusNotFound, Args: [][]byte{args[0]}}
+			return protocol.Response{Status: protocol.StatusNotFound, Args: h.args.of(args[0])}
 		}
-		return protocol.Response{Status: protocol.StatusOK, Args: [][]byte{args[0], v}}
+		return protocol.Response{Status: protocol.StatusOK, Args: h.args.of(args[0], v)}
 	case "INCR":
 		v, err := h.Store.Incr(args[0])
 		if err != nil {
 			return errResp(err)
 		}
-		return protocol.Response{Status: protocol.StatusOK,
-			Args: [][]byte{[]byte(fmt.Sprintf("%d", v))}}
+		return h.number(v)
 	case "LPUSH":
 		// Timelines are trimmed retwis-style to bound value growth.
 		if _, err := h.Store.LPush(args[0], args[1], 100); err != nil {
@@ -326,8 +342,7 @@ func (h *RedisHandler) apply(req protocol.Request) protocol.Response {
 		if err != nil {
 			return errResp(err)
 		}
-		return protocol.Response{Status: protocol.StatusOK,
-			Args: [][]byte{[]byte(fmt.Sprintf("%d", n))}}
+		return h.number(int64(n))
 	case "DEL":
 		ok, err := h.Store.Del(args[0])
 		if err != nil {
@@ -347,8 +362,7 @@ func (h *RedisHandler) apply(req protocol.Request) protocol.Response {
 		if err != nil {
 			return errResp(err)
 		}
-		return protocol.Response{Status: protocol.StatusOK,
-			Args: [][]byte{[]byte(fmt.Sprintf("%d", n))}}
+		return h.number(int64(n))
 	default:
 		return protocol.Response{Status: protocol.StatusError,
 			Args: [][]byte{[]byte("unknown command " + cmd)}}

@@ -15,22 +15,27 @@ import (
 )
 
 // ackNode answers every update with a PMNet-ACK, then its server-ACK, and
-// recycles the packet — a far side that itself allocates nothing.
+// every bypass request with one fixed read response, and recycles the packet
+// — a far side that itself allocates nothing.
 type ackNode struct {
-	id  netsim.NodeID
-	net *netsim.Network
+	id       netsim.NodeID
+	net      *netsim.Network
+	readResp []byte // encoded once; payloads are immutable, so every reply may carry it
 }
 
 func (a *ackNode) ID() netsim.NodeID { return a.id }
 func (a *ackNode) HandlePacket(pkt *netsim.Packet) {
-	if pkt.Msg.Hdr.Type == protocol.TypeUpdateReq {
-		a.reply(pkt, protocol.TypePMNetACK)
-		a.reply(pkt, protocol.TypeServerACK)
+	switch pkt.Msg.Hdr.Type {
+	case protocol.TypeUpdateReq:
+		a.reply(pkt, protocol.TypePMNetACK, nil)
+		a.reply(pkt, protocol.TypeServerACK, nil)
+	case protocol.TypeBypassReq:
+		a.reply(pkt, protocol.TypeReadResp, a.readResp)
 	}
 	a.net.FreePacket(pkt)
 }
 
-func (a *ackNode) reply(req *netsim.Packet, typ protocol.Type) {
+func (a *ackNode) reply(req *netsim.Packet, typ protocol.Type, payload []byte) {
 	h := req.Msg.Hdr
 	ack := protocol.Header{Type: typ, SessionID: h.SessionID, SeqNum: h.SeqNum,
 		FragIdx: h.FragIdx, FragTotal: h.FragTotal}
@@ -39,7 +44,7 @@ func (a *ackNode) reply(req *netsim.Packet, typ protocol.Type) {
 	out.From, out.To = a.id, req.From
 	out.SrcPort, out.DstPort = req.DstPort, req.SrcPort
 	out.PMNet = true
-	out.Msg = protocol.Message{Hdr: ack}
+	out.Msg = protocol.Message{Hdr: ack, Payload: payload}
 	a.net.Transmit(out, a.id)
 }
 
@@ -56,7 +61,8 @@ func newRoundtripRig() *roundtripRig {
 	r := sim.NewRand(1)
 	net := netsim.New(eng, r.Fork())
 	host := netsim.NewHost(net, 1, "client", netsim.ClientKernelStack, 1, r.Fork())
-	net.AddNode(&ackNode{id: 2, net: net}, "far")
+	net.AddNode(&ackNode{id: 2, net: net, readResp: protocol.Response{Status: protocol.StatusOK,
+		Args: [][]byte{[]byte("user00000001"), make([]byte, 100)}}.Encode()}, "far")
 	net.Connect(1, 2, netsim.DefaultLink())
 	rg := &roundtripRig{eng: eng,
 		sess: New(host, Config{Session: 1, Server: 2, Mode: ModePMNet, RequiredAcks: 1}),
@@ -87,6 +93,34 @@ func TestClientRoundtripAllocs(t *testing.T) {
 	}
 	if st := rg.sess.Stats(); rg.ok == 0 || uint64(rg.ok) != st.UpdatesSent || st.PMNetAcks != st.UpdatesSent {
 		t.Fatalf("path not exercised: %d completions, stats %+v", rg.ok, st)
+	}
+}
+
+// TestReadResponseAllocs pins Bypass → read response → callback to the same
+// one allocation, the request payload: the response decodes into the
+// session's scratch, so completing a read allocates nothing.
+func TestReadResponseAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("AllocsPerRun is unreliable under the race detector")
+	}
+	rg := newRoundtripRig()
+	get := protocol.GetReq([]byte("user00000001"))
+	values := 0
+	done := func(res Result) {
+		if res.Err == nil && len(res.Args) == 2 && len(res.Value) == 100 {
+			values++
+		}
+	}
+	round := func() {
+		rg.sess.Bypass(get, done)
+		rg.eng.Run()
+	}
+	round()
+	if got := testing.AllocsPerRun(100, round); got != 1 {
+		t.Errorf("read round trip allocated %.1f objects, want 1 (the request payload)", got)
+	}
+	if st := rg.sess.Stats(); values == 0 || uint64(values) != st.BypassSent {
+		t.Fatalf("path not exercised: %d values read, stats %+v", values, st)
 	}
 }
 

@@ -49,8 +49,12 @@ type Config struct {
 
 // Result reports a completed request to the application.
 type Result struct {
-	Status    protocol.Status
-	Args      [][]byte // raw response arguments (e.g. scan key/value pairs)
+	Status protocol.Status
+	// Args are the raw response arguments (e.g. scan key/value pairs). The
+	// array is the session's decode scratch, overwritten by its next read
+	// response: a completion that wants it later copies it. The byte slices
+	// are payload and may be kept.
+	Args      [][]byte
 	Value     []byte   // response value for reads
 	Latency   sim.Time // issue → completion
 	Resends   int      // timeout retransmissions
@@ -116,6 +120,7 @@ type Session struct {
 	requests map[uint32]*pending
 	bySeq    map[uint32]*pending
 	freeP    []*pending // recycled request records
+	args     [][]byte   // DecodeResponseInto scratch: what a completion sees as Result.Args
 	stats    Stats
 	tracer   *trace.Tracer // picked up from the network at New; nil = off
 	closed   bool
@@ -423,7 +428,7 @@ func (s *Session) onPacket(pkt *netsim.Packet) {
 		if p == nil || p.isUpdate {
 			return
 		}
-		resp, err := protocol.DecodeResponse(pkt.Msg.Payload)
+		resp, err := protocol.DecodeResponseInto(pkt.Msg.Payload, &s.args)
 		if err != nil {
 			return
 		}

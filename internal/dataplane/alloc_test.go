@@ -41,24 +41,33 @@ type hopRig struct {
 	payload []byte
 	seq     uint32
 	acks    int // PMNet-ACKs the client saw
+	hits    int // cache responses the client saw
 }
 
-func newHopRig() *hopRig {
+func newHopRig() *hopRig { return newHopRigWith(DefaultConfig()) }
+
+func newHopRigWith(cfg Config) *hopRig {
 	eng := sim.NewEngine()
 	net := netsim.New(eng, sim.NewRand(1))
 	rg := &hopRig{eng: eng, net: net,
 		payload: protocol.PutReq([]byte("user00000001"), make([]byte, 1000)).Encode()}
 	client := &sinkNode{id: clientID, net: net}
 	client.got = func(pkt *netsim.Packet) {
-		if pkt.Msg.Hdr.Type == protocol.TypePMNetACK {
+		switch pkt.Msg.Hdr.Type {
+		case protocol.TypePMNetACK:
 			rg.acks++
+		case protocol.TypeCacheResp:
+			rg.hits++
 		}
 	}
 	net.AddNode(client, "client")
-	rg.dev = New(net, devID, "pmnet", DefaultConfig())
+	rg.dev = New(net, devID, "pmnet", cfg)
 	server := &sinkNode{id: serverID, net: net}
 	server.got = func(pkt *netsim.Packet) {
 		h := pkt.Msg.Hdr
+		if h.Type != protocol.TypeUpdateReq {
+			return
+		}
 		ack := protocol.Header{Type: protocol.TypeServerACK, SessionID: h.SessionID,
 			SeqNum: h.SeqNum, FragIdx: h.FragIdx, FragTotal: h.FragTotal}
 		ack.Seal()
@@ -105,6 +114,89 @@ func TestUpdateHopAllocs(t *testing.T) {
 	st := rg.dev.Stats()
 	if rg.acks == 0 || uint64(rg.acks) != st.AcksSent || st.Log.Invalidated != st.Log.Logged {
 		t.Fatalf("hop not exercised: %d PMNet-ACKs seen, stats %+v", rg.acks, st)
+	}
+}
+
+// TestReadResponseAllocs pins a GET answered by the device's cache to one
+// allocation, the response payload: the key is looked up as the bytes in the
+// packet, the request decodes into the device's scratch, and the response's
+// two-element Args never leaves the stack.
+func TestReadResponseAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("AllocsPerRun is unreliable under the race detector")
+	}
+	cfg := DefaultConfig()
+	cfg.CacheEntries = 64
+	rg := newHopRigWith(cfg)
+	rg.round() // the update leaves user00000001 Persisted in the cache
+	get := protocol.GetReq([]byte("user00000001")).Encode()
+	seq := uint32(1 << 31)
+	round := func() {
+		seq++
+		h := protocol.Header{Type: protocol.TypeBypassReq, SessionID: 1, SeqNum: seq, FragTotal: 1}
+		h.Seal()
+		pkt := rg.net.AllocPacket()
+		pkt.From, pkt.To = clientID, serverID
+		pkt.SrcPort, pkt.DstPort = 40001, protocol.PortMin
+		pkt.PMNet = true
+		pkt.Msg = protocol.Message{Hdr: h, Payload: get}
+		rg.net.Transmit(pkt, clientID)
+		rg.eng.Run()
+	}
+	round()
+	if got := testing.AllocsPerRun(100, round); got != 1 {
+		t.Errorf("cache hit allocated %.1f objects, want 1 (the response payload)", got)
+	}
+	if st := rg.dev.Stats(); rg.hits == 0 || uint64(rg.hits) != st.CacheResponses || st.Cache.Misses != 0 {
+		t.Fatalf("path not exercised: %d cache responses seen, stats %+v", rg.hits, st)
+	}
+}
+
+// TestCacheSteadyStateAllocs pins every cache operation on resident keys —
+// the device's byte-keyed forms and the string-keyed ones — to zero
+// allocations, and an eviction's replacement to one: the new key's string,
+// its entry being the evicted one.
+func TestCacheSteadyStateAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("AllocsPerRun is unreliable under the race detector")
+	}
+	c := NewCache(8)
+	keys := make([][]byte, 8)
+	for i := range keys {
+		keys[i] = []byte{'k', byte('0' + i)}
+		c.OnReadResponse(string(keys[i]), []byte("v"))
+	}
+	value := []byte("value")
+	i := 0
+	if got := testing.AllocsPerRun(200, func() {
+		k := keys[i%len(keys)]
+		i++
+		held := c.onUpdate(k, value) // Persisted → Pending
+		if _, hit := c.lookup(k); !hit {
+			t.Fatal("pending entry did not serve")
+		}
+		c.onUpdate(k, value) // Pending → Stale
+		c.OnServerAck(held)  // Stale → Invalid
+		c.onReadResponse(k, value)
+		if v, hit := c.Lookup(held); !hit || &v[0] != &value[0] {
+			t.Fatal("filled entry did not serve")
+		}
+		c.OnUpdate(held, value)
+		c.OnServerAck(held)
+	}); got != 0 {
+		t.Errorf("resident-key operations allocated %.1f objects, want 0", got)
+	}
+	n := 0
+	fresh := make([]byte, 0, 8)
+	if got := testing.AllocsPerRun(200, func() {
+		n++
+		fresh = append(fresh[:0], 'n', byte(n), byte(n>>8))
+		c.onReadResponse(fresh, value)
+	}); got != 1 {
+		t.Errorf("replacing an evicted key allocated %.1f objects, want 1 (its key string)", got)
+	}
+	if st := c.Stats(); c.Len() != 8 || st.Evictions < 200 {
+		t.Fatalf("evictions not exercised: len %d, stats %+v", c.Len(), st)
 	}
 }
 

@@ -1,7 +1,5 @@
 package dataplane
 
-import "container/list"
-
 // CacheState is the per-entry state of the integrated read cache
 // (Figure 11 of the paper).
 type CacheState uint8
@@ -41,11 +39,13 @@ func (s CacheState) String() string {
 // cache", §IV-D).
 func (s CacheState) servable() bool { return s == CachePending || s == CachePersisted }
 
+// cacheEntry is one key's protocol state and a link of the LRU ring. An
+// evicted entry is recycled for the next new key.
 type cacheEntry struct {
-	key   string
-	state CacheState
-	value []byte
-	elem  *list.Element
+	key        string
+	state      CacheState
+	value      []byte
+	prev, next *cacheEntry // toward most / least recently used
 }
 
 // CacheStats counts read-cache activity.
@@ -63,7 +63,8 @@ type CacheStats struct {
 type Cache struct {
 	capacity int
 	entries  map[string]*cacheEntry
-	lru      *list.List // front = most recent
+	lru      cacheEntry    // ring sentinel: lru.next is the most recent entry, lru.prev the least
+	free     []*cacheEntry // evicted entries awaiting reuse
 	stats    CacheStats
 }
 
@@ -73,11 +74,9 @@ func NewCache(capacity int) *Cache {
 	if capacity <= 0 {
 		panic("dataplane: cache capacity must be positive")
 	}
-	return &Cache{
-		capacity: capacity,
-		entries:  make(map[string]*cacheEntry, capacity),
-		lru:      list.New(),
-	}
+	c := &Cache{capacity: capacity, entries: make(map[string]*cacheEntry, capacity)}
+	c.lru.prev, c.lru.next = &c.lru, &c.lru
+	return c
 }
 
 // Stats returns a copy of the cache counters.
@@ -94,19 +93,32 @@ func (c *Cache) State(key string) CacheState {
 	return CacheInvalid
 }
 
-func (c *Cache) touch(e *cacheEntry) { c.lru.MoveToFront(e.elem) }
+func (e *cacheEntry) unlink() {
+	e.prev.next, e.next.prev = e.next, e.prev
+}
+
+func (c *Cache) pushFront(e *cacheEntry) {
+	e.prev, e.next = &c.lru, c.lru.next
+	e.prev.next, e.next.prev = e, e
+}
+
+func (c *Cache) touch(e *cacheEntry) {
+	e.unlink()
+	c.pushFront(e)
+}
 
 // evictOne removes the least recently used entry whose state permits
 // eviction. Returns false if every entry is protocol-pinned.
 func (c *Cache) evictOne() bool {
-	//pmnetlint:ignore boundedwork walk is capped by the cache capacity (lru.Len <= c.capacity, a fixed table size)
-	for el := c.lru.Back(); el != nil; el = el.Prev() {
-		e := el.Value.(*cacheEntry)
+	//pmnetlint:ignore boundedwork walk is capped by the cache capacity (the ring holds <= c.capacity entries, a fixed table size)
+	for e := c.lru.prev; e != &c.lru; e = e.prev {
 		if e.state == CachePending || e.state == CacheStale {
 			continue // pinned: holds in-flight protocol state
 		}
-		c.lru.Remove(el)
+		e.unlink()
 		delete(c.entries, e.key)
+		*e = cacheEntry{}
+		c.free = append(c.free, e)
 		c.stats.Evictions++
 		return true
 	}
@@ -119,17 +131,27 @@ func (c *Cache) insert(key string, state CacheState, value []byte) *cacheEntry {
 			return nil // cache full of pinned entries
 		}
 	}
-	e := &cacheEntry{key: key, state: state, value: value}
-	e.elem = c.lru.PushFront(e)
+	var e *cacheEntry
+	if k := len(c.free) - 1; k >= 0 {
+		e, c.free = c.free[k], c.free[:k]
+	} else {
+		e = new(cacheEntry)
+	}
+	e.key, e.state, e.value = key, state, value
+	c.pushFront(e)
 	c.entries[key] = e
 	return e
 }
 
 // Lookup serves a read: on a hit (entry Pending or Persisted) it returns the
 // value. The miss counter includes unservable (Stale/Invalid) entries.
-func (c *Cache) Lookup(key string) ([]byte, bool) {
-	e, ok := c.entries[key]
-	if !ok || !e.state.servable() {
+func (c *Cache) Lookup(key string) ([]byte, bool) { return c.serve(c.entries[key]) }
+
+// lookup is Lookup for a key still in its packet: no string is built.
+func (c *Cache) lookup(key []byte) ([]byte, bool) { return c.serve(c.entries[string(key)]) }
+
+func (c *Cache) serve(e *cacheEntry) ([]byte, bool) {
+	if e == nil || !e.state.servable() {
 		c.stats.Misses++
 		return nil, false
 	}
@@ -141,11 +163,27 @@ func (c *Cache) Lookup(key string) ([]byte, bool) {
 // OnUpdate applies the state transitions for an update-req to key carrying
 // value (T1, T3, T4, T5 in Figure 11).
 func (c *Cache) OnUpdate(key string, value []byte) {
-	e, ok := c.entries[key]
-	if !ok || e == nil {
-		c.insert(key, CachePending, value) // T1
+	if e := c.entries[key]; e != nil {
+		c.update(e, value)
 		return
 	}
+	c.insert(key, CachePending, value) // T1
+}
+
+// onUpdate is OnUpdate for a key still in its packet. It returns the key as
+// a string for the device's hash→key map: the entry's own when the key is
+// resident, so only a new key costs a string.
+func (c *Cache) onUpdate(key, value []byte) string {
+	if e := c.entries[string(key)]; e != nil {
+		c.update(e, value)
+		return e.key
+	}
+	k := string(key)
+	c.insert(k, CachePending, value) // T1
+	return k
+}
+
+func (c *Cache) update(e *cacheEntry, value []byte) {
 	switch e.state {
 	case CacheInvalid:
 		e.state = CachePending // T1
@@ -184,13 +222,23 @@ func (c *Cache) OnServerAck(key string) {
 // entry — overwriting a Pending/Stale entry with a possibly older server
 // value would break consistency.
 func (c *Cache) OnReadResponse(key string, value []byte) {
-	e, ok := c.entries[key]
-	if !ok {
-		if c.insert(key, CachePersisted, value) != nil {
-			c.stats.Fills++
-		}
-		return
+	if e := c.entries[key]; e != nil {
+		c.fill(e, value)
+	} else if c.insert(key, CachePersisted, value) != nil {
+		c.stats.Fills++
 	}
+}
+
+// onReadResponse is OnReadResponse for a key still in its packet.
+func (c *Cache) onReadResponse(key, value []byte) {
+	if e := c.entries[string(key)]; e != nil {
+		c.fill(e, value)
+	} else if c.insert(string(key), CachePersisted, value) != nil {
+		c.stats.Fills++
+	}
+}
+
+func (c *Cache) fill(e *cacheEntry, value []byte) {
 	if e.state == CacheInvalid {
 		e.state = CachePersisted
 		e.value = value

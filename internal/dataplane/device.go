@@ -86,7 +86,8 @@ type Device struct {
 
 	// hashKey maps a logged update's HashVal to its application key so the
 	// read cache can apply server-ACK transitions (SRAM metadata; rebuilt
-	// empty after a device restart, which only costs cache warmth).
+	// empty after a device restart, which only costs cache warmth). The string
+	// is the cache entry's own key, not a copy per update.
 	hashKey map[uint32]string
 
 	stats  Stats
@@ -94,7 +95,7 @@ type Device struct {
 	down   bool
 	jobs   []*pipeJob   // recycled egress records (per-device)
 	upds   []*updateRec // recycled logged-update records (per-device)
-	args   [][]byte     // DecodeRequestInto scratch for the read cache's key extraction
+	args   [][]byte     // decode scratch for the read cache's key extraction
 }
 
 // updateRec is one pooled logged update, from handleUpdate until its repair
@@ -340,16 +341,16 @@ func (d *Device) HandlePacket(pkt *netsim.Packet) {
 }
 
 // cacheKeyValue extracts the (key, value) of a cacheable single-fragment
-// KV update, or ok=false.
-func (d *Device) cacheKeyValue(msg protocol.Message) (key string, value []byte, ok bool) {
+// KV update, or ok=false. Both alias the payload.
+func (d *Device) cacheKeyValue(msg protocol.Message) (key, value []byte, ok bool) {
 	if msg.Hdr.FragTotal > 1 {
-		return "", nil, false
+		return nil, nil, false
 	}
 	req, err := protocol.DecodeRequestInto(msg.Payload, &d.args)
 	if err != nil || req.Op != protocol.OpPut || len(req.Args) < 2 {
-		return "", nil, false
+		return nil, nil, false
 	}
-	return string(req.Args[0]), req.Args[1], true
+	return req.Args[0], req.Args[1], true
 }
 
 // handleUpdate logs the packet, forwards it to the server, and ACKs the
@@ -379,8 +380,7 @@ func (d *Device) handleUpdate(pkt *netsim.Packet) {
 	}
 	if d.cache != nil {
 		if key, value, ok := d.cacheKeyValue(msg); ok {
-			d.hashKey[msg.Hdr.HashVal] = key
-			d.cache.OnUpdate(key, value)
+			d.hashKey[msg.Hdr.HashVal] = d.cache.onUpdate(key, value)
 		}
 	}
 }
@@ -481,9 +481,9 @@ func (d *Device) handleRetrans(pkt *netsim.Packet) {
 // (Figure 10 step 5), then forwards it.
 func (d *Device) handleReadResp(pkt *netsim.Packet) {
 	if d.cache != nil && pkt.Msg.Hdr.FragTotal <= 1 {
-		if resp, err := protocol.DecodeResponse(pkt.Msg.Payload); err == nil &&
+		if resp, err := protocol.DecodeResponseInto(pkt.Msg.Payload, &d.args); err == nil &&
 			resp.Status == protocol.StatusOK && len(resp.Args) >= 2 {
-			d.cache.OnReadResponse(string(resp.Args[0]), resp.Args[1])
+			d.cache.onReadResponse(resp.Args[0], resp.Args[1])
 		}
 	}
 	if pkt.To != d.id {

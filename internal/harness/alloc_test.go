@@ -45,3 +45,42 @@ func TestUpdatePathAllocsPerRequest(t *testing.T) {
 		t.Errorf("update path allocates %.3f objects per request in steady state, want 1 (≤ 1.1)", got)
 	}
 }
+
+// TestReadPathAllocsPerRequest does the same for the store and read path, on
+// bench/'s kv_mixed shape at small size: 16 clients, zipfian reads beside
+// writes on a B-tree behind the read cache. Prefill and warm-up are the same
+// at N and 2N; what is left per request is its payload, a read's response
+// payload and the copy of the value Engine.Get hands out, and a key string
+// per key the cache has not seen — the engine's descent, its transaction, the
+// response's argument arrays and the cache's entries are all reused.
+func TestReadPathAllocsPerRequest(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("malloc counts are unreliable under the race detector")
+	}
+	const clients = 16
+	mallocs := func(perClient int) uint64 {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		res, err := Run(RunConfig{Design: pmnet.PMNetSwitch, Workload: WLBTree, Clients: clients,
+			Requests: perClient, Warmup: 100, ValueSize: 100, UpdateRatio: 0.5, Zipfian: true,
+			CacheSize: 512, Keys: 20000, Seed: 1})
+		runtime.ReadMemStats(&m1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := uint64(clients * (perClient + 100)); res.Driver.Completed != want || res.Driver.Failed != 0 {
+			t.Fatalf("run incomplete: %+v, want %d completed", res.Driver, want)
+		}
+		if c := res.Bed.Devices[0].Stats().Cache; c.Hits == 0 || c.Evictions == 0 {
+			t.Fatalf("read cache not exercised: %+v", c)
+		}
+		return m1.Mallocs - m0.Mallocs
+	}
+	const perClient = 1500
+	n := float64(clients * perClient)
+	got := (float64(mallocs(2*perClient)) - float64(mallocs(perClient))) / n
+	t.Logf("%.4f objects per request", got)
+	if got > 3.0 {
+		t.Errorf("store and read path allocates %.3f objects per request in steady state, want <= 3.0", got)
+	}
+}

@@ -76,12 +76,15 @@ func OpenBTree(a *pmobj.Arena) (Engine, error) {
 	return &BTree{a: a, root: root}, nil
 }
 
+// zeroNode initializes every new node; never written.
+var zeroNode [bnSize]byte
+
 func newBTNode(tx *pmobj.Tx, leaf bool) (uint64, error) {
 	n, err := tx.Alloc(bnSize)
 	if err != nil {
 		return 0, err
 	}
-	tx.WriteBytes(n, make([]byte, bnSize))
+	tx.WriteBytes(n, zeroNode[:])
 	if leaf {
 		tx.WriteU64(n+bnLeaf, 1)
 	}
@@ -326,15 +329,17 @@ func (b *BTree) deleteFrom(tx *pmobj.Tx, n uint64, key []byte) error {
 			freeString(tx, old.vOff, old.vLen)
 			setItem(tx, n, i, pred)
 			// Remove the predecessor item from the left subtree WITHOUT
-			// freeing its strings (they now live in n).
-			return b.deleteShallow(tx, left, getString(b.a, pred.kOff, pred.kLen))
+			// freeing its strings (they now live in n). Its key is viewed in
+			// place for the whole descent: the transaction's stores stay
+			// buffered, the device is not written before Commit.
+			return b.deleteShallow(tx, left, viewString(b.a, pred.kOff, pred.kLen))
 		case b.keyN(right) >= btT:
 			succ := b.minItem(right)
 			old := b.item(n, i)
 			freeString(tx, old.kOff, old.kLen)
 			freeString(tx, old.vOff, old.vLen)
 			setItem(tx, n, i, succ)
-			return b.deleteShallow(tx, right, getString(b.a, succ.kOff, succ.kLen))
+			return b.deleteShallow(tx, right, viewString(b.a, succ.kOff, succ.kLen))
 		default:
 			// 2c: merge left + median + right, then recurse.
 			if err := b.merge(tx, n, i); err != nil {
@@ -379,11 +384,11 @@ func (b *BTree) deleteShallow(tx *pmobj.Tx, n uint64, key []byte) error {
 		case b.keyN(left) >= btT:
 			pred := b.maxItem(left)
 			setItem(tx, n, i, pred)
-			return b.deleteShallow(tx, left, getString(b.a, pred.kOff, pred.kLen))
+			return b.deleteShallow(tx, left, viewString(b.a, pred.kOff, pred.kLen))
 		case b.keyN(right) >= btT:
 			succ := b.minItem(right)
 			setItem(tx, n, i, succ)
-			return b.deleteShallow(tx, right, getString(b.a, succ.kOff, succ.kLen))
+			return b.deleteShallow(tx, right, viewString(b.a, succ.kOff, succ.kLen))
 		default:
 			if err := b.merge(tx, n, i); err != nil {
 				return err

@@ -47,6 +47,7 @@ func offOf(p uint64) uint64        { return p &^ 1 }
 type CTree struct {
 	a    *pmobj.Arena
 	root uint64
+	ik   []byte // ikey scratch: the probe key of the operation in progress
 }
 
 // OpenCTree opens or creates a crit-bit tree on a.
@@ -84,16 +85,17 @@ func (c *CTree) Len() int { return int(c.a.ReadU64(c.root + ctCount)) }
 
 func (c *CTree) ru(off uint64) uint64 { return c.a.TxReadU64(off) }
 
-// ikey builds the length-prefixed internal key.
-func ikey(key []byte) []byte {
-	out := make([]byte, 8+len(key))
-	binary.BigEndian.PutUint64(out, uint64(len(key)))
-	copy(out[8:], key)
-	return out
+// ikey builds the length-prefixed internal key in the tree's scratch, valid
+// until the next operation on the tree.
+func (c *CTree) ikey(key []byte) []byte {
+	c.ik = binary.BigEndian.AppendUint64(c.ik[:0], uint64(len(key)))
+	c.ik = append(c.ik, key...)
+	return c.ik
 }
 
+// leafKey views the leaf's stored ikey in place (see viewString).
 func (c *CTree) leafKey(leaf uint64) []byte {
-	return getString(c.a, c.ru(leaf+clKOff), c.ru(leaf+clKLen))
+	return viewString(c.a, c.ru(leaf+clKOff), c.ru(leaf+clKLen))
 }
 
 // byteAt returns ik[idx] or 0 beyond the end.
@@ -128,7 +130,7 @@ func (c *CTree) walkToLeaf(ik []byte) uint64 {
 
 // Get implements Engine.
 func (c *CTree) Get(key []byte) ([]byte, bool) {
-	ik := ikey(key)
+	ik := c.ikey(key)
 	p := c.walkToLeaf(ik)
 	if p == 0 {
 		return nil, false
@@ -142,7 +144,7 @@ func (c *CTree) Get(key []byte) ([]byte, bool) {
 
 // Put implements Engine.
 func (c *CTree) Put(key, value []byte) error {
-	ik := ikey(key)
+	ik := c.ikey(key)
 	return c.a.Update(func(tx *pmobj.Tx) error {
 		vOff, err := putString(tx, value)
 		if err != nil {
@@ -246,7 +248,7 @@ func (c *CTree) newLeaf(tx *pmobj.Tx, ik []byte, vOff, vLen uint64) (uint64, err
 
 // Delete implements Engine.
 func (c *CTree) Delete(key []byte) (bool, error) {
-	ik := ikey(key)
+	ik := c.ikey(key)
 	p := c.a.ReadU64(c.root + ctRoot)
 	if p == 0 {
 		return false, nil
@@ -309,7 +311,8 @@ func (c *CTree) Keys() [][]byte {
 			walk(c.ru(n + ciChild + 8))
 			return
 		}
-		ik := c.leafKey(offOf(p))
+		leaf := offOf(p)
+		ik := getString(c.a, c.ru(leaf+clKOff), c.ru(leaf+clKLen))
 		out = append(out, ik[8:])
 	}
 	walk(c.a.ReadU64(c.root + ctRoot))

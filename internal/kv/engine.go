@@ -98,11 +98,22 @@ func putString(tx *pmobj.Tx, s []byte) (uint64, error) {
 	return off, nil
 }
 
+// getString reads a stored string into bytes the caller owns: what Get, Keys
+// and Scan hand out, which must survive the block being freed and reused.
 func getString(a *pmobj.Arena, off, n uint64) []byte {
 	if n == 0 {
 		return []byte{}
 	}
 	return a.ReadBytes(off, int(n))
+}
+
+// viewString is getString without the copy, for a string that is compared
+// and dropped before the arena is next written (see pmobj.Arena.View).
+func viewString(a *pmobj.Arena, off, n uint64) []byte {
+	if n == 0 {
+		return nil
+	}
+	return a.View(off, int(n))
 }
 
 func freeString(tx *pmobj.Tx, off, n uint64) {
@@ -114,7 +125,7 @@ func freeString(tx *pmobj.Tx, off, n uint64) {
 
 // keyCompare compares a probe key against a stored key.
 func keyCompare(a *pmobj.Arena, probe []byte, kOff, kLen uint64) int {
-	return bytes.Compare(probe, getString(a, kOff, kLen))
+	return bytes.Compare(probe, viewString(a, kOff, kLen))
 }
 
 // fnv64 hashes a key (used by hashmap bucketing and skiplist heights).

@@ -96,12 +96,17 @@ func (t *RBTree) nodeKey(n uint64) []byte {
 	return getString(t.a, t.ru(n+rnKOff), t.ru(n+rnKLen))
 }
 
+// cmpKey compares probe against node n's key, in place.
+func (t *RBTree) cmpKey(probe []byte, n uint64) int {
+	return keyCompare(t.a, probe, t.ru(n+rnKOff), t.ru(n+rnKLen))
+}
+
 // find returns the node holding key, or the sentinel.
 func (t *RBTree) find(key []byte) uint64 {
 	nilN := t.nilNode()
 	n := t.treeRoot()
 	for n != nilN {
-		c := bytes.Compare(key, t.nodeKey(n))
+		c := t.cmpKey(key, n)
 		switch {
 		case c == 0:
 			return n
@@ -178,7 +183,7 @@ func (t *RBTree) Put(key, value []byte) error {
 		x := t.treeRoot()
 		for x != nilN {
 			y = x
-			c := bytes.Compare(key, t.nodeKey(x))
+			c := t.cmpKey(key, x)
 			if c == 0 {
 				freeString(tx, t.ru(x+rnVOff), t.ru(x+rnVLen))
 				tx.WriteU64(x+rnVOff, vOff)
@@ -210,7 +215,7 @@ func (t *RBTree) Put(key, value []byte) error {
 		switch {
 		case y == nilN:
 			tx.WriteU64(t.root+rbRoot, z)
-		case bytes.Compare(key, t.nodeKey(y)) < 0:
+		case t.cmpKey(key, y) < 0:
 			tx.WriteU64(y+rnLeft, z)
 		default:
 			tx.WriteU64(y+rnRight, z)

@@ -127,7 +127,7 @@ func (c *CTree) Scan(start []byte, limit int) ([]Pair, error) {
 	if limit <= 0 {
 		return nil, nil
 	}
-	ikStart := ikey(start)
+	ikStart := c.ikey(start)
 	var out []Pair
 	var walk func(p uint64) bool
 	walk = func(p uint64) bool {

@@ -96,6 +96,11 @@ func (s *Skiplist) nodeKey(n uint64) []byte {
 	return getString(s.a, s.a.ReadU64(n+snKOff), s.a.ReadU64(n+snKLen))
 }
 
+// cmpKey compares probe against node n's key, in place.
+func (s *Skiplist) cmpKey(probe []byte, n uint64) int {
+	return keyCompare(s.a, probe, s.a.ReadU64(n+snKOff), s.a.ReadU64(n+snKLen))
+}
+
 // findUpdate locates key, filling update[i] with the rightmost node at level
 // i whose key precedes key. Returns the candidate node (successor at level
 // 0) or 0.
@@ -105,7 +110,7 @@ func (s *Skiplist) findUpdate(key []byte, update *[slMaxLevel]uint64) uint64 {
 	for i := slMaxLevel - 1; i >= 0; i-- {
 		for {
 			next := s.a.ReadU64(x + snNext + uint64(i)*8)
-			if next == 0 || bytes.Compare(s.nodeKey(next), key) >= 0 {
+			if next == 0 || s.cmpKey(key, next) <= 0 {
 				break
 			}
 			x = next
@@ -113,7 +118,7 @@ func (s *Skiplist) findUpdate(key []byte, update *[slMaxLevel]uint64) uint64 {
 		update[i] = x
 	}
 	cand := s.a.ReadU64(x + snNext)
-	if cand != 0 && bytes.Equal(s.nodeKey(cand), key) {
+	if cand != 0 && s.cmpKey(key, cand) == 0 {
 		return cand
 	}
 	return 0

@@ -134,6 +134,19 @@ func (d *Device) ReadAt(p []byte, off int) error {
 	return nil
 }
 
+// View is ReadAt without the copy: the same bounds check, the same Reads and
+// BytesRead, and the n volatile bytes at off themselves (capacity n, so an
+// append cannot write into the device). The slice is valid until the next
+// WriteAt or PowerFail: compare it or copy it, never keep it.
+func (d *Device) View(off, n int) ([]byte, error) {
+	if err := d.check(off, n); err != nil {
+		return nil, err
+	}
+	d.stats.Reads++
+	d.stats.BytesRead += uint64(n)
+	return d.volatile[off : off+n : off+n], nil
+}
+
 // Persist makes the range [off, off+n) durable, copying any dirty lines it
 // covers into the persistent image. This models clwb/sfence (or the DMA
 // engine's write completion) at line granularity: persisting any byte of a

@@ -46,6 +46,41 @@ func TestOutOfRangeErrors(t *testing.T) {
 	}
 }
 
+// TestView: View is ReadAt without the copy — the same counters, the same
+// bounds error (and then nothing counted), the device's own bytes, and a
+// capacity that stops an append from writing past them into the device.
+func TestView(t *testing.T) {
+	d := newDev(128)
+	if err := d.WriteAt([]byte("abcdefgh"), 8); err != nil {
+		t.Fatal(err)
+	}
+	before := d.Stats()
+	v, err := d.View(8, 4)
+	if err != nil || string(v) != "abcd" || cap(v) != 4 {
+		t.Fatalf("View(8,4) = %q (cap %d), %v", v, cap(v), err)
+	}
+	if st := d.Stats(); st.Reads != before.Reads+1 || st.BytesRead != before.BytesRead+4 {
+		t.Fatalf("View counted %+v, want one read of 4 bytes past %+v", st, before)
+	}
+	_ = append(v, 'X')
+	got := make([]byte, 8)
+	if err := d.ReadAt(got, 8); err != nil || string(got) != "abcdefgh" {
+		t.Fatalf("append to a view reached the device: %q, %v", got, err)
+	}
+	if err := d.WriteAt([]byte("Z"), 8); err != nil || v[0] != 'Z' {
+		t.Fatalf("a view is the device's bytes until the next write: %q, %v", v, err)
+	}
+	before = d.Stats()
+	for _, c := range []struct{ off, n int }{{-1, 4}, {120, 16}, {0, 129}, {128, 1}} {
+		if _, err := d.View(c.off, c.n); !errors.Is(err, ErrOutOfRange) {
+			t.Errorf("View(%d,%d) err = %v, want ErrOutOfRange", c.off, c.n, err)
+		}
+	}
+	if d.Stats() != before {
+		t.Fatalf("out-of-range views were counted: %+v, want %+v", d.Stats(), before)
+	}
+}
+
 func TestUnpersistedWriteLostOnPowerFail(t *testing.T) {
 	d := newDev(4096)
 	if err := d.WriteAt([]byte{1, 2, 3, 4}, 0); err != nil {

@@ -67,7 +67,7 @@ type Arena struct {
 	dev       *pmem.Device
 	redoBytes int
 	dataBase  int
-	tx        *Tx // active transaction, if any
+	tx        Tx // the arena's one transaction, reset in place by Begin
 
 	// CrashHook, when set, is invoked between commit stages (1: redo
 	// written, 2: flag set, 3: partially applied). Returning true abandons
@@ -95,6 +95,7 @@ func Open(dev *pmem.Device, redoBytes int) (*Arena, error) {
 		redoBytes = 64 << 10
 	}
 	a := &Arena{dev: dev, redoBytes: redoBytes, dataBase: headerSize + redoBytes}
+	a.tx.a = a
 	if dev.Len() < a.dataBase+1024 {
 		return nil, fmt.Errorf("pmobj: device too small (%d bytes)", dev.Len())
 	}
@@ -124,13 +125,7 @@ func (a *Arena) Stats() ArenaStats { return a.stats }
 
 // low-level helpers -------------------------------------------------------
 
-func (a *Arena) readU64(off uint64) uint64 {
-	var b [8]byte
-	if err := a.dev.ReadAt(b[:], int(off)); err != nil {
-		panic("pmobj: read: " + err.Error())
-	}
-	return binary.BigEndian.Uint64(b[:])
-}
+func (a *Arena) readU64(off uint64) uint64 { return binary.BigEndian.Uint64(a.View(off, 8)) }
 
 // writeU64 stores a big-endian u64 without persisting it. Durability is the
 // caller's contract: callers batch several header words and cover them with
@@ -159,17 +154,30 @@ func (a *Arena) ReadU64(off uint64) uint64 { return a.readU64(off) }
 // split followed by a descent into the split child) observe their own
 // in-flight writes.
 func (a *Arena) TxReadU64(off uint64) uint64 {
-	if a.tx != nil {
+	if a.tx.open {
 		return a.tx.ReadU64(off)
 	}
 	return a.readU64(off)
 }
 
-// ReadBytes reads n bytes at off.
+// ReadBytes reads n bytes at off into a slice the caller owns.
 func (a *Arena) ReadBytes(off uint64, n int) []byte {
 	b := make([]byte, n)
 	if err := a.dev.ReadAt(b, int(off)); err != nil {
 		panic("pmobj: read bytes: " + err.Error())
+	}
+	return b
+}
+
+// View reads n bytes at off in place: one device read, counted like
+// ReadBytes, and no copy. The bytes are the device's own and change under
+// the next write to the arena (a Commit; a transaction's buffered stores do
+// not touch the device), so a caller compares or copies them and never keeps
+// them.
+func (a *Arena) View(off uint64, n int) []byte {
+	b, err := a.dev.View(int(off), n)
+	if err != nil {
+		panic("pmobj: view: " + err.Error())
 	}
 	return b
 }
@@ -192,22 +200,17 @@ const (
 
 func (a *Arena) redoBase() uint64 { return uint64(headerSize) }
 
-type writeOp struct {
-	off  uint64
-	data []byte
-}
-
 // recover replays a committed redo log left by a crash mid-commit.
 func (a *Arena) recover() error {
 	base := a.redoBase()
 	if a.readU64(base+redoFlag) != magic {
 		return nil // nothing in flight
 	}
-	cnt := binary.BigEndian.Uint32(a.ReadBytes(base+redoCount, 4))
+	cnt := binary.BigEndian.Uint32(a.View(base+redoCount, 4))
 	pos := base + redoOps
 	for i := uint32(0); i < cnt; i++ {
 		off := a.readU64(pos)
-		n := binary.BigEndian.Uint32(a.ReadBytes(pos+8, 4))
+		n := binary.BigEndian.Uint32(a.View(pos+8, 4))
 		data := a.ReadBytes(pos+12, int(n))
 		//pmnetlint:ignore persistcover a.persist (Device.Persist wrapper) covers this write two lines below
 		if err := a.dev.WriteAt(data, int(off)); err != nil {
@@ -226,8 +229,6 @@ func (a *Arena) recover() error {
 // volatile view has already reverted, so replaying any committed redo
 // restores the last committed state.
 func (a *Arena) Reopen() error {
-	if a.tx != nil {
-		a.tx = nil
-	}
+	a.tx.open = false // a transaction open at the failure died with it
 	return a.recover()
 }

@@ -13,28 +13,42 @@ import (
 // Reads inside a transaction that must observe the transaction's own writes
 // go through Tx.ReadU64 (overlay semantics); plain Arena reads see the
 // pre-transaction state.
+//
+// An arena has exactly one Tx — nesting panics, so there is never a second —
+// and Begin resets it in place: every *Tx an arena hands out is the same
+// object, and a handle kept past Commit or Abort names whichever transaction
+// is open next.
 type Tx struct {
-	a      *Arena
-	ops    []writeOp
-	bump   uint64         // pending bump pointer
-	heads  map[int]uint64 // size class → pending free-list head
-	allocs int
-	frees  int
-	closed bool
+	a *Arena
+	// Buffered stores, in program order: op i writes buf[start:start+n] at
+	// off. Ops hold indexes into buf, not sub-slices, so buf may grow.
+	ops     []txOp
+	buf     []byte
+	bump    uint64           // pending bump pointer
+	heads   [nClasses]uint64 // pending free-list head of each class in headSet
+	headSet uint32           // bit c: heads[c] overrides the arena's head
+	allocs  int
+	frees   int
+	open    bool
+}
+
+type txOp struct {
+	off      uint64
+	start, n int
 }
 
 // Begin starts a transaction. Nested transactions are a programming error
 // and panic.
 func (a *Arena) Begin() *Tx {
-	if a.tx != nil {
+	tx := &a.tx
+	if tx.open {
 		panic(ErrTxActive)
 	}
-	tx := &Tx{
-		a:     a,
-		bump:  a.readU64(offBump),
-		heads: make(map[int]uint64),
-	}
-	a.tx = tx
+	tx.ops, tx.buf = tx.ops[:0], tx.buf[:0]
+	tx.bump = a.readU64(offBump)
+	tx.headSet = 0
+	tx.allocs, tx.frees = 0, 0
+	tx.open = true
 	return tx
 }
 
@@ -51,28 +65,34 @@ func (a *Arena) Update(fn func(tx *Tx) error) error {
 
 // WriteU64 buffers a u64 store.
 func (tx *Tx) WriteU64(off, v uint64) {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], v)
-	tx.WriteBytes(off, b[:])
+	tx.record(off, 8)
+	tx.buf = binary.BigEndian.AppendUint64(tx.buf, v)
 }
 
 // WriteBytes buffers a byte-range store.
 func (tx *Tx) WriteBytes(off uint64, data []byte) {
-	if tx.closed {
+	tx.record(off, len(data))
+	tx.buf = append(tx.buf, data...)
+}
+
+// record notes a store at off of the n bytes its caller appends to buf next.
+func (tx *Tx) record(off uint64, n int) {
+	if !tx.open {
 		panic("pmobj: write on closed tx")
 	}
-	d := make([]byte, len(data))
-	copy(d, data)
-	tx.ops = append(tx.ops, writeOp{off: off, data: d})
+	tx.ops = append(tx.ops, txOp{off: off, start: len(tx.buf), n: n})
 }
+
+// data returns the bytes op stores.
+func (tx *Tx) data(op txOp) []byte { return tx.buf[op.start : op.start+op.n] }
 
 // ReadU64 reads a u64 with read-your-writes semantics: the latest buffered
 // store to off wins, falling back to the committed state.
 func (tx *Tx) ReadU64(off uint64) uint64 {
 	for i := len(tx.ops) - 1; i >= 0; i-- {
 		op := tx.ops[i]
-		if off >= op.off && off+8 <= op.off+uint64(len(op.data)) {
-			return binary.BigEndian.Uint64(op.data[off-op.off:])
+		if off >= op.off && off+8 <= op.off+uint64(op.n) {
+			return binary.BigEndian.Uint64(tx.buf[op.start+int(off-op.off):])
 		}
 	}
 	return tx.a.readU64(off)
@@ -83,16 +103,21 @@ func (tx *Tx) SetRoot(off uint64) { tx.WriteU64(offRoot, off) }
 
 // headOf reads a free-list head with the transaction overlay.
 func (tx *Tx) headOf(c int) uint64 {
-	if h, ok := tx.heads[c]; ok {
-		return h
+	if tx.headSet&(1<<c) != 0 {
+		return tx.heads[c]
 	}
 	return tx.a.readU64(uint64(offFreeBase + 8*c))
+}
+
+func (tx *Tx) setHead(c int, head uint64) {
+	tx.heads[c] = head
+	tx.headSet |= 1 << c
 }
 
 // Alloc reserves a block of at least n bytes and returns its offset. The
 // allocation becomes durable only if the transaction commits.
 func (tx *Tx) Alloc(n int) (uint64, error) {
-	if tx.closed {
+	if !tx.open {
 		panic("pmobj: alloc on closed tx")
 	}
 	c, err := classFor(n)
@@ -103,7 +128,7 @@ func (tx *Tx) Alloc(n int) (uint64, error) {
 		// Pop the free list; the next pointer lives in the block's first 8
 		// bytes and may have been written by this very transaction (free
 		// then alloc), so use the overlay read.
-		tx.heads[c] = tx.ReadU64(head)
+		tx.setHead(c, tx.ReadU64(head))
 		tx.allocs++
 		return head, nil
 	}
@@ -121,7 +146,7 @@ func (tx *Tx) Alloc(n int) (uint64, error) {
 // Free returns a block of (original request size) n at off to its size
 // class's free list.
 func (tx *Tx) Free(off uint64, n int) {
-	if tx.closed {
+	if !tx.open {
 		panic("pmobj: free on closed tx")
 	}
 	c, err := classFor(n)
@@ -129,15 +154,12 @@ func (tx *Tx) Free(off uint64, n int) {
 		panic("pmobj: free of oversized block")
 	}
 	tx.WriteU64(off, tx.headOf(c))
-	tx.heads[c] = off
+	tx.setHead(c, off)
 	tx.frees++
 }
 
 // Abort discards the transaction: nothing reaches the device.
-func (tx *Tx) Abort() {
-	tx.closed = true
-	tx.a.tx = nil
-}
+func (tx *Tx) Abort() { tx.open = false }
 
 // Commit makes every buffered write (and the allocator state) durable
 // atomically:
@@ -150,25 +172,24 @@ func (tx *Tx) Abort() {
 // A crash before (2) discards the transaction; after (2), Open/Reopen
 // replays it.
 func (tx *Tx) Commit() {
-	if tx.closed {
+	if !tx.open {
 		panic("pmobj: double commit")
 	}
 	a := tx.a
-	// Fold allocator state into the op list. Iterate size classes in index
-	// order, not map order: op order fixes the redo-log byte layout and the
-	// stage-3 apply order, both of which a mid-commit crash exposes — map
-	// iteration here would make crash tests nondeterministic.
+	// Fold allocator state into the op list, size classes in index order: op
+	// order fixes the redo-log byte layout and the stage-3 apply order, both
+	// of which a mid-commit crash exposes.
 	tx.WriteU64(offBump, tx.bump)
 	for c := 0; c < nClasses; c++ {
-		if h, ok := tx.heads[c]; ok {
-			tx.WriteU64(uint64(offFreeBase+8*c), h)
+		if tx.headSet&(1<<c) != 0 {
+			tx.WriteU64(uint64(offFreeBase+8*c), tx.heads[c])
 		}
 	}
 
 	base := a.redoBase()
 	var total int
 	for _, op := range tx.ops {
-		total += 12 + len(op.data)
+		total += 12 + op.n
 	}
 	if redoOps+total > a.redoBytes {
 		panic(fmt.Sprintf("pmobj: transaction too large for redo region (%d > %d)",
@@ -180,35 +201,32 @@ func (tx *Tx) Commit() {
 	for _, op := range tx.ops {
 		var meta [12]byte
 		binary.BigEndian.PutUint64(meta[:8], op.off)
-		binary.BigEndian.PutUint32(meta[8:], uint32(len(op.data)))
+		binary.BigEndian.PutUint32(meta[8:], uint32(op.n))
 		mustWrite(a, pos, meta[:])
-		mustWrite(a, pos+12, op.data)
-		pos += 12 + uint64(len(op.data))
+		mustWrite(a, pos+12, tx.data(op))
+		pos += 12 + uint64(op.n)
 	}
 	binary.BigEndian.PutUint32(hdr[:4], uint32(len(tx.ops)))
 	binary.BigEndian.PutUint32(hdr[4:], uint32(total))
 	mustWrite(a, base+redoCount, hdr[:])
 	a.persist(int(base+redoCount), 8+total)
 	if a.CrashHook != nil && a.CrashHook(1) {
-		tx.closed = true
-		a.tx = nil
+		tx.open = false
 		return
 	}
 	// (2) committed flag: linearization point.
 	a.writeU64(base+redoFlag, magic)
 	a.persist(int(base+redoFlag), 8)
 	if a.CrashHook != nil && a.CrashHook(2) {
-		tx.closed = true
-		a.tx = nil
+		tx.open = false
 		return
 	}
 	// (3) apply home-location writes.
 	for i, op := range tx.ops {
-		mustWrite(a, op.off, op.data)
-		a.persist(int(op.off), len(op.data))
+		mustWrite(a, op.off, tx.data(op))
+		a.persist(int(op.off), op.n)
 		if i == len(tx.ops)/2 && a.CrashHook != nil && a.CrashHook(3) {
-			tx.closed = true
-			a.tx = nil
+			tx.open = false
 			return
 		}
 	}
@@ -219,8 +237,7 @@ func (tx *Tx) Commit() {
 	a.stats.Commits++
 	a.stats.Allocs += uint64(tx.allocs)
 	a.stats.Frees += uint64(tx.frees)
-	tx.closed = true
-	a.tx = nil
+	tx.open = false
 }
 
 // mustWrite stores bytes without persisting them; Commit batches redo-region

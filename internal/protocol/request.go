@@ -209,16 +209,26 @@ func (r Response) AppendEncode(dst []byte) []byte {
 // Encode serializes the response as a fresh payload.
 func (r Response) Encode() []byte { return r.AppendEncode(nil) }
 
-// DecodeResponse parses a response payload.
-func DecodeResponse(b []byte) (Response, error) {
+// DecodeResponseInto parses a response payload under DecodeRequestInto's
+// scratch contract: the result's Args array is *scratch, the owner may keep
+// the response only until it decodes again, and the argument byte slices
+// alias b.
+func DecodeResponseInto(b []byte, scratch *[][]byte) (Response, error) {
 	if len(b) < 1 {
 		return Response{}, ErrTruncated
 	}
-	args, err := decodeArgs(b[1:], nil)
+	args, err := decodeArgs(b[1:], *scratch)
 	if err != nil {
 		return Response{}, err
 	}
+	*scratch = args[:0]
 	return Response{Status: Status(b[0]), Args: args}, nil
+}
+
+// DecodeResponse parses a response payload into a freshly allocated Args.
+func DecodeResponse(b []byte) (Response, error) {
+	var fresh [][]byte
+	return DecodeResponseInto(b, &fresh)
 }
 
 // Convenience constructors for the common shapes.

@@ -15,18 +15,22 @@ import (
 	"pmnet/internal/sim"
 )
 
-// sinkNode is a peer that counts the server-ACKs reaching it and recycles
-// the packets — an endpoint that itself allocates nothing.
+// sinkNode is a peer that counts the server-ACKs and read responses reaching
+// it and recycles the packets — an endpoint that itself allocates nothing.
 type sinkNode struct {
-	id   netsim.NodeID
-	net  *netsim.Network
-	acks int
+	id    netsim.NodeID
+	net   *netsim.Network
+	acks  int
+	reads int
 }
 
 func (s *sinkNode) ID() netsim.NodeID { return s.id }
 func (s *sinkNode) HandlePacket(pkt *netsim.Packet) {
-	if pkt.Msg.Hdr.Type == protocol.TypeServerACK {
+	switch pkt.Msg.Hdr.Type {
+	case protocol.TypeServerACK:
 		s.acks++
+	case protocol.TypeReadResp:
+		s.reads++
 	}
 	s.net.FreePacket(pkt)
 }
@@ -43,7 +47,9 @@ type applyRig struct {
 	seq     uint32
 }
 
-func newApplyRig() *applyRig {
+func newApplyRig() *applyRig { return newRig(IdealHandler{}) }
+
+func newRig(h Handler) *applyRig {
 	eng := sim.NewEngine()
 	r := sim.NewRand(1)
 	net := netsim.New(eng, r.Fork())
@@ -52,21 +58,27 @@ func newApplyRig() *applyRig {
 	net.AddNode(rg.peer, "peer")
 	host := netsim.NewHost(net, 2, "server", netsim.ServerKernelStack, 16, r.Fork())
 	net.Connect(1, 2, netsim.DefaultLink())
-	rg.server = New(host, IdealHandler{}, Config{})
+	rg.server = New(host, h, Config{})
 	return rg
 }
 
-func (rg *applyRig) round() {
-	rg.seq++
-	h := protocol.Header{Type: protocol.TypeUpdateReq, SessionID: 1, SeqNum: rg.seq, FragTotal: 1}
+// send transmits one single-fragment request of the given type and drains
+// the clock.
+func (rg *applyRig) send(typ protocol.Type, seq uint32, payload []byte) {
+	h := protocol.Header{Type: typ, SessionID: 1, SeqNum: seq, FragTotal: 1}
 	h.Seal()
 	pkt := rg.net.AllocPacket()
 	pkt.From, pkt.To = 1, 2
 	pkt.SrcPort, pkt.DstPort = 40001, protocol.PortMin
 	pkt.PMNet = true
-	pkt.Msg = protocol.Message{Hdr: h, Payload: rg.payload}
+	pkt.Msg = protocol.Message{Hdr: h, Payload: payload}
 	rg.net.Transmit(pkt, 1)
 	rg.eng.Run()
+}
+
+func (rg *applyRig) round() {
+	rg.seq++
+	rg.send(protocol.TypeUpdateReq, rg.seq, rg.payload)
 }
 
 // TestServerApplyAllocs pins the in-order apply, through the server-ACK, to
@@ -82,6 +94,34 @@ func TestServerApplyAllocs(t *testing.T) {
 	}
 	if st := rg.server.Stats(); st.UpdatesApplied != uint64(rg.seq) || rg.peer.acks != int(rg.seq) {
 		t.Fatalf("path not exercised: %d sent, %d acked, stats %+v", rg.seq, rg.peer.acks, st)
+	}
+}
+
+// TestReadResponseAllocs pins a served read — decode, Handle, the CPU wait,
+// the response on the wire — to one allocation, the response payload: the
+// handler builds its Args in scratch, the library encodes them at once and a
+// pooled record carries the payload across the CPU time.
+func TestReadResponseAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("AllocsPerRun is unreliable under the race detector")
+	}
+	value := make([]byte, 100)
+	var scratch [][]byte
+	rg := newRig(HandlerFunc(func(req protocol.Request) (protocol.Response, sim.Time) {
+		scratch = append(scratch[:0], req.Args[0], value)
+		return protocol.Response{Status: protocol.StatusOK, Args: scratch}, 10 * sim.Microsecond
+	}))
+	get := protocol.GetReq([]byte("user00000001")).Encode()
+	round := func() {
+		rg.seq++
+		rg.send(protocol.TypeBypassReq, 1<<31|rg.seq, get)
+	}
+	round() // warm the session, the read-record pool and the route tables
+	if got := testing.AllocsPerRun(100, round); got != 1 {
+		t.Errorf("served read allocated %.1f objects, want 1 (the response payload)", got)
+	}
+	if st := rg.server.Stats(); st.ReadsServed != uint64(rg.seq) || rg.peer.reads != int(rg.seq) {
+		t.Fatalf("path not exercised: %d sent, %d responses, stats %+v", rg.seq, rg.peer.reads, st)
 	}
 }
 
@@ -162,5 +202,58 @@ func TestCrashWithApplyRecordOnCPU(t *testing.T) {
 	}
 	if st := rig.server.Stats(); st.UpdatesApplied != 1 || rig.server.lastApplied(1) != 1 {
 		t.Fatalf("resend not applied once: stats %+v watermark %d", st, rig.server.lastApplied(1))
+	}
+}
+
+// TestReadRecordsAcrossCrashAndOverlap: two reads of one session overlap on
+// the CPU (bypass requests are not serialized), each on its own record with
+// its own payload, while the handler reuses one Args array for both; then a
+// crash strands a third on the CPU — its record must fire inert, return to
+// the pool, and serve the next read after recovery exactly once.
+func TestReadRecordsAcrossCrashAndOverlap(t *testing.T) {
+	var scratch [][]byte
+	h := HandlerFunc(func(req protocol.Request) (protocol.Response, sim.Time) {
+		scratch = append(scratch[:0], req.Args[0], append([]byte("v-"), req.Args[0]...))
+		return protocol.Response{Status: protocol.StatusOK, Args: scratch}, 50 * sim.Microsecond
+	})
+	rig := newSrvRig(t, h, Config{})
+	get := func(seq uint32, key string) {
+		rig.sendBypass(1, 1<<31|seq, protocol.GetReq([]byte(key)).Encode())
+	}
+	get(1, "a")
+	get(2, "b")
+	rig.eng.Run()
+	resps := rig.recv[protocol.TypeReadResp]
+	if len(resps) != 2 {
+		t.Fatalf("%d read responses, want 2", len(resps))
+	}
+	for i, want := range []string{"a", "b"} {
+		resp, err := protocol.DecodeResponse(resps[i].Msg.Payload)
+		if err != nil || len(resp.Args) != 2 || string(resp.Args[0]) != want || string(resp.Args[1]) != "v-"+want {
+			t.Fatalf("response %d: %q, %v; want key %q", i, resp.Args, err, want)
+		}
+	}
+	if n := len(rig.server.reads); n != 2 {
+		t.Fatalf("%d records pooled after two overlapping reads, want 2", n)
+	}
+
+	get(3, "c")
+	rig.eng.RunUntil(rig.eng.Now() + 10*sim.Microsecond) // handled, on the CPU
+	if n := len(rig.server.reads); n != 1 {
+		t.Fatalf("setup: %d records pooled with one read on the CPU, want 1", n)
+	}
+	rig.server.Crash()
+	rig.server.Recover()
+	rig.eng.Run() // the stranded record fires against the new generation
+	if n := len(rig.recv[protocol.TypeReadResp]); n != 2 {
+		t.Fatalf("stale read record answered: %d responses", n)
+	}
+	if n := len(rig.server.reads); n != 2 {
+		t.Fatalf("stale record not recycled: %d pooled", n)
+	}
+	get(4, "d")
+	rig.eng.Run()
+	if n := len(rig.recv[protocol.TypeReadResp]); n != 3 || rig.server.Stats().ReadsServed != 3 {
+		t.Fatalf("read after recovery: %d responses, stats %+v", n, rig.server.Stats())
 	}
 }

@@ -26,6 +26,11 @@ import (
 // points at are payload (protocol.Message.Payload: immutable, GC-owned) and
 // may be kept or returned freely — Response{Args: [][]byte{req.Args[0], v}}
 // is legal.
+//
+// The response's Args array is in turn the handler's to reuse: the library
+// encodes the response before it returns to the event loop, so a handler may
+// build every response in one scratch array, and a caller of Handle may keep
+// the response only until it calls Handle again.
 type Handler interface {
 	Handle(req protocol.Request) (protocol.Response, sim.Time)
 }
@@ -136,6 +141,42 @@ type sessState struct {
 	applyFn func()
 }
 
+// readRec is one pooled bypass completion, from Handle's return until its CPU
+// time has elapsed: the response, already encoded, and where it goes. fn is
+// bound once at allocation.
+type readRec struct {
+	s       *Server
+	gen     uint64 // server generation the request was handled under
+	sessID  uint16
+	q       query
+	payload []byte // the encoded response
+	fn      func()
+}
+
+func (s *Server) getRead() *readRec {
+	if k := len(s.reads) - 1; k >= 0 {
+		r := s.reads[k]
+		s.reads = s.reads[:k]
+		return r
+	}
+	r := &readRec{s: s}
+	r.fn = func() { r.s.readDone(r) }
+	return r
+}
+
+// readDone fires when a read's CPU time has elapsed: recycle the record, then
+// send the response — unless the server crashed meanwhile.
+func (s *Server) readDone(r *readRec) {
+	gen, sessID, q, payload := r.gen, r.sessID, r.q, r.payload
+	r.payload = nil
+	s.reads = append(s.reads, r)
+	if gen != s.gen {
+		return
+	}
+	s.stats.ReadsServed++
+	s.respondRead(sessID, q, payload)
+}
+
 // push appends a query to the run queue. Before growing it reclaims the
 // consumed prefix, so a queue that never quite drains stays bounded by its
 // peak depth.
@@ -169,6 +210,7 @@ type Server struct {
 	stats   Stats
 	tracer  *trace.Tracer // picked up from the network at New; nil = off
 	gen     uint64        // bumped on crash; stale CPU completions are dropped
+	reads   []*readRec    // recycled bypass completions
 }
 
 // New binds a server library to host with the given handler.
@@ -309,21 +351,18 @@ func (s *Server) onBypass(pkt *netsim.Packet) {
 		from: pkt.From, srcPort: pkt.SrcPort, dstPort: pkt.DstPort}
 	req, derr := protocol.DecodeRequestInto(payload, &st.args)
 	if derr != nil {
-		s.respondRead(hdr.SessionID, q, protocol.Response{Status: protocol.StatusError})
+		s.respondRead(hdr.SessionID, q, protocol.Response{Status: protocol.StatusError}.Encode())
 		return
 	}
-	gen := s.gen
+	// Encode now: the response's Args array is the handler's scratch (see
+	// Handler) and only the payload waits out the CPU time.
 	resp, cost := s.handler.Handle(req)
-	s.host.CPU().Submit(cost, func() {
-		if gen != s.gen {
-			return
-		}
-		s.stats.ReadsServed++
-		s.respondRead(hdr.SessionID, q, resp)
-	})
+	r := s.getRead()
+	r.gen, r.sessID, r.q, r.payload = s.gen, hdr.SessionID, q, resp.Encode()
+	s.host.CPU().Submit(cost, r.fn)
 }
 
-func (s *Server) respondRead(sessID uint16, q query, resp protocol.Response) {
+func (s *Server) respondRead(sessID uint16, q query, payload []byte) {
 	hdr := protocol.Header{
 		Type:      protocol.TypeReadResp,
 		SessionID: sessID,
@@ -331,7 +370,7 @@ func (s *Server) respondRead(sessID uint16, q query, resp protocol.Response) {
 		FragTotal: 1,
 	}
 	hdr.Seal()
-	s.reply(q, hdr, resp.Encode())
+	s.reply(q, hdr, payload)
 }
 
 // onUpdate runs the ordered path: dedupe, reorder, reassemble, then execute

@@ -57,7 +57,11 @@ type Result = client.Result
 // response and the modelled CPU cost. The request's Args array is the
 // server library's scratch, valid only during Handle — do not keep req.Args
 // or return it as the response's Args; the byte slices it holds are payload
-// and may be kept or returned (see server.Handler).
+// and may be kept or returned. The response's Args array is the handler's
+// own scratch in turn: the library encodes it before returning to the event
+// loop, so a handler may reuse one array for every response, and whoever
+// calls Handle directly may keep the response only until the next call (see
+// server.Handler).
 type Handler = server.Handler
 
 // HandlerFunc adapts a function to Handler.
