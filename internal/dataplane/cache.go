@@ -201,6 +201,27 @@ func (c *Cache) update(e *cacheEntry, value []byte) {
 	}
 }
 
+// supersede records an update-req to key that will not become its Pending
+// value — one the device could not log, a delete, a PUT spread over fragments.
+// The server applies it all the same, so whatever the entry holds is no
+// longer the key's latest value and must stop serving: Persisted → Invalid;
+// Pending → Stale, which keeps the entry for the logged update's server-ACK
+// to retire (T6).
+func (c *Cache) supersede(key []byte) {
+	e := c.entries[string(key)]
+	if e == nil {
+		return
+	}
+	switch e.state {
+	case CachePersisted:
+		e.state = CacheInvalid
+		e.value = nil
+	case CachePending:
+		e.state = CacheStale
+		e.value = nil
+	}
+}
+
 // OnServerAck applies the transitions for the server-ACK of an update to key
 // (T2, T6 in Figure 11).
 func (c *Cache) OnServerAck(key string) {

@@ -78,6 +78,39 @@ func TestCacheT6StaleAckToInvalid(t *testing.T) {
 	}
 }
 
+// TestCacheSupersede: the transition for an update that will not become the
+// key's Pending value, from each of the four states.
+func TestCacheSupersede(t *testing.T) {
+	c := NewCache(8)
+	c.supersede([]byte("k"))
+	if c.Len() != 0 {
+		t.Fatal("superseding an absent key created an entry")
+	}
+	c.OnReadResponse("k", []byte("v0"))
+	c.supersede([]byte("k"))
+	if _, hit := c.Lookup("k"); hit || c.State("k") != CacheInvalid {
+		t.Fatalf("persisted → %v, want invalid and unservable", c.State("k"))
+	}
+	c.supersede([]byte("k"))
+	if c.State("k") != CacheInvalid {
+		t.Fatalf("invalid → %v, want invalid", c.State("k"))
+	}
+	c.OnUpdate("k", []byte("v1"))
+	c.supersede([]byte("k"))
+	if _, hit := c.Lookup("k"); hit || c.State("k") != CacheStale {
+		t.Fatalf("pending → %v, want stale and unservable", c.State("k"))
+	}
+	c.supersede([]byte("k"))
+	c.OnReadResponse("k", []byte("old")) // a stale entry still refuses fills
+	if c.State("k") != CacheStale {
+		t.Fatalf("stale → %v, want stale", c.State("k"))
+	}
+	c.OnServerAck("k") // the pending update's ACK retires it (T6)
+	if c.State("k") != CacheInvalid {
+		t.Fatalf("stale + server-ACK → %v, want invalid", c.State("k"))
+	}
+}
+
 func TestCacheReadResponseFill(t *testing.T) {
 	c := NewCache(8)
 	c.OnReadResponse("k", []byte("server-value"))

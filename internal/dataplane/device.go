@@ -370,18 +370,35 @@ func (d *Device) handleUpdate(pkt *netsim.Packet) {
 	u.hdr = msg.Hdr
 	u.client = pkt.From
 	u.srcPort, u.dstPort = pkt.SrcPort, pkt.DstPort
-	res := d.log.Insert(msg, int(pkt.To), &d.stats.Log, u.fn)
-	if res != insertAccepted {
+	logged := d.log.Insert(msg, int(pkt.To), &d.stats.Log, u.fn) == insertAccepted
+	if !logged {
 		// Collision / queue-full / oversize: the packet was forwarded but not
 		// logged and the client gets no early ACK (§IV-B1). It will complete on
 		// the server's ACK instead.
 		d.putUpdate(u)
-		return
 	}
 	if d.cache != nil {
+		d.cacheUpdate(msg, logged)
+	}
+}
+
+// cacheUpdate applies the read cache's transitions for an update-req. A
+// logged single-fragment PUT becomes its key's Pending value (Figure 11).
+// Every other update whose key can be read — a PUT the log turned away, a
+// DELETE, the first fragment of a larger PUT — reaches the server too, so it
+// must at least stop the key from serving what the cache holds.
+func (d *Device) cacheUpdate(msg protocol.Message, logged bool) {
+	if logged {
 		if key, value, ok := d.cacheKeyValue(msg); ok {
 			d.hashKey[msg.Hdr.HashVal] = d.cache.onUpdate(key, value)
+			return
 		}
+	}
+	if msg.Hdr.FragIdx != 0 {
+		return
+	}
+	if key, ok := protocol.UpdateKey(msg.Payload); ok {
+		d.cache.supersede(key)
 	}
 }
 

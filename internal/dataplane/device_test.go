@@ -1,6 +1,7 @@
 package dataplane
 
 import (
+	"bytes"
 	"testing"
 
 	"pmnet/internal/netsim"
@@ -70,8 +71,13 @@ func newDevRig(t *testing.T, cfg Config) *rig {
 		switch hdr.Type {
 		case protocol.TypeUpdateReq:
 			rg.serverGot = append(rg.serverGot, p.Clone())
-			if req, err := protocol.DecodeRequest(p.Msg.Payload); err == nil && req.Op == protocol.OpPut {
-				rg.store[string(req.Args[0])] = req.Args[1]
+			if req, err := protocol.DecodeRequest(p.Msg.Payload); err == nil {
+				switch req.Op {
+				case protocol.OpPut:
+					rg.store[string(req.Args[0])] = req.Args[1]
+				case protocol.OpDelete:
+					delete(rg.store, string(req.Args[0]))
+				}
 			}
 			if rg.ackUpdates {
 				rg.sendServerAck(p)
@@ -431,6 +437,119 @@ func TestCacheMissFillsFromReadResp(t *testing.T) {
 	if len(rg.clientGot[protocol.TypeCacheResp]) != 1 {
 		t.Fatal("second read not served by cache")
 	}
+}
+
+// staleRig is a caching device whose log is a single slot, with "key" cached
+// Persisted("v1") by an acknowledged PUT: the starting point of the three
+// stale-cache regressions below. Each then sends an update to "key" that
+// does not become its Pending value; the server applies it, so the cache must
+// stop answering "v1".
+func staleRig(t *testing.T) *rig {
+	t.Helper()
+	cfg := DefaultConfig()
+	cfg.CacheEntries = 128
+	cfg.LogBytes = cfg.SlotBytes // one slot: a live entry turns every other update away
+	rg := newDevRig(t, cfg)
+	rg.sendUpdate(1, 1, "key", "v1")
+	rg.eng.Run()
+	if st := rg.dev.Cache().State("key"); st != CachePersisted {
+		t.Fatalf("setup: cache state %v, want persisted", st)
+	}
+	return rg
+}
+
+// mustMissCache reads "key" and requires the answer to come from the server.
+func (rg *rig) mustMissCache(t *testing.T, seq uint32, want string) {
+	t.Helper()
+	rg.sendGet(1, 1<<31|seq, "key")
+	rg.eng.Run()
+	if crs := rg.clientGot[protocol.TypeCacheResp]; len(crs) != 0 {
+		resp, _ := protocol.DecodeResponse(crs[0].Msg.Payload)
+		t.Fatalf("read served from the cache: %q, server holds %q", resp.Args, rg.store["key"])
+	}
+	rrs := rg.clientGot[protocol.TypeReadResp]
+	if len(rrs) != 1 {
+		t.Fatalf("%d server read responses, want 1", len(rrs))
+	}
+	if resp, err := protocol.DecodeResponse(rrs[0].Msg.Payload); err != nil || string(resp.Args[1]) != want {
+		t.Fatalf("server answered %q, %v; want %q", resp.Args, err, want)
+	}
+}
+
+// TestUnloggedPutStopsCacheServing: a PUT the log turns away (here a hash
+// collision) is still applied and acknowledged by the server. Persisted must
+// go Invalid, and a Pending entry Stale until its own server-ACK retires it.
+func TestUnloggedPutStopsCacheServing(t *testing.T) {
+	rg := staleRig(t)
+	rg.ackUpdates = false
+	rg.sendUpdate(2, 1, "other", "x") // another session's update parks in the slot
+	rg.eng.Run()
+	rg.sendUpdate(1, 2, "key", "v2")
+	rg.eng.Run()
+	if st := rg.dev.Stats(); st.Log.BypassedCollision != 1 || string(rg.store["key"]) != "v2" {
+		t.Fatalf("setup: update not bypassed and applied: %+v, store %q", st.Log, rg.store["key"])
+	}
+	if st := rg.dev.Cache().State("key"); st != CacheInvalid {
+		t.Fatalf("cache state %v after an unlogged update, want invalid", st)
+	}
+	rg.mustMissCache(t, 1, "v2")
+	if st := rg.dev.Cache().State("key"); st != CachePersisted {
+		t.Fatalf("cache not refilled from the server's answer: %v", st)
+	}
+
+	// Pending: the logged update's own entry holds the slot, the next collides.
+	rg = staleRig(t)
+	rg.ackUpdates = false
+	logged := rg.sendUpdate(1, 2, "key", "v2")
+	rg.eng.Run()
+	rg.sendUpdate(1, 3, "key", "v3")
+	rg.eng.Run()
+	if st := rg.dev.Cache().State("key"); st != CacheStale || rg.dev.Stats().Log.BypassedCollision != 1 {
+		t.Fatalf("cache state %v after an unlogged update over a pending one, want stale", st)
+	}
+	rg.mustMissCache(t, 1, "v3")
+	rg.sendServerAck(&netsim.Packet{From: clientID, SrcPort: 40000, DstPort: protocol.PortMin, Msg: logged})
+	rg.eng.Run()
+	if st := rg.dev.Cache().State("key"); st != CacheInvalid {
+		t.Fatalf("cache state %v after the pending update's server-ACK, want invalid", st)
+	}
+}
+
+// TestDeleteStopsCacheServing: the cache indexes PUTs only, so a DELETE never
+// becomes a key's Pending value — logged or not, it must invalidate.
+func TestDeleteStopsCacheServing(t *testing.T) {
+	rg := staleRig(t)
+	del := protocol.Fragment(protocol.TypeUpdateReq, 1, 2, protocol.DeleteReq([]byte("key")).Encode(), 0)[0]
+	rg.client.Send(&netsim.Packet{To: serverID, SrcPort: 40000, DstPort: protocol.PortMin, PMNet: true, Msg: del})
+	rg.eng.Run()
+	if _, held := rg.store["key"]; held || rg.dev.Stats().Log.Logged != 2 {
+		t.Fatalf("setup: delete not logged and applied: %+v", rg.dev.Stats().Log)
+	}
+	if st := rg.dev.Cache().State("key"); st != CacheInvalid {
+		t.Fatalf("cache state %v after a delete, want invalid", st)
+	}
+	rg.mustMissCache(t, 1, "")
+}
+
+// TestFragmentedPutStopsCacheServing: a PUT larger than the MTU is logged
+// fragment by fragment and never cached, but its first fragment carries the
+// key, and that is enough to know the cached value is dead.
+func TestFragmentedPutStopsCacheServing(t *testing.T) {
+	rg := staleRig(t)
+	big := string(bytes.Repeat([]byte("B"), 3000))
+	frags := protocol.Fragment(protocol.TypeUpdateReq, 1, 2, protocol.PutReq([]byte("key"), []byte(big)).Encode(), 0)
+	if len(frags) < 2 {
+		t.Fatalf("setup: %d fragments", len(frags))
+	}
+	for _, m := range frags {
+		rg.client.Send(&netsim.Packet{To: serverID, SrcPort: 40000, DstPort: protocol.PortMin, PMNet: true, Msg: m})
+	}
+	rg.eng.Run()
+	if st := rg.dev.Cache().State("key"); st != CacheInvalid {
+		t.Fatalf("cache state %v after a fragmented update, want invalid", st)
+	}
+	rg.store["key"] = []byte(big) // the rig's server does not reassemble
+	rg.mustMissCache(t, 1, big)
 }
 
 func TestNonPMNetTrafficForwarded(t *testing.T) {

@@ -287,6 +287,33 @@ func TestOpMutates(t *testing.T) {
 	}
 }
 
+func TestUpdateKey(t *testing.T) {
+	long := bytes.Repeat([]byte("k"), 300) // a two-byte length prefix
+	put := PutReq(long, make([]byte, 5000)).Encode()
+	for _, c := range []struct {
+		name string
+		b    []byte
+		want []byte
+	}{
+		{"put", PutReq([]byte("key"), []byte("v")).Encode(), []byte("key")},
+		{"delete", DeleteReq([]byte("key")).Encode(), []byte("key")},
+		{"empty key", PutReq(nil, []byte("v")).Encode(), []byte{}},
+		{"first fragment of a large put", put[:MTU], long},
+		{"key cut by the fragment boundary", put[:200], nil},
+		{"length prefix cut", put[:3], nil},
+		{"no arguments", Request{Op: OpPut}.Encode(), nil},
+		{"get", GetReq([]byte("key")).Encode(), nil},
+		{"txn", TxnReq([]byte("SET"), []byte("key")).Encode(), nil},
+		{"one byte", []byte{byte(OpPut)}, nil},
+		{"empty", nil, nil},
+	} {
+		got, ok := UpdateKey(c.b)
+		if ok != (c.want != nil) || !bytes.Equal(got, c.want) {
+			t.Errorf("%s: UpdateKey = %q, %v; want %q", c.name, got, ok, c.want)
+		}
+	}
+}
+
 func TestRequestKey(t *testing.T) {
 	if k := GetReq([]byte("k")).Key(); string(k) != "k" {
 		t.Fatalf("Key() = %q", k)

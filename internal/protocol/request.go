@@ -260,6 +260,21 @@ func ScanReq(start []byte, limit int) Request {
 	return Request{Op: OpScan, Args: [][]byte{start, []byte(fmt.Sprintf("%d", limit))}}
 }
 
+// UpdateKey extracts the key of a PUT or DELETE from the front of its
+// payload without decoding the rest: b may be the first fragment of a request
+// spread over several, as long as the key lies whole within it. ok is false
+// for any other operation or a key cut short.
+func UpdateKey(b []byte) (key []byte, ok bool) {
+	if len(b) < 2 || (Op(b[0]) != OpPut && Op(b[0]) != OpDelete) || b[1] == 0 {
+		return nil, false
+	}
+	l, n := binary.Uvarint(b[2:])
+	if n <= 0 || uint64(len(b)-2-n) < l {
+		return nil, false
+	}
+	return b[2+n : 2+n+int(l)], true
+}
+
 // Key returns the primary key of a KV request, or nil when the operation has
 // no key (used by the PMNet read cache to index GET/SET traffic).
 func (r Request) Key() []byte {
