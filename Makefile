@@ -2,7 +2,7 @@ GO ?= go
 
 .PHONY: all build test race vet lint lint-sarif ci bench bench-json microbench trace-smoke \
 	shard-smoke speedup-smoke impairments-smoke bench-baseline \
-	bench-regression benchdiff sched-baseline sched-gate
+	bench-regression benchdiff sched-baseline sched-gate fuzz
 
 all: build test
 
@@ -57,8 +57,17 @@ BENCHTIME ?= 1s
 PATHBENCH = BenchmarkUpdateHop|BenchmarkServerApply|BenchmarkClientRoundtrip|BenchmarkEnginePut|BenchmarkEngineGet
 PATHPKGS = ./internal/dataplane ./internal/server ./internal/client .
 microbench:
-	$(GO) test -run '^$$' -bench 'BenchmarkEngineSchedule|BenchmarkCancel|BenchmarkTransmit|BenchmarkPersistAll|BenchmarkEpochOverhead|BenchmarkBarrier|$(PATHBENCH)' \
+	$(GO) test -run '^$$' -bench 'BenchmarkEngineSchedule|BenchmarkCancel|BenchmarkTransmit|BenchmarkPersistAll|BenchmarkPowerFail|BenchmarkNewDeviceRecycled|BenchmarkEpochOverhead|BenchmarkBarrier|$(PATHBENCH)' \
 		-benchtime $(BENCHTIME) -benchmem ./internal/sim ./internal/netsim ./internal/pmem ./internal/sim/pdes $(PATHPKGS)
+
+# Fuzz the PM device against its two-image reference model
+# (internal/pmem/model_test.go). Not part of `make ci`: `go test ./...`
+# already replays the seeds; this searches past them. Minimizing each new
+# input gets 2 s, not the default minute, so the 30 s go to fuzzing.
+FUZZTIME ?= 30s
+fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzDeviceMatchesTwoImageModel -fuzztime $(FUZZTIME) \
+		-fuzzminimizetime 2s ./internal/pmem
 
 # Full experiment suite, cells on a GOMAXPROCS-sized worker pool.
 bench:

@@ -31,9 +31,9 @@ type Cell struct {
 }
 
 // CellResult is the outcome of one executed cell. The testbed itself is
-// dropped once the cell completes — retaining it would pin every cell's
-// arena in memory for the whole sweep — so everything a renderer may need is
-// extracted here.
+// released once the cell completes — its PM images go back to pmem for the
+// next cell, and retaining it would pin every cell's arena in memory for the
+// whole sweep — so everything a renderer may need is extracted here.
 type CellResult struct {
 	Key        string
 	Run        *stats.Run           // Cfg cells: the measurement window
@@ -76,6 +76,7 @@ func execCell(c Cell) CellResult {
 		out.VirtualEnd = res.Bed.Now()
 		out.Events = res.Bed.EventsRun()
 		out.Counters = res.Bed.Counters().Snapshot()
+		res.Release()
 	} else {
 		out.V, out.VirtualEnd = c.Custom()
 		// Custom cells that know their deterministic event count surface it

@@ -256,6 +256,7 @@ func recoveryCells(seed uint64) []Cell {
 			Design: pmnet.PMNetSwitch, Clients: 4, Seed: seed,
 			Timeout: 50 * sim.Millisecond, // keep clients from re-driving recovery
 		})
+		defer bed.Release()
 		// Load updates, then cut the power mid-stream.
 		for i := 0; i < 4; i++ {
 			i := i
@@ -304,6 +305,7 @@ func tailMeasure(seed uint64, d pmnet.Design, noisy bool) (*stats.Histogram, sim
 		Seed:    seed,
 		Handler: pmnet.IdealHandler{Cost: 25 * sim.Microsecond},
 	})
+	defer bed.Release()
 	h := stats.NewHistogram()
 	for c := 0; c < 4; c++ {
 		c := c

@@ -24,7 +24,7 @@ func TestFig19AllCellsTerminate(t *testing.T) {
 				go func() {
 					defer close(done)
 					mustRun(RunConfig{Design: d, Workload: wl, Clients: 16,
-						Requests: 150, Warmup: 20, UpdateRatio: ratio, Seed: 1})
+						Requests: 150, Warmup: 20, UpdateRatio: ratio, Seed: 1}).Release()
 				}()
 				select {
 				case <-done:

@@ -15,6 +15,7 @@ import (
 	"pmnet/internal/kv"
 	"pmnet/internal/netsim"
 	"pmnet/internal/openloop"
+	"pmnet/internal/pmobj"
 	"pmnet/internal/rediskv"
 	"pmnet/internal/sim"
 	"pmnet/internal/stats"
@@ -185,6 +186,18 @@ type RunResult struct {
 	// Open is set on open-loop runs only: arrival/admission accounting plus
 	// the merged exact-tail reservoir.
 	Open *OpenLoopResult
+
+	arena *pmobj.Arena // the store's arena; nil for the ideal handler
+}
+
+// Release hands the run's PM images — the testbed's and the store arena's —
+// back to pmem for the next run to draw. Call it once everything needed has
+// been read: the testbed and the store cannot run again.
+func (r *RunResult) Release() {
+	r.Bed.Release()
+	if r.arena != nil {
+		r.arena.Device().Release()
+	}
 }
 
 // OpenLoopResult carries the open-loop accounting of a run: the Stats are
@@ -196,9 +209,10 @@ type OpenLoopResult struct {
 }
 
 // workloadDef is one row of the workload table: everything that differs
-// between workloads. server builds the application handler plus the prefill
-// run before measurement; gen is one closed-loop client's request stream;
-// mix is the open loop's action source, shared by every client's driver.
+// between workloads. server builds the application handler on its arena (nil
+// when it keeps no store) plus the prefill run before measurement; gen is one
+// closed-loop client's request stream; mix is the open loop's action source,
+// shared by every client's driver.
 type workloadDef struct {
 	server serverFunc
 	gen    genFunc
@@ -206,7 +220,7 @@ type workloadDef struct {
 }
 
 type (
-	serverFunc func(cfg *RunConfig) (handler pmnet.Handler, prefill func(), err error)
+	serverFunc func(cfg *RunConfig) (handler pmnet.Handler, arena *pmobj.Arena, prefill func(), err error)
 	genFunc    func(cfg *RunConfig, clientID int, r *sim.Rand) workload.Generator
 )
 
@@ -222,53 +236,62 @@ var workloads = map[Workload]workloadDef{
 	WLSkiplist: {engineServer(kv.OpenSkiplist, 128<<20, prefillKeys), ycsbGen, kvMix},
 }
 
-func idealServer(*RunConfig) (pmnet.Handler, func(), error) {
-	return pmnet.IdealHandler{}, func() {}, nil
+func idealServer(*RunConfig) (pmnet.Handler, *pmobj.Arena, func(), error) {
+	return pmnet.IdealHandler{}, nil, func() {}, nil
 }
 
 // engineServer serves one PMDK-style engine on an arena of the given size.
 func engineServer(open kv.Factory, arenaBytes int, prefill func(*RunConfig, kv.Engine)) serverFunc {
-	return func(cfg *RunConfig) (pmnet.Handler, func(), error) {
+	return func(cfg *RunConfig) (pmnet.Handler, *pmobj.Arena, func(), error) {
 		arena := kv.NewArena(arenaBytes)
 		engine, err := open(arena)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
-		return apps.NewKVHandler(engine, arena), func() { prefill(cfg, engine) }, nil
+		return apps.NewKVHandler(engine, arena), arena, func() { prefill(cfg, engine) }, nil
 	}
 }
 
+// The prefills panic on a store error: an arena too small must not report a
+// cell over fewer keys than it was asked for. Put and Set copy the value into
+// PM, so every key of one prefill shares one value buffer.
+
 func prefillKeys(cfg *RunConfig, engine kv.Engine) {
+	value := make([]byte, cfg.ValueSize)
 	for i := 0; i < cfg.Keys; i++ {
-		if err := engine.Put(workload.YCSBKey(i), make([]byte, cfg.ValueSize)); err != nil {
+		if err := engine.Put(workload.YCSBKey(i), value); err != nil {
 			panic(err)
 		}
 	}
 }
 
 func prefillStock(_ *RunConfig, engine kv.Engine) {
+	value := []byte("100")
 	for wh := 0; wh < 4; wh++ {
 		for it := 0; it < 1000; it++ {
-			_ = engine.Put([]byte(fmt.Sprintf("tpcc:stock:%d:%d", wh, it)), []byte("100"))
+			if err := engine.Put([]byte(fmt.Sprintf("tpcc:stock:%d:%d", wh, it)), value); err != nil {
+				panic(err)
+			}
 		}
 	}
 }
 
 // redisServer serves the Redis command subset on a fresh store.
 func redisServer(prefill func(*RunConfig, *rediskv.Store)) serverFunc {
-	return func(cfg *RunConfig) (pmnet.Handler, func(), error) {
+	return func(cfg *RunConfig) (pmnet.Handler, *pmobj.Arena, func(), error) {
 		arena := kv.NewArena(64 << 20)
 		store, err := rediskv.Open(arena)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
-		return apps.NewRedisHandler(store, arena), func() { prefill(cfg, store) }, nil
+		return apps.NewRedisHandler(store, arena), arena, func() { prefill(cfg, store) }, nil
 	}
 }
 
 func prefillRedisKeys(cfg *RunConfig, store *rediskv.Store) {
+	value := make([]byte, cfg.ValueSize)
 	for i := 0; i < cfg.Keys; i++ {
-		if err := store.Set(workload.YCSBKey(i), make([]byte, cfg.ValueSize)); err != nil {
+		if err := store.Set(workload.YCSBKey(i), value); err != nil {
 			panic(err)
 		}
 	}
@@ -277,11 +300,18 @@ func prefillRedisKeys(cfg *RunConfig, store *rediskv.Store) {
 // prefillTimelines seeds timelines and a few posts so Twitter reads hit data.
 func prefillTimelines(_ *RunConfig, store *rediskv.Store) {
 	users := 1000
+	post := []byte("seed post")
 	for u := 0; u < users; u += 7 {
-		_ = store.Set([]byte(fmt.Sprintf("post:c%d-1", u)), []byte("seed post"))
-		_, _ = store.LPush([]byte(fmt.Sprintf("timeline:%d", u)), []byte(fmt.Sprintf("c%d-1", u)), 100)
+		if err := store.Set([]byte(fmt.Sprintf("post:c%d-1", u)), post); err != nil {
+			panic(err)
+		}
+		if _, err := store.LPush([]byte(fmt.Sprintf("timeline:%d", u)), []byte(fmt.Sprintf("c%d-1", u)), 100); err != nil {
+			panic(err)
+		}
 	}
-	_ = store.Set([]byte("post:latest"), []byte("latest"))
+	if err := store.Set([]byte("post:latest"), []byte("latest")); err != nil {
+		panic(err)
+	}
 }
 
 func ycsbGen(cfg *RunConfig, _ int, r *sim.Rand) workload.Generator {
@@ -324,7 +354,7 @@ func Run(cfg RunConfig) (*RunResult, error) {
 	if !ok {
 		return nil, fmt.Errorf("harness: unknown workload %q", cfg.Workload)
 	}
-	handler, prefill, err := wl.server(&cfg)
+	handler, arena, prefill, err := wl.server(&cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -355,10 +385,17 @@ func Run(cfg RunConfig) (*RunResult, error) {
 		WorkerBudget:     sharedBudget,
 	})
 	prefill()
+	var res *RunResult
 	if cfg.OfferedLoad > 0 || cfg.ArrivalTrace != "" {
-		return runOpenLoop(&cfg, bed, wl.mix(&cfg))
+		res, err = runOpenLoop(&cfg, bed, wl.mix(&cfg))
+	} else {
+		res, err = runClosedLoop(&cfg, bed, wl.gen)
 	}
-	return runClosedLoop(&cfg, bed, wl.gen)
+	if err != nil {
+		return nil, err
+	}
+	res.arena = arena
+	return res, nil
 }
 
 // partSlot is the private measurement state of one topology partition's

@@ -127,6 +127,7 @@ func impairBedConfig(sc impairScenario, seed uint64) pmnet.Config {
 func impairRecoveryCell(sc impairScenario, seed uint64) Cell {
 	return Cell{Key: sc.key + "/recovery", Custom: func() (any, sim.Time) {
 		bed := pmnet.NewTestbed(impairBedConfig(sc, seed))
+		defer bed.Release()
 		for i := 0; i < 4; i++ {
 			i := i
 			var issue func(k int)

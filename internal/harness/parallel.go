@@ -132,7 +132,10 @@ func RunExperiments(ids []string, opt Options) (*BatchResult, error) {
 // runCells executes cells on up to workers goroutines, returning results in
 // input order. Completion order is irrelevant: each result lands in its own
 // slot, and no cell shares mutable state with another (each builds its own
-// testbed; package-level state is read-only calibration data).
+// testbed; package-level state is read-only calibration data) — except
+// pmem's free list of released device images, through which a finished
+// cell's memory reaches a later one. Only all-zero images leave that list
+// (pmem.Device.Release), so what a cell computes cannot depend on it.
 func runCells(cells []Cell, workers int) []CellResult {
 	out := make([]CellResult, len(cells))
 	if workers > len(cells) {

@@ -71,11 +71,8 @@ func (q *Queue) complete(op *pmOp) {
 	q.used -= op.n
 	q.flight--
 	if op.write {
-		if err := q.dev.WriteAt(op.buf[:op.n], op.off); err != nil {
+		if err := q.dev.writeThrough(op.buf[:op.n], op.off); err != nil {
 			panic("pmem: queued write out of range: " + err.Error())
-		}
-		if err := q.dev.Persist(op.off, op.n); err != nil {
-			panic("pmem: queued persist out of range: " + err.Error())
 		}
 		done := op.done
 		q.putOp(op)

@@ -243,6 +243,9 @@ func (s *Server) Stats() Stats { return s.stats }
 // Host exposes the underlying host.
 func (s *Server) Host() *netsim.Host { return s.host }
 
+// Meta exposes the PM region holding the per-session applied sequences.
+func (s *Server) Meta() *pmem.Device { return s.meta }
+
 // SetHandler replaces the request handler (used by harness reconfiguration).
 func (s *Server) SetHandler(h Handler) { s.handler = h }
 

@@ -228,7 +228,9 @@ func (cfg *Config) applyDefaults() netsim.LinkConfig {
 // engines, virtual clocks, PRNG streams, arenas, queues) is allocated per
 // testbed in NewTestbed; the only package-level state any of it touches
 // (engine factories, calibrated latency models, error sentinels) is written
-// once at init and read-only afterwards. Nothing here reads wall-clock time,
+// once at init and read-only afterwards — but for pmem's free list of released
+// device images, which hands Release'd memory, zeroed, to a later NewDevice
+// and so carries no content between testbeds. Nothing here reads wall-clock time,
 // so scheduling order across testbeds cannot leak into results: a run's
 // output is a pure function of its Config (and so of the seed baked into it).
 type Testbed struct {
@@ -495,6 +497,19 @@ func (tb *Testbed) StopBackground() {
 // "pmnet-1", ...) — the naming callback for trace.Tracer.ChromeJSON.
 func (tb *Testbed) NodeName(id uint64) string {
 	return tb.fab.Part(0).Name(netsim.NodeID(id)) // one name table spans all partitions
+}
+
+// Release ends the testbed's life by handing its PM images — every device's
+// log and every server's meta region — back to pmem for the next testbed to
+// draw (pmem.Device.Release). Read results, counters and logs first: the
+// testbed cannot run again.
+func (tb *Testbed) Release() {
+	for _, d := range tb.Devices {
+		d.PM().Release()
+	}
+	for _, s := range tb.Servers {
+		s.Meta().Release()
+	}
 }
 
 // Counters builds the unified metrics registry over every layer of the
