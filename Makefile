@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint lint-sarif ci bench bench-json microbench trace-smoke \
+.PHONY: all build test race vet fmt-check lint lint-sarif ci bench bench-json microbench trace-smoke \
 	shard-smoke speedup-smoke impairments-smoke bench-baseline \
 	bench-regression benchdiff sched-baseline sched-gate fuzz
 
@@ -18,6 +18,12 @@ race:
 vet:
 	$(GO) vet ./...
 
+# Every Go file is gofmt-clean. The analyzers' testdata is exempt: those
+# files are lint fixtures and keep the shape their findings were written for.
+fmt-check:
+	@out=$$(gofmt -l . | grep -v '/testdata/' || true); \
+		if [ -n "$$out" ]; then echo "fmt-check: gofmt would change:"; echo "$$out"; exit 1; fi
+
 # Enforce the determinism & persistence invariants (see README).
 lint:
 	$(GO) run ./cmd/pmnetlint ./...
@@ -29,7 +35,7 @@ lint-sarif:
 	$(GO) run ./cmd/pmnetlint -format sarif ./... > lint.sarif
 
 # Everything CI runs, in the same order.
-ci: build test race vet lint trace-smoke shard-smoke speedup-smoke impairments-smoke \
+ci: build test race vet fmt-check lint trace-smoke shard-smoke speedup-smoke impairments-smoke \
 	sched-gate
 
 # Trace determinism smoke: the pinned scenario's chrome://tracing bytes must
@@ -57,17 +63,26 @@ BENCHTIME ?= 1s
 PATHBENCH = BenchmarkUpdateHop|BenchmarkServerApply|BenchmarkClientRoundtrip|BenchmarkEnginePut|BenchmarkEngineGet
 PATHPKGS = ./internal/dataplane ./internal/server ./internal/client .
 microbench:
-	$(GO) test -run '^$$' -bench 'BenchmarkEngineSchedule|BenchmarkCancel|BenchmarkTransmit|BenchmarkPersistAll|BenchmarkPowerFail|BenchmarkNewDeviceRecycled|BenchmarkEpochOverhead|BenchmarkBarrier|$(PATHBENCH)' \
-		-benchtime $(BENCHTIME) -benchmem ./internal/sim ./internal/netsim ./internal/pmem ./internal/sim/pdes $(PATHPKGS)
+	$(GO) test -run '^$$' -bench 'BenchmarkEngineSchedule|BenchmarkCancel|BenchmarkTransmit|BenchmarkPersistAll|BenchmarkPowerFail|BenchmarkNewDeviceRecycled|BenchmarkEpochOverhead|BenchmarkBarrier|BenchmarkRedisLPush|BenchmarkTwitterAction|$(PATHBENCH)' \
+		-benchtime $(BENCHTIME) -benchmem ./internal/sim ./internal/netsim ./internal/pmem ./internal/sim/pdes \
+		./internal/rediskv ./internal/workload $(PATHPKGS)
 
-# Fuzz the PM device against its two-image reference model
-# (internal/pmem/model_test.go). Not part of `make ci`: `go test ./...`
+# Fuzz, one target after the other (go test takes one -fuzz target and one
+# package at a time): the PM device against its two-image reference model
+# (internal/pmem/model_test.go), the Redis-like store against the
+# whole-value encoder it replaced (internal/rediskv/model_test.go), and the
+# Redis handler on arbitrary requests against an in-memory model
+# (internal/apps/model_test.go). Not part of `make ci`: `go test ./...`
 # already replays the seeds; this searches past them. Minimizing each new
-# input gets 2 s, not the default minute, so the 30 s go to fuzzing.
+# input gets 2 s, not the default minute, so each target's 30 s go to fuzzing.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDeviceMatchesTwoImageModel -fuzztime $(FUZZTIME) \
 		-fuzzminimizetime 2s ./internal/pmem
+	$(GO) test -run '^$$' -fuzz FuzzStoreMatchesModel -fuzztime $(FUZZTIME) \
+		-fuzzminimizetime 2s ./internal/rediskv
+	$(GO) test -run '^$$' -fuzz FuzzRedisHandler -fuzztime $(FUZZTIME) \
+		-fuzzminimizetime 2s ./internal/apps
 
 # Full experiment suite, cells on a GOMAXPROCS-sized worker pool.
 bench:

@@ -19,9 +19,11 @@ var EngineNames = append([]string(nil), kv.EngineNames...)
 // the engine's actual PM work. Its read responses carry the request's own
 // key bytes (Response{Args: {req.Args[0], value}}): legal under the Handler
 // contract, which lends a handler the Args array only for the call but lets
-// it keep the payload bytes the array points at. The response's Args array
-// is the handler's scratch, rebuilt by its next Handle — the same contract
-// read the other way; the value in it is a copy the caller owns.
+// it keep the payload bytes the array points at. The response is the
+// handler's scratch, rebuilt by its next Handle — the same contract read the
+// other way: the value in it is the engine's own PM bytes (kv.Engine.View),
+// which the next update may overwrite, so a caller of Handle that keeps a
+// value copies it.
 func NewKVHandler(engine string, arenaBytes int) (Handler, error) {
 	factory, ok := kv.Factories[engine]
 	if !ok {
@@ -42,7 +44,8 @@ func NewKVHandler(engine string, arenaBytes int) (Handler, error) {
 // persistent store (the paper's PM-optimized Redis analogue). Commands ride
 // in TxnReq requests: TxnReq([]byte("SET"), key, value), and so on for GET,
 // INCR, LPUSH, LRANGE, SADD, SISMEMBER, SCARD. Plain PutReq/GetReq map to
-// string SET/GET.
+// string SET/GET. Its responses are valid until its next Handle, like
+// NewKVHandler's: values and list items are read in place from the store.
 func NewRedisHandler(arenaBytes int) (Handler, error) {
 	if arenaBytes <= 0 {
 		arenaBytes = 64 << 20

@@ -82,8 +82,11 @@ func lockArgs(req protocol.Request) (name, owner string) {
 }
 
 // respArgs is a handler's response-argument scratch: the array behind the
-// Args of the response it last returned, reused by the next (the contract on
-// server.Handler lets a handler do so).
+// Args of the response it last returned, reused by the next. The bytes the
+// array points at need live no longer: a value read in place from the arena,
+// the store's item array, a number formatted into the handler's own buffer.
+// The contract on server.Handler lets a handler do both — the caller encodes
+// the response before anything writes the store or calls Handle again.
 type respArgs [][]byte
 
 func (r *respArgs) of(args ...[]byte) [][]byte {
@@ -149,7 +152,7 @@ func (h *KVHandler) apply(req protocol.Request) protocol.Response {
 		if len(req.Args) < 1 {
 			return protocol.Response{Status: protocol.StatusError}
 		}
-		v, ok := h.Engine.Get(req.Args[0])
+		v, ok := h.Engine.View(req.Args[0])
 		if !ok {
 			return protocol.Response{Status: protocol.StatusNotFound, Args: h.args.of(req.Args[0])}
 		}
@@ -207,6 +210,7 @@ type RedisHandler struct {
 	arena *pmobj.Arena
 	dev   *pmem.Device
 	args  respArgs
+	num   [20]byte // the digits of the number last answered
 }
 
 // NewRedisHandler builds a handler over a store living on arena.
@@ -238,7 +242,7 @@ func (h *RedisHandler) Handle(req protocol.Request) (protocol.Response, sim.Time
 
 // number answers OK with n in decimal.
 func (h *RedisHandler) number(n int64) protocol.Response {
-	return protocol.Response{Status: protocol.StatusOK, Args: h.args.of(strconv.AppendInt(nil, n, 10))}
+	return protocol.Response{Status: protocol.StatusOK, Args: h.args.of(strconv.AppendInt(h.num[:0], n, 10))}
 }
 
 // redisArity is the number of arguments each command reads after its name.

@@ -11,6 +11,7 @@ import (
 
 	"pmnet"
 	"pmnet/internal/raceflag"
+	"pmnet/internal/sim"
 )
 
 // TestUpdatePathAllocsPerRequest runs the Fig. 16 saturation shape (64
@@ -82,5 +83,44 @@ func TestReadPathAllocsPerRequest(t *testing.T) {
 	t.Logf("%.4f objects per request", got)
 	if got > 3.0 {
 		t.Errorf("store and read path allocates %.3f objects per request in steady state, want <= 3.0", got)
+	}
+}
+
+// TestRetwisPathAllocsPerRequest does the same for the open loop and the
+// Redis-like store, on bench/'s retwis_open shape at small size: Poisson
+// retwis actions over 16 transports, below the knee. Two durations of one
+// arrival stream differ by the requests of the second half; what is left per
+// request is its payload and, for the reads (LRANGE and two GETs of a
+// timeline action), the response payload — the mix formats keys into the
+// action's own ops, the store splices values from the PM view into its one
+// buffer, and actions, sessions and steppers are pooled.
+func TestRetwisPathAllocsPerRequest(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("malloc counts are unreliable under the race detector")
+	}
+	run := func(d sim.Time) (mallocs, requests uint64) {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		res, err := Run(RunConfig{Design: pmnet.PMNetSwitch, Workload: WLTwitter, Clients: 16,
+			OfferedLoad: 150000, Duration: d, WarmupDur: sim.Millisecond, Users: 1000000,
+			UpdateRatio: 0.4, RetryBackoff: true, ValueSize: 100, Seed: 1})
+		runtime.ReadMemStats(&m1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if o := res.Open; o.Shed != 0 || o.FailedReqs != 0 || o.ActionsFailed != 0 || o.Actions != o.Offered {
+			t.Fatalf("run not clean: %+v", o.Stats)
+		}
+		return m1.Mallocs - m0.Mallocs, res.Open.Requests
+	}
+	m1, r1 := run(40 * sim.Millisecond)
+	m2, r2 := run(80 * sim.Millisecond)
+	if r2-r1 < 15000 {
+		t.Fatalf("second half played %d requests, want 15 000 or more", r2-r1)
+	}
+	got := float64(m2-m1) / float64(r2-r1)
+	t.Logf("%.4f objects per request over %d requests", got, r2-r1)
+	if got > 2.0 {
+		t.Errorf("retwis path allocates %.3f objects per request in steady state, want <= 2.0", got)
 	}
 }

@@ -71,7 +71,7 @@ func speedupCells(seed uint64) []Cell {
 
 func speedupRender(seed uint64, cells []CellResult) Result {
 	t := stats.Table{
-		Title: "Speedup: one scenario at -shards 1/2/4 (results identical by construction)",
+		Title:   "Speedup: one scenario at -shards 1/2/4 (results identical by construction)",
 		Columns: []string{"shards", "events", "epochs", "events/epoch"},
 	}
 	metrics := map[string]float64{}

@@ -65,6 +65,42 @@ func TestEngineGetAllocs(t *testing.T) {
 	})
 }
 
+// TestViewIsGetWithoutTheCopy: on every engine View finds what Get finds —
+// a hit, a miss, an empty value — through the same device reads (server CPU
+// time is charged per read, so a handler may answer from either), and costs
+// the heap nothing.
+func TestViewIsGetWithoutTheCopy(t *testing.T) {
+	forEachEngine(t, func(t *testing.T, e Engine, a *pmobj.Arena, _ func() Engine) {
+		keys := warmEngine(t, e, 300)
+		mustPut(t, e, "empty", "")
+		keys = append(keys, []byte("empty"), []byte("absent"), []byte("key"))
+		dev := a.Device()
+		for _, k := range keys {
+			s0 := dev.Stats()
+			got, ok := e.Get(k)
+			s1 := dev.Stats()
+			view, vok := e.View(k)
+			s2 := dev.Stats()
+			if ok != vok || string(got) != string(view) {
+				t.Fatalf("%s: %q: Get %q %v, View %q %v", e.Name(), k, got, ok, view, vok)
+			}
+			if s1.Reads-s0.Reads != s2.Reads-s1.Reads || s1.BytesRead-s0.BytesRead != s2.BytesRead-s1.BytesRead {
+				t.Fatalf("%s: %q: Get read %+v -> %+v, View -> %+v", e.Name(), k, s0, s1, s2)
+			}
+		}
+		if raceflag.Enabled {
+			return // AllocsPerRun is unreliable under the race detector
+		}
+		i := 0
+		if got := testing.AllocsPerRun(500, func() {
+			e.View(keys[i%len(keys)])
+			i += 7
+		}); got != 0 {
+			t.Errorf("%s: View allocated %.2f objects, want 0", e.Name(), got)
+		}
+	})
+}
+
 // TestGetResultSurvivesOverwrite: keys are compared in place, but the value
 // Get returns is the caller's — rediskv and the tests hold one across later
 // writes. Overwriting and deleting the key frees its block, and the Puts that

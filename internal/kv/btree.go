@@ -138,8 +138,11 @@ func (b *BTree) cmpKey(probe []byte, n uint64, i int) int {
 	return keyCompare(b.a, probe, it.kOff, it.kLen)
 }
 
-// Get implements Engine (read-only: committed view throughout).
-func (b *BTree) Get(key []byte) ([]byte, bool) {
+// Get implements Engine.
+func (b *BTree) Get(key []byte) ([]byte, bool) { return owned(b.View(key)) }
+
+// View implements Engine (read-only: committed view throughout).
+func (b *BTree) View(key []byte) ([]byte, bool) {
 	n := b.a.ReadU64(b.root + btRootNode)
 	for {
 		i := 0
@@ -148,7 +151,7 @@ func (b *BTree) Get(key []byte) ([]byte, bool) {
 			c := b.cmpKey(key, n, i)
 			if c == 0 {
 				it := b.item(n, i)
-				return getString(b.a, it.vOff, it.vLen), true
+				return viewString(b.a, it.vOff, it.vLen), true
 			}
 			if c < 0 {
 				break

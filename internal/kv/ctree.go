@@ -129,7 +129,10 @@ func (c *CTree) walkToLeaf(ik []byte) uint64 {
 }
 
 // Get implements Engine.
-func (c *CTree) Get(key []byte) ([]byte, bool) {
+func (c *CTree) Get(key []byte) ([]byte, bool) { return owned(c.View(key)) }
+
+// View implements Engine.
+func (c *CTree) View(key []byte) ([]byte, bool) {
 	ik := c.ikey(key)
 	p := c.walkToLeaf(ik)
 	if p == 0 {
@@ -139,7 +142,7 @@ func (c *CTree) Get(key []byte) ([]byte, bool) {
 	if string(c.leafKey(leaf)) != string(ik) {
 		return nil, false
 	}
-	return getString(c.a, c.ru(leaf+clVOff), c.ru(leaf+clVLen)), true
+	return viewString(c.a, c.ru(leaf+clVOff), c.ru(leaf+clVLen)), true
 }
 
 // Put implements Engine.

@@ -21,8 +21,13 @@ type Engine interface {
 	Name() string
 	// Put inserts or overwrites key → value, crash-atomically.
 	Put(key, value []byte) error
-	// Get returns the value for key.
+	// Get returns the value for key, in bytes the caller owns.
 	Get(key []byte) ([]byte, bool)
+	// View is Get without the copy: the same lookup and the same device
+	// reads, but the value is the arena's own bytes, valid until the arena
+	// is next written (see pmobj.Arena.View). For a caller that encodes or
+	// compares the value before it touches the store again.
+	View(key []byte) ([]byte, bool)
 	// Delete removes key, reporting whether it existed.
 	Delete(key []byte) (bool, error)
 	// Len returns the number of live keys.
@@ -98,8 +103,8 @@ func putString(tx *pmobj.Tx, s []byte) (uint64, error) {
 	return off, nil
 }
 
-// getString reads a stored string into bytes the caller owns: what Get, Keys
-// and Scan hand out, which must survive the block being freed and reused.
+// getString reads a stored string into bytes the caller owns: what Keys and
+// Scan hand out, which must survive the block being freed and reused.
 func getString(a *pmobj.Arena, off, n uint64) []byte {
 	if n == 0 {
 		return []byte{}
@@ -108,12 +113,24 @@ func getString(a *pmobj.Arena, off, n uint64) []byte {
 }
 
 // viewString is getString without the copy, for a string that is compared
-// and dropped before the arena is next written (see pmobj.Arena.View).
+// and dropped before the arena is next written (see pmobj.Arena.View): what
+// every key comparison and every engine's View use.
 func viewString(a *pmobj.Arena, off, n uint64) []byte {
 	if n == 0 {
 		return nil
 	}
 	return a.View(off, int(n))
+}
+
+// owned is every engine's Get in terms of its View: the viewed value copied
+// into bytes the caller owns, which survive the block being freed and reused.
+func owned(v []byte, ok bool) ([]byte, bool) {
+	if !ok {
+		return nil, false
+	}
+	out := make([]byte, len(v))
+	copy(out, v)
+	return out, true
 }
 
 func freeString(tx *pmobj.Tx, off, n uint64) {

@@ -149,12 +149,15 @@ func (h *Hashmap) Put(key, value []byte) error {
 }
 
 // Get implements Engine.
-func (h *Hashmap) Get(key []byte) ([]byte, bool) {
+func (h *Hashmap) Get(key []byte) ([]byte, bool) { return owned(h.View(key)) }
+
+// View implements Engine.
+func (h *Hashmap) View(key []byte) ([]byte, bool) {
 	e, _ := h.findEntry(key)
 	if e == 0 {
 		return nil, false
 	}
-	return getString(h.a, h.a.ReadU64(e+heVOff), h.a.ReadU64(e+heVLen)), true
+	return viewString(h.a, h.a.ReadU64(e+heVOff), h.a.ReadU64(e+heVLen)), true
 }
 
 // Delete implements Engine.

@@ -120,12 +120,15 @@ func (t *RBTree) find(key []byte) uint64 {
 }
 
 // Get implements Engine.
-func (t *RBTree) Get(key []byte) ([]byte, bool) {
+func (t *RBTree) Get(key []byte) ([]byte, bool) { return owned(t.View(key)) }
+
+// View implements Engine.
+func (t *RBTree) View(key []byte) ([]byte, bool) {
 	n := t.find(key)
 	if n == t.nilNode() {
 		return nil, false
 	}
-	return getString(t.a, t.ru(n+rnVOff), t.ru(n+rnVLen)), true
+	return viewString(t.a, t.ru(n+rnVOff), t.ru(n+rnVLen)), true
 }
 
 // rotations ----------------------------------------------------------------

@@ -165,13 +165,16 @@ func (s *Skiplist) Put(key, value []byte) error {
 }
 
 // Get implements Engine.
-func (s *Skiplist) Get(key []byte) ([]byte, bool) {
+func (s *Skiplist) Get(key []byte) ([]byte, bool) { return owned(s.View(key)) }
+
+// View implements Engine.
+func (s *Skiplist) View(key []byte) ([]byte, bool) {
 	var update [slMaxLevel]uint64
 	node := s.findUpdate(key, &update)
 	if node == 0 {
 		return nil, false
 	}
-	return getString(s.a, s.a.ReadU64(node+snVOff), s.a.ReadU64(node+snVLen)), true
+	return viewString(s.a, s.a.ReadU64(node+snVOff), s.a.ReadU64(node+snVLen)), true
 }
 
 // Delete implements Engine.

@@ -99,7 +99,9 @@ type session struct {
 
 // action is one in-flight user action, pooled across the run. Its stepper
 // is bound once, when the action is first made, and plays every step of
-// every action the record is recycled for.
+// every action the record is recycled for; ops is recycled with it, and with
+// ops the storage each step's arguments live in (see workload.Op), so an
+// action's requests are valid from its arrival to its finish.
 type action struct {
 	d        *Driver
 	step     workload.Stepper
@@ -131,6 +133,7 @@ type Driver struct {
 	seq      uint64
 	drained  bool   // the arrival process has passed Duration
 	onDone   func() // fired once by checkDone
+	arrive   func() // onArrival, bound once in Start: every arrival schedules it
 }
 
 // New builds a driver. run receives one sample per measured completed action
@@ -160,7 +163,7 @@ func New(cfg Config, sess *client.Session, mix Mix, arr arrival.Source,
 // arrivals stop at Duration and the engine drains once the last in-flight
 // action completes or times out.
 func (d *Driver) Start(eng *sim.Engine) {
-	d.eng = eng
+	d.eng, d.arrive = eng, d.onArrival
 	d.scheduleNext()
 	d.checkDone() // a driver with no arrival inside Duration is done already
 }
@@ -190,7 +193,7 @@ func (d *Driver) scheduleNext() {
 		d.drained = true
 		return
 	}
-	d.eng.At(t, d.onArrival)
+	d.eng.At(t, d.arrive)
 }
 
 func (d *Driver) onArrival() {

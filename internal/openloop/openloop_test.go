@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"pmnet/internal/client"
@@ -51,7 +52,14 @@ func TestRequestStreamDigests(t *testing.T) {
 	closed := func(g workload.Generator) []workload.Op {
 		ops := make([]workload.Op, 5000)
 		for i := range ops {
-			ops[i] = g.Next()
+			// An Op is valid until the next Next: keep a copy of its bytes.
+			op := g.Next()
+			args := make([][]byte, len(op.Req.Args))
+			for j, a := range op.Req.Args {
+				args[j] = append([]byte(nil), a...)
+			}
+			op.Req.Args = args
+			ops[i] = op
 		}
 		return ops
 	}
@@ -276,5 +284,47 @@ func TestOpenLoopStepAllocs(t *testing.T) {
 	}
 	if st := d.Stats(); st.Updates < warm+runs || st.FailedReqs != 0 {
 		t.Fatalf("action not exercised: %+v", st)
+	}
+}
+
+// TestOpenLoopArrivalAllocs pins the arrival event — schedule the next
+// arrival, pick the user, take a pooled action, draw the retwis steps into its
+// ops, issue the first — to that step's payload. The arrival callback is bound
+// once in Start, the action and the storage of its ops are recycled, and the
+// mix formats its keys in place; a method value per arrival, a key string or
+// an argument array would show here.
+func TestOpenLoopArrivalAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("malloc counts are unreliable under the race detector")
+	}
+	const warm, runs = 64, 200
+	arrivals := make([]sim.Time, warm+runs)
+	for i := range arrivals {
+		arrivals[i] = sim.Time(i+1) * sim.Millisecond // every action drains before the next arrives
+	}
+	eng, d, _ := newRig(NewTwitterMix(10, 0.4, 100), 4, arrivals...)
+	d.Start(eng)
+	var before, after runtime.MemStats
+	var mallocs uint64
+	for i, at := range arrivals {
+		eng.RunThrough(at - 1) // the action before this arrival, to its end
+		if next, ok := eng.NextTime(); !ok || next != at || eng.Pending() != 1 {
+			t.Fatalf("arrival %d is not the one event pending: next at %d, %d pending", i, next, eng.Pending())
+		}
+		runtime.ReadMemStats(&before)
+		eng.Step()
+		runtime.ReadMemStats(&after)
+		if i >= warm {
+			mallocs += after.Mallocs - before.Mallocs
+		}
+	}
+	eng.Run()
+	if st := d.Stats(); st.Actions != warm+runs || st.PeakActive != 1 || st.Shed != 0 {
+		t.Fatalf("arrivals not played one at a time: %+v", st)
+	}
+	// A few stray allocations by the runtime do not fail the pin; a second
+	// object per arrival, or on every fourth, does.
+	if mallocs < runs || mallocs >= runs+runs/4 {
+		t.Errorf("%d arrivals allocated %d objects, want one each (the first step's payload)", runs, mallocs)
 	}
 }

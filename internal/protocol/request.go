@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strconv"
 )
 
 // Op is the application-level operation carried in a request payload. All
@@ -251,13 +252,14 @@ func UnlockReq(name []byte) Request { return Request{Op: OpLockRelease, Args: []
 // TxnReq builds a composite transactional request; the first argument names
 // the transaction and the rest are its parameters.
 func TxnReq(name []byte, params ...[]byte) Request {
-	return Request{Op: OpTxn, Args: append([][]byte{name}, params...)}
+	args := make([][]byte, 0, 1+len(params))
+	return Request{Op: OpTxn, Args: append(append(args, name), params...)}
 }
 
 // ScanReq builds an ordered range-scan request starting at start, returning
 // at most limit pairs.
 func ScanReq(start []byte, limit int) Request {
-	return Request{Op: OpScan, Args: [][]byte{start, []byte(fmt.Sprintf("%d", limit))}}
+	return Request{Op: OpScan, Args: [][]byte{start, strconv.AppendInt(nil, int64(limit), 10)}}
 }
 
 // UpdateKey extracts the key of a PUT or DELETE from the front of its

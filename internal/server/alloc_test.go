@@ -207,13 +207,16 @@ func TestCrashWithApplyRecordOnCPU(t *testing.T) {
 
 // TestReadRecordsAcrossCrashAndOverlap: two reads of one session overlap on
 // the CPU (bypass requests are not serialized), each on its own record with
-// its own payload, while the handler reuses one Args array for both; then a
-// crash strands a third on the CPU — its record must fire inert, return to
+// its own payload, while the handler reuses one Args array and one value
+// buffer for both (the library has encoded a response before the handler can
+// be called again); then a crash strands a third on the CPU — its record must fire inert, return to
 // the pool, and serve the next read after recovery exactly once.
 func TestReadRecordsAcrossCrashAndOverlap(t *testing.T) {
 	var scratch [][]byte
+	var value []byte
 	h := HandlerFunc(func(req protocol.Request) (protocol.Response, sim.Time) {
-		scratch = append(scratch[:0], req.Args[0], append([]byte("v-"), req.Args[0]...))
+		value = append(append(value[:0], "v-"...), req.Args[0]...)
+		scratch = append(scratch[:0], req.Args[0], value)
 		return protocol.Response{Status: protocol.StatusOK, Args: scratch}, 50 * sim.Microsecond
 	})
 	rig := newSrvRig(t, h, Config{})

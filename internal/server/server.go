@@ -27,10 +27,14 @@ import (
 // may be kept or returned freely — Response{Args: [][]byte{req.Args[0], v}}
 // is legal.
 //
-// The response's Args array is in turn the handler's to reuse: the library
-// encodes the response before it returns to the event loop, so a handler may
-// build every response in one scratch array, and a caller of Handle may keep
-// the response only until it calls Handle again.
+// The response is in turn the handler's to reuse — the Args array and the
+// bytes it points at: the library encodes the response before it returns to
+// the event loop, so a handler may build every response in one scratch array
+// and point it at memory of its own that the next request rewrites (a number
+// formatted into a handler buffer, a value viewed in place in the store's PM
+// arena, which the next update overwrites). A caller of Handle may keep the
+// response only until it calls Handle again, and copies what it needs for
+// longer.
 type Handler interface {
 	Handle(req protocol.Request) (protocol.Response, sim.Time)
 }

@@ -173,13 +173,13 @@ type minSlot struct {
 // from the same published data, so private copies stay in agreement without
 // any cross-worker writes.
 type workerState struct {
-	asg        []int32  // shard -> worker
-	lastEvents []uint64 // cumulative events at last rebalance
-	order      []int32  // scratch: shards sorted by delta desc
-	delta      []uint64 // scratch: events since last rebalance
-	load       []uint64 // scratch: per-worker assigned load
-	lastRebal  uint64   // epoch of the last rebalance (guards re-entry)
-	idleSkips  uint64
+	asg           []int32  // shard -> worker
+	lastEvents    []uint64 // cumulative events at last rebalance
+	order         []int32  // scratch: shards sorted by delta desc
+	delta         []uint64 // scratch: events since last rebalance
+	load          []uint64 // scratch: per-worker assigned load
+	lastRebal     uint64   // epoch of the last rebalance (guards re-entry)
+	idleSkips     uint64
 	soloEpochs    uint64
 	soloStretches uint64
 }

@@ -20,7 +20,7 @@ func (o opaque) Name() string { return o.inner.Name() }
 
 type selfLoop struct{}
 
-func (selfLoop) Name() string  { return "loop" }
+func (selfLoop) Name() string    { return "loop" }
 func (s selfLoop) Unwrap() iface { return s }
 
 type capability interface{ Extra() string }

@@ -167,3 +167,103 @@ func TestLockRetryReissuesCurrentOp(t *testing.T) {
 		t.Fatalf("driver stats %+v", final)
 	}
 }
+
+// actionAllocs pins a mix's Action to zero allocations once the ops slice has
+// grown to the longest action: every key and id is formatted into the storage
+// of the op that carries it, command names and fixed keys are shared.
+func actionAllocs(t *testing.T, mix Mix, users int) {
+	t.Helper()
+	if raceflag.Enabled {
+		t.Skip("AllocsPerRun is unreliable under the race detector")
+	}
+	r := sim.NewRand(3)
+	var ops []Op
+	seq := uint64(0)
+	action := func() {
+		seq++
+		ops = mix.Action(r, r.Intn(users), seq, ops[:0])
+	}
+	kinds := map[int]bool{}
+	for i := 0; i < 200; i++ { // every kind of action has grown the slice
+		action()
+		kinds[len(ops)] = true
+	}
+	if len(kinds) < 3 {
+		t.Fatalf("warm-up drew actions of %d kinds, want all 3", len(kinds))
+	}
+	if got := testing.AllocsPerRun(1000, action); got != 0 {
+		t.Errorf("Action allocated %.2f objects, want 0", got)
+	}
+}
+
+func TestTwitterActionAllocs(t *testing.T) {
+	const users = 1000000 // the open loop's population: the longest keys
+	actionAllocs(t, NewTwitterMix(TwitterConfig{Users: users, UpdateRatio: 0.4}), users)
+}
+
+func TestTPCCActionAllocs(t *testing.T) {
+	actionAllocs(t, NewTPCCMix(TPCCConfig{UpdateRatio: 0.5}), 1000000)
+}
+
+// TestOpsSurviveSliceGrowth: an Op's arguments live in the slice element it
+// was drawn into. When a later append moves the slice, the moved ops still
+// read the bytes they were given (from the array left behind), and so does a
+// by-value copy — both alias the first element's storage rather than own any,
+// which is what lets bench/ accumulate thousands of actions in one slice and
+// hand ops around by value.
+func TestOpsSurviveSliceGrowth(t *testing.T) {
+	encoded := func(ops []Op) []string {
+		out := make([]string, len(ops))
+		for i, op := range ops {
+			out[i] = string(op.Req.Encode())
+		}
+		return out
+	}
+	for name, mix := range map[string]Mix{
+		"twitter": NewTwitterMix(TwitterConfig{Users: 1000, UpdateRatio: 0.6}),
+		"tpcc":    NewTPCCMix(TPCCConfig{UpdateRatio: 0.9}),
+		"kv":      NewKVMix(1000, 10, 0.5),
+	} {
+		r := sim.NewRand(7)
+		ops := mix.Action(r, 42, 1, make([]Op, 0, 1))
+		first := append([]Op(nil), ops...) // by-value copies
+		want := encoded(ops)
+		base := &ops[0]
+		for seq := uint64(2); &ops[0] == base || seq < 50; seq++ {
+			ops = mix.Action(r, 42, seq, ops)
+		}
+		for i, w := range want {
+			if got := string(ops[i].Req.Encode()); got != w {
+				t.Errorf("%s: op %d reads %q after the slice moved, was %q", name, i, got, w)
+			}
+			if got := string(first[i].Req.Encode()); got != w {
+				t.Errorf("%s: copy of op %d reads %q, was %q", name, i, got, w)
+			}
+		}
+	}
+	// A copy aliases its source: redrawing the source element shows through
+	// the copy taken before.
+	r, mix := sim.NewRand(7), NewKVMix(1000, 10, 0)
+	var slot [1]Op
+	kept := mix.Action(r, 0, 1, slot[:0])[0]
+	before := string(kept.Req.Encode())
+	for string(mix.Action(r, 0, 2, slot[:0])[0].Req.Encode()) == before {
+	}
+	if string(kept.Req.Encode()) == before {
+		t.Error("a copied Op kept its bytes when its source was redrawn: it owns storage")
+	}
+}
+
+// BenchmarkTwitterAction: one open-loop retwis action drawn into a recycled
+// ops slice — `make microbench` only.
+func BenchmarkTwitterAction(b *testing.B) {
+	const users = 1000000
+	mix := NewTwitterMix(TwitterConfig{Users: users, UpdateRatio: 0.4})
+	r := sim.NewRand(3)
+	var ops []Op
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ops = mix.Action(r, r.Intn(users), uint64(i+1), ops[:0])
+	}
+}

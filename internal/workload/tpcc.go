@@ -1,7 +1,7 @@
 package workload
 
 import (
-	"fmt"
+	"strconv"
 
 	"pmnet/internal/protocol"
 	"pmnet/internal/sim"
@@ -54,12 +54,36 @@ func NewTPCC(rand *sim.Rand, clientID int, cfg TPCCConfig) *Player {
 	return &Player{mix: NewTPCCMix(cfg), rand: rand, uid: clientID}
 }
 
-func tpccKey(parts ...any) []byte {
-	s := "tpcc"
-	for _, p := range parts {
-		s += fmt.Sprintf(":%v", p)
+// The values the transactions write. Never written themselves.
+var (
+	valBalance = []byte("bal")
+	valYTD     = []byte("ytd")
+	valHistory = []byte("h")
+	valStock   = []byte("qty-updated")
+	valLine    = []byte("line")
+	valPlaced  = []byte("placed")
+	valNextOID = []byte("oid")
+)
+
+// tableKey starts a key of table in op's key bytes: "tpcc:<table>", to which
+// the appends below add the row's parts.
+func tableKey(op *Op, table string) []byte {
+	return append(append(op.kb[:0], "tpcc:"...), table...)
+}
+
+// appendInts appends ":<v>" for every v: the numeric parts of a TPCC key,
+// which reads tpcc:<table>:<part>:<part>...
+func appendInts(b []byte, vs ...int) []byte {
+	for _, v := range vs {
+		b = strconv.AppendInt(append(b, ':'), int64(v), 10)
 	}
-	return []byte(s)
+	return b
+}
+
+// appendOrderID appends ":o<uid>-<n>", the key part naming terminal uid's
+// order number n.
+func appendOrderID(b []byte, uid int, n uint64) []byte {
+	return appendID(append(b, ":o"...), uid, n)
 }
 
 // Action implements Mix.
@@ -68,24 +92,29 @@ func (m *TPCCMix) Action(r *sim.Rand, uid int, seq uint64, ops []Op) []Op {
 	return m.steps(r, uid, &seq, ops)
 }
 
+// steps formats each key into the op that carries it (Op.kb).
 func (m *TPCCMix) steps(r *sim.Rand, uid int, ids *uint64, ops []Op) []Op {
+	var op *Op
 	if r.Float64() >= m.cfg.UpdateRatio {
 		// Order-status: read-only, of the terminal's latest order.
 		w, d := r.Intn(m.cfg.Warehouses), r.Intn(m.cfg.Districts)
-		return append(ops,
-			Op{Req: protocol.GetReq(tpccKey("customer", w, d, uid, "balance"))},
-			Op{Req: protocol.GetReq(tpccKey("order", w, d, fmt.Sprintf("o%d-%d", uid, *ids)))},
-		)
+		ops, op = push(ops)
+		op.fill(protocol.OpGet, false, append(appendInts(tableKey(op, "customer"), w, d, uid), ":balance"...))
+		ops, op = push(ops)
+		op.fill(protocol.OpGet, false, appendOrderID(appendInts(tableKey(op, "order"), w, d), uid, *ids))
+		return ops
 	}
 	if r.Float64() >= 0.6 {
 		// Payment: customer balance and district YTD updates; no lock (the
 		// per-customer rows are terminal-partitioned in our setup).
 		w, d := r.Intn(m.cfg.Warehouses), r.Intn(m.cfg.Districts)
-		return append(ops,
-			Op{Req: protocol.PutReq(tpccKey("customer", w, d, uid, "balance"), []byte("bal")), Update: true},
-			Op{Req: protocol.PutReq(tpccKey("district", w, d, "ytd", uid), []byte("ytd")), Update: true},
-			Op{Req: protocol.PutReq(tpccKey("history", w, d, uid), []byte("h")), Update: true},
-		)
+		ops, op = push(ops)
+		op.fill(protocol.OpPut, true, append(appendInts(tableKey(op, "customer"), w, d, uid), ":balance"...), valBalance)
+		ops, op = push(ops)
+		op.fill(protocol.OpPut, true, appendInts(append(appendInts(tableKey(op, "district"), w, d), ":ytd"...), uid), valYTD)
+		ops, op = push(ops)
+		op.fill(protocol.OpPut, true, appendInts(tableKey(op, "history"), w, d, uid), valHistory)
+		return ops
 	}
 	// New-order, the Figure 5 pattern: lock the stock row, read it, write
 	// the updated stock and the order lines, unlock. The lock requests
@@ -94,24 +123,34 @@ func (m *TPCCMix) steps(r *sim.Rand, uid int, ids *uint64, ops []Op) []Op {
 	*ids++
 	w, d := r.Intn(m.cfg.Warehouses), r.Intn(m.cfg.Districts)
 	item := r.Intn(m.cfg.Items)
-	lock := tpccKey("stocklock", w, item)
-	owner := []byte(fmt.Sprintf("client%d", uid))
-	orderID := fmt.Sprintf("o%d-%d", uid, *ids)
-	ops = append(ops,
-		Op{Req: protocol.Request{Op: protocol.OpLockAcquire, Args: [][]byte{lock, owner}}, Retry: true},
-		Op{Req: protocol.GetReq(tpccKey("stock", w, item))},
-		Op{Req: protocol.GetReq(tpccKey("customer", w, d, uid, "info"))},
-		Op{Req: protocol.PutReq(tpccKey("stock", w, item), []byte("qty-updated")), Update: true},
-	)
+	ops, op = push(ops)
+	lockOp(op, protocol.OpLockAcquire, w, item, uid)
+	op.Retry = true
+	ops, op = push(ops)
+	op.fill(protocol.OpGet, false, appendInts(tableKey(op, "stock"), w, item))
+	ops, op = push(ops)
+	op.fill(protocol.OpGet, false, append(appendInts(tableKey(op, "customer"), w, d, uid), ":info"...))
+	ops, op = push(ops)
+	op.fill(protocol.OpPut, true, appendInts(tableKey(op, "stock"), w, item), valStock)
 	for l := 0; l < m.cfg.OrderLines; l++ {
-		ops = append(ops, Op{
-			Req:    protocol.PutReq(tpccKey("orderline", w, d, orderID, l), []byte("line")),
-			Update: true,
-		})
+		ops, op = push(ops)
+		op.fill(protocol.OpPut, true,
+			appendInts(appendOrderID(appendInts(tableKey(op, "orderline"), w, d), uid, *ids), l), valLine)
 	}
-	return append(ops,
-		Op{Req: protocol.PutReq(tpccKey("order", w, d, orderID), []byte("placed")), Update: true},
-		Op{Req: protocol.PutReq(tpccKey("district", w, d, "nextoid"), []byte("oid")), Update: true},
-		Op{Req: protocol.Request{Op: protocol.OpLockRelease, Args: [][]byte{lock, owner}}},
-	)
+	ops, op = push(ops)
+	op.fill(protocol.OpPut, true, appendOrderID(appendInts(tableKey(op, "order"), w, d), uid, *ids), valPlaced)
+	ops, op = push(ops)
+	op.fill(protocol.OpPut, true, append(appendInts(tableKey(op, "district"), w, d), ":nextoid"...), valNextOID)
+	ops, op = push(ops)
+	lockOp(op, protocol.OpLockRelease, w, item, uid)
+	return ops
+}
+
+// lockOp makes op the acquire or release of item's stock lock in warehouse w
+// by terminal uid: Args = [lock name, owner], both in op's key bytes.
+func lockOp(op *Op, code protocol.Op, w, item, uid int) {
+	b := appendInts(tableKey(op, "stocklock"), w, item)
+	k := len(b)
+	b = strconv.AppendInt(append(b, "client"...), int64(uid), 10)
+	op.fill(code, false, b[:k:k], b[k:])
 }

@@ -1,7 +1,7 @@
 package workload
 
 import (
-	"fmt"
+	"strconv"
 
 	"pmnet/internal/protocol"
 	"pmnet/internal/sim"
@@ -25,7 +25,24 @@ type TwitterMix struct {
 	cfg  TwitterConfig
 	tag  byte // first byte of a post id: the id space the poster numbers in
 	post []byte
+	stop []byte // LRANGE's last index, TimelineLen-1 in decimal
 }
+
+// The command names and fixed keys of the mix. Never written: every request
+// that names one shares these bytes.
+var (
+	cmdIncr   = []byte("INCR")
+	cmdSet    = []byte("SET")
+	cmdGet    = []byte("GET")
+	cmdLPush  = []byte("LPUSH")
+	cmdLRange = []byte("LRANGE")
+	cmdSAdd   = []byte("SADD")
+
+	keyNextPostID     = []byte("next_post_id")
+	keyGlobalTimeline = []byte("timeline:global")
+	keyLatestPost     = []byte("post:latest")
+	argZero           = []byte("0")
+)
 
 // NewTwitterMix completes cfg with the retwis defaults. Its post ids are
 // u<uid>-<seq>; NewTwitter's closed-loop clients number theirs c<uid>-<n>.
@@ -42,7 +59,8 @@ func NewTwitterMix(cfg TwitterConfig) *TwitterMix {
 	if cfg.UpdateRatio == 0 {
 		cfg.UpdateRatio = 0.5 // retwis default mix: half posts/follows
 	}
-	m := &TwitterMix{cfg: cfg, tag: 'u', post: make([]byte, cfg.PostLen)}
+	m := &TwitterMix{cfg: cfg, tag: 'u', post: make([]byte, cfg.PostLen),
+		stop: strconv.AppendInt(nil, int64(cfg.TimelineLen-1), 10)}
 	for i := range m.post {
 		m.post[i] = byte('t')
 	}
@@ -57,46 +75,69 @@ func NewTwitter(rand *sim.Rand, clientID int, cfg TwitterConfig) *Player {
 	return &Player{mix: m, rand: rand, uid: clientID % m.cfg.Users}
 }
 
-func redisCmd(update bool, cmd string, args ...[]byte) Op {
-	return Op{Req: protocol.TxnReq([]byte(cmd), args...), Update: update}
-}
-
 // Action implements Mix.
 func (m *TwitterMix) Action(r *sim.Rand, uid int, seq uint64, ops []Op) []Op {
 	seq--
 	return m.steps(r, uid, &seq, ops)
 }
 
+// appendPostID appends the id of uid's post number n: <tag><uid>-<n>.
+func (m *TwitterMix) appendPostID(b []byte, uid int, n uint64) []byte {
+	return appendID(append(b, m.tag), uid, n)
+}
+
+// appendKey appends prefix and n in decimal: the per-user keys of the mix.
+func appendKey(b []byte, prefix string, n int) []byte {
+	return strconv.AppendInt(append(b, prefix...), int64(n), 10)
+}
+
+// steps formats every key and id into the op that carries it (Op.kb); where
+// one op carries two, they sit back to back in the one buffer and are cut
+// apart once both are written.
 func (m *TwitterMix) steps(r *sim.Rand, uid int, ids *uint64, ops []Op) []Op {
+	var op *Op
 	if r.Float64() < m.cfg.UpdateRatio {
 		if r.Float64() < 0.7 {
 			// Post: allocate a post id (getUID in Figure 4 — no cross-client
 			// ordering), store the tweet, push it onto the poster's timeline
 			// and the global timeline.
 			*ids++
-			pid := fmt.Sprintf("%c%d-%d", m.tag, uid, *ids)
-			return append(ops,
-				redisCmd(true, "INCR", []byte("next_post_id")),
-				redisCmd(true, "SET", []byte("post:"+pid), m.post),
-				redisCmd(true, "LPUSH", []byte(fmt.Sprintf("timeline:%d", uid)), []byte(pid)),
-				redisCmd(true, "LPUSH", []byte("timeline:global"), []byte(pid)),
-			)
+			ops, op = push(ops)
+			op.fill(protocol.OpTxn, true, cmdIncr, keyNextPostID)
+			ops, op = push(ops)
+			op.fill(protocol.OpTxn, true, cmdSet, m.appendPostID(append(op.kb[:0], "post:"...), uid, *ids), m.post)
+			ops, op = push(ops)
+			b := appendKey(op.kb[:0], "timeline:", uid)
+			k := len(b)
+			b = m.appendPostID(b, uid, *ids)
+			op.fill(protocol.OpTxn, true, cmdLPush, b[:k:k], b[k:])
+			ops, op = push(ops)
+			op.fill(protocol.OpTxn, true, cmdLPush, keyGlobalTimeline, m.appendPostID(op.kb[:0], uid, *ids))
+			return ops
 		}
 		// Follow: two set insertions.
 		other := r.Intn(m.cfg.Users)
-		return append(ops,
-			redisCmd(true, "SADD", []byte(fmt.Sprintf("followers:%d", other)), []byte(fmt.Sprintf("%d", uid))),
-			redisCmd(true, "SADD", []byte(fmt.Sprintf("following:%d", uid)), []byte(fmt.Sprintf("%d", other))),
-		)
+		ops, op = push(ops)
+		b := appendKey(op.kb[:0], "followers:", other)
+		k := len(b)
+		b = strconv.AppendInt(b, int64(uid), 10)
+		op.fill(protocol.OpTxn, true, cmdSAdd, b[:k:k], b[k:])
+		ops, op = push(ops)
+		b = appendKey(op.kb[:0], "following:", uid)
+		k = len(b)
+		b = strconv.AppendInt(b, int64(other), 10)
+		op.fill(protocol.OpTxn, true, cmdSAdd, b[:k:k], b[k:])
+		return ops
 	}
 	// Home timeline: fetch the post list, then two posts. Only the first
 	// 1000 users' first posts are seeded (harness prefill), so the read
 	// folds who into that range.
 	who := r.Intn(m.cfg.Users)
-	return append(ops,
-		redisCmd(false, "LRANGE", []byte(fmt.Sprintf("timeline:%d", who)),
-			[]byte("0"), []byte(fmt.Sprintf("%d", m.cfg.TimelineLen-1))),
-		redisCmd(false, "GET", []byte(fmt.Sprintf("post:c%d-1", who%1000))),
-		redisCmd(false, "GET", []byte("post:latest")),
-	)
+	ops, op = push(ops)
+	op.fill(protocol.OpTxn, false, cmdLRange, appendKey(op.kb[:0], "timeline:", who), argZero, m.stop)
+	ops, op = push(ops)
+	op.fill(protocol.OpTxn, false, cmdGet, append(appendKey(op.kb[:0], "post:c", who%1000), "-1"...))
+	ops, op = push(ops)
+	op.fill(protocol.OpTxn, false, cmdGet, keyLatestPost)
+	return ops
 }

@@ -10,23 +10,65 @@
 package workload
 
 import (
+	"strconv"
+
 	"pmnet/internal/client"
 	"pmnet/internal/protocol"
 	"pmnet/internal/sim"
 )
 
-// Op is one request to issue. An Op returned by Generator.Next is the
-// caller's to keep; one filled by (*YCSB).NextInto is scratch, valid until
-// the next draw into it.
+// Op is one request to issue, with the storage its Req.Args point into: argv
+// is the argument array and kb holds the keys and ids a generator formats, so
+// drawing a request allocates nothing. (A request with more arguments or
+// longer keys than fit spills to the heap through append; nothing is cut.)
+//
+// The storage belongs to the Op's place in memory — the element of an ops
+// slice, a driver's one current op — not to its value: a copy of an Op, by
+// assignment or when append moves a slice, still points at the original's
+// storage and never at its own. An Op is therefore valid until the place it
+// was drawn into is drawn into again: an Op from Generator.Next until the
+// generator's next Next (a Player refills its steps in place; one from
+// (*YCSB).Next is backed by a fresh Op and stays), an element of the slice a
+// Mix appended to until that element is reused. Whoever needs a request for
+// longer copies the argument bytes (the client's Encode does).
 type Op struct {
 	Req protocol.Request
 	// Update selects update-req framing (persistent logging) vs bypass.
 	Update bool
 	// Retry requests re-issue on StatusLocked (lock acquisition).
 	Retry bool
+
+	// Sized for the mixes: LRANGE has four arguments, and the longest bytes
+	// one op formats — a TPCC order-line key — stay under 40 for a million
+	// users.
+	argv [4][]byte
+	kb   [64]byte
 }
 
-// Generator produces the request stream for one client.
+// fill makes op the request (code, args...) with its arguments in op's own
+// array. The args themselves may point into op.kb or at bytes that outlive
+// the op (a mix's fixed keys and values).
+func (op *Op) fill(code protocol.Op, update bool, args ...[]byte) {
+	op.Req = protocol.Request{Op: code, Args: append(op.argv[:0], args...)}
+	op.Update, op.Retry = update, false
+}
+
+// appendID appends "<uid>-<n>": what uid's n-th creation — a post, an order —
+// is called in every mix, after the mix's own prefix.
+func appendID(b []byte, uid int, n uint64) []byte {
+	b = strconv.AppendInt(b, int64(uid), 10)
+	return strconv.AppendUint(append(b, '-'), n, 10)
+}
+
+// push appends a zero Op to ops for the caller to fill in place, and returns
+// the extended slice with the new element.
+func push(ops []Op) ([]Op, *Op) {
+	ops = append(ops, Op{})
+	return ops, &ops[len(ops)-1]
+}
+
+// Generator produces the request stream for one client. The Op it returns is
+// valid until its next Next (see Op).
 type Generator interface {
 	Next() Op
 }

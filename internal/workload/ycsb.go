@@ -81,44 +81,37 @@ func (y *YCSB) nextIndex() int {
 	return y.rand.Intn(y.cfg.Keys)
 }
 
-// NextInto draws the next request into *op, reusing the storage op already
-// has from an earlier NextInto — its argument array and its key bytes — so
-// a caller that keeps one Op and refills it allocates nothing in steady
-// state. Such an op is scratch: it is valid until the next NextInto on it,
-// and whoever needs a request for longer must copy what it keeps (the
-// client's Encode does). The value argument is shared by every update the
-// generator draws and is never written.
+// NextInto draws the next request into *op, formatting the key into op's own
+// storage, so a caller that keeps one Op and refills it allocates nothing.
+// Such an op is scratch: it is valid until the next NextInto on it, and
+// whoever needs a request for longer must copy what it keeps (the client's
+// Encode does). The value argument is shared by every update the generator
+// draws and is never written.
 func (y *YCSB) NextInto(op *Op) {
 	y.seq++
-	args := op.Req.Args
-	var key []byte
-	if len(args) > 0 {
-		key = args[0][:0]
-	}
-	if cap(args) < 2 {
-		args = make([][]byte, 0, 2)
-	}
-	key = appendYCSBKey(key, y.nextIndex())
+	key := appendYCSBKey(op.kb[:0], y.nextIndex())
 	switch {
 	case y.rand.Float64() < y.cfg.UpdateRatio:
-		*op = Op{Req: protocol.Request{Op: protocol.OpPut, Args: append(args[:0], key, y.value)}, Update: true}
+		op.fill(protocol.OpPut, true, key, y.value)
 	case y.cfg.ScanRatio > 0 && y.rand.Float64() < y.cfg.ScanRatio:
 		scanLen := y.cfg.ScanLen
 		if scanLen <= 0 {
 			scanLen = 10
 		}
-		*op = Op{Req: protocol.Request{Op: protocol.OpScan, Args: append(args[:0], key, strconv.AppendInt(nil, int64(scanLen), 10))}}
+		k := len(key)
+		b := strconv.AppendInt(key, int64(scanLen), 10)
+		op.fill(protocol.OpScan, false, b[:k:k], b[k:])
 	default:
-		*op = Op{Req: protocol.Request{Op: protocol.OpGet, Args: append(args[:0], key)}}
+		op.fill(protocol.OpGet, false, key)
 	}
 }
 
-// Next implements Generator: NextInto on a fresh Op, which the caller may
-// keep.
+// Next implements Generator: NextInto on a fresh Op, which backs the one
+// returned for as long as the caller keeps it.
 func (y *YCSB) Next() Op {
-	var op Op
-	y.NextInto(&op)
-	return op
+	op := new(Op)
+	y.NextInto(op)
+	return *op
 }
 
 // KVMix is the key-value workload as a Mix, for open-loop runs against the
@@ -143,9 +136,12 @@ func NewKVMix(keys, valueSize int, updateRatio float64) *KVMix {
 
 // Action implements Mix.
 func (m *KVMix) Action(r *sim.Rand, uid int, seq uint64, ops []Op) []Op {
-	key := YCSBKey(r.Intn(m.keys))
+	ops, op := push(ops)
+	key := appendYCSBKey(op.kb[:0], r.Intn(m.keys))
 	if r.Float64() < m.updateRatio {
-		return append(ops, Op{Req: protocol.PutReq(key, m.value), Update: true})
+		op.fill(protocol.OpPut, true, key, m.value)
+	} else {
+		op.fill(protocol.OpGet, false, key)
 	}
-	return append(ops, Op{Req: protocol.GetReq(key)})
+	return ops
 }

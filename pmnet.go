@@ -57,10 +57,12 @@ type Result = client.Result
 // response and the modelled CPU cost. The request's Args array is the
 // server library's scratch, valid only during Handle — do not keep req.Args
 // or return it as the response's Args; the byte slices it holds are payload
-// and may be kept or returned. The response's Args array is the handler's
-// own scratch in turn: the library encodes it before returning to the event
-// loop, so a handler may reuse one array for every response, and whoever
-// calls Handle directly may keep the response only until the next call (see
+// and may be kept or returned. The response is the handler's own scratch in
+// turn, the Args array and the bytes it points at alike — handler buffers, or
+// a value read in place from the store's PM arena: the library encodes it
+// before returning to the event loop, so a handler may build every response
+// in memory it reuses, and whoever calls Handle directly may keep the
+// response only until the next call, copying what it needs for longer (see
 // server.Handler).
 type Handler = server.Handler
 
