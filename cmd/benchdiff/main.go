@@ -7,15 +7,17 @@
 //
 //	benchdiff [-threshold PCT] old.json new.json
 //
-// The exit status makes it a CI gate: benchdiff exits 1 when the new
-// document's batch events-per-second regressed by more than -threshold
-// percent (default 15) against the old one. Virtual-time fields are checked
+// benchdiff exits 1 when the new document's batch events-per-second regressed
+// by more than -threshold percent (default 15) against the old one. That
+// status is for two documents recorded on purpose on one quiet machine;
+// `make ci` does not run it, because on a shared host the same commit reads
+// further apart than any useful threshold. Virtual-time fields are checked
 // first — if the two documents simulated different event counts for a
 // matched cell, they ran different workloads and the wall-clock comparison
 // is flagged as unreliable (but still printed).
 //
 // Experiments or cells present in only one document are tolerated with a
-// warning, never a failure: a freshly added experiment must not fail CI
+// warning, never a failure: a freshly added experiment must not fail
 // against a baseline recorded before it existed. When the two documents do
 // not cover the same cells, the batch-level events-per-second numbers
 // describe different batches, so the regression gate is computed from the
@@ -30,26 +32,13 @@
 // The same tool reads speedups: run `pmnetbench -run scale -parallel 1 -json`
 // at -shards 1 and -shards 4, then benchdiff the two files; a speedup of
 // 2.0x prints as a -50% wall / +100% events-per-second delta.
-//
-// With -gobench the two files are instead raw `go test -bench` outputs,
-// matched by benchmark name (the -N GOMAXPROCS suffix is ignored). The gate
-// then fails when any matched benchmark's ns/op regressed by more than
-// -threshold percent, or when its allocs/op grew at all — allocation counts
-// are deterministic, so the zero-alloc scheduler pins get an exact gate even
-// on a noisy runner:
-//
-//	go test -run '^$' -bench Schedule -benchmem ./internal/sim > new.txt
-//	benchdiff -gobench -threshold 40 BENCH_sched_baseline.txt new.txt
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"strconv"
-	"strings"
 
 	"pmnet/internal/benchfmt"
 )
@@ -77,16 +66,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("benchdiff", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	threshold := fs.Float64("threshold", 15, "max tolerated events-per-second regression (percent) before exiting 1")
-	gobench := fs.Bool("gobench", false, "inputs are `go test -bench` outputs: gate per-benchmark ns/op against -threshold and allocs/op against any growth")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	if fs.NArg() != 2 {
-		fmt.Fprintln(stderr, "usage: benchdiff [-gobench] [-threshold PCT] old new")
+		fmt.Fprintln(stderr, "usage: benchdiff [-threshold PCT] old.json new.json")
 		return 2
-	}
-	if *gobench {
-		return runGobench(fs.Arg(0), fs.Arg(1), *threshold, stdout, stderr)
 	}
 	oldDoc, err := benchfmt.ReadFile(fs.Arg(0))
 	if err != nil {
@@ -219,128 +204,5 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintf(stdout, "\nOK: %s within %.1f%% threshold\n", gateName, *threshold)
 	}
-	return 0
-}
-
-// gobenchResult is one parsed `go test -bench` result line.
-type gobenchResult struct {
-	nsPerOp     float64
-	allocsPerOp float64
-	hasAllocs   bool
-}
-
-// parseGobench reads `go test -bench` output, returning results keyed by
-// benchmark name with the -GOMAXPROCS suffix stripped, plus the names in
-// file order. Duplicate names (e.g. the same benchmark from two packages or
-// -count > 1) keep the LAST result — matching how a human reads a rerun.
-func parseGobench(path string) (map[string]gobenchResult, []string, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer f.Close()
-	out := make(map[string]gobenchResult)
-	var order []string
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		fields := strings.Fields(sc.Text())
-		if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
-			continue
-		}
-		name := fields[0]
-		if i := strings.LastIndex(name, "-"); i > 0 {
-			if _, err := strconv.Atoi(name[i+1:]); err == nil {
-				name = name[:i]
-			}
-		}
-		var r gobenchResult
-		seen := false
-		// fields[1] is the iteration count; after it come value/unit pairs.
-		for i := 2; i+1 < len(fields); i += 2 {
-			v, err := strconv.ParseFloat(fields[i], 64)
-			if err != nil {
-				break
-			}
-			switch fields[i+1] {
-			case "ns/op":
-				r.nsPerOp = v
-				seen = true
-			case "allocs/op":
-				r.allocsPerOp = v
-				r.hasAllocs = true
-			}
-		}
-		if !seen {
-			continue
-		}
-		if _, dup := out[name]; !dup {
-			order = append(order, name)
-		}
-		out[name] = r
-	}
-	return out, order, sc.Err()
-}
-
-// runGobench compares two `go test -bench` outputs benchmark-by-benchmark.
-// ns/op is gated with the percentage threshold (micro-benchmarks on shared
-// runners are noisy; pick the threshold accordingly); allocs/op is gated
-// exactly, because Go's allocation accounting is deterministic and the
-// scheduler benches pin zero steady-state allocations.
-func runGobench(oldPath, newPath string, threshold float64, stdout, stderr io.Writer) int {
-	oldRes, _, err := parseGobench(oldPath)
-	if err != nil {
-		fmt.Fprintf(stderr, "benchdiff: %v\n", err)
-		return 2
-	}
-	newRes, newOrder, err := parseGobench(newPath)
-	if err != nil {
-		fmt.Fprintf(stderr, "benchdiff: %v\n", err)
-		return 2
-	}
-	fmt.Fprintf(stdout, "%-32s %12s %12s %10s %18s\n", "benchmark (ns/op)", "old", "new", "delta", "allocs old->new")
-	failed := false
-	matched := 0
-	for _, name := range newOrder {
-		nr := newRes[name]
-		or, ok := oldRes[name]
-		if !ok {
-			fmt.Fprintf(stdout, "%-32s %12s %12.1f %10s\n", name, "(none)", nr.nsPerOp, "n/a")
-			continue
-		}
-		matched++
-		verdict := ""
-		reg := 0.0
-		if or.nsPerOp > 0 {
-			reg = (nr.nsPerOp - or.nsPerOp) / or.nsPerOp * 100
-		}
-		if reg > threshold {
-			verdict = "  FAIL ns/op"
-			failed = true
-		}
-		allocs := "-"
-		if or.hasAllocs && nr.hasAllocs {
-			allocs = fmt.Sprintf("%.0f -> %.0f", or.allocsPerOp, nr.allocsPerOp)
-			if nr.allocsPerOp > or.allocsPerOp {
-				verdict += "  FAIL allocs/op grew"
-				failed = true
-			}
-		}
-		fmt.Fprintf(stdout, "%-32s %12.1f %12.1f %+9.1f%% %18s%s\n",
-			name, or.nsPerOp, nr.nsPerOp, reg, allocs, verdict)
-	}
-	for name := range oldRes {
-		if _, ok := newRes[name]; !ok {
-			fmt.Fprintf(stdout, "warn: baseline benchmark %s missing from new output\n", name)
-		}
-	}
-	if matched == 0 {
-		fmt.Fprintln(stdout, "\nFAIL: no benchmarks matched between the two files")
-		return 1
-	}
-	if failed {
-		fmt.Fprintf(stdout, "\nFAIL: scheduler benchmark regression (ns/op threshold %.1f%%, allocs/op exact)\n", threshold)
-		return 1
-	}
-	fmt.Fprintf(stdout, "\nOK: %d benchmarks within %.1f%% ns/op threshold, no allocs/op growth\n", matched, threshold)
 	return 0
 }

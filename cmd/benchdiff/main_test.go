@@ -236,72 +236,3 @@ func TestDifferentCPUsSkipGate(t *testing.T) {
 		}
 	}
 }
-
-func writeText(t *testing.T, dir, name, content string) string {
-	t.Helper()
-	path := filepath.Join(dir, name)
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-// TestGobenchGate covers the -gobench mode: matched benchmarks gate ns/op on
-// the threshold and allocs/op on any growth; unmatched names warn only.
-func TestGobenchGate(t *testing.T) {
-	dir := t.TempDir()
-	oldOut := writeText(t, dir, "old.txt", `
-goos: linux
-BenchmarkEngineScheduleWheel-8   	 1000000	       50.0 ns/op	       0 B/op	       0 allocs/op
-BenchmarkCancel-8                	 1000000	       30.0 ns/op	       0 B/op	       0 allocs/op
-BenchmarkRetired-8               	 1000000	       10.0 ns/op
-PASS
-`)
-
-	run2 := func(name, content string) (int, string) {
-		newOut := writeText(t, dir, name, content)
-		var sb, eb strings.Builder
-		code := run([]string{"-gobench", "-threshold", "40", oldOut, newOut}, &sb, &eb)
-		return code, sb.String() + eb.String()
-	}
-
-	// Within threshold, same allocs, one new + one retired benchmark: OK.
-	code, out := run2("ok.txt", `
-BenchmarkEngineScheduleWheel-4   	 1000000	       60.0 ns/op	       0 B/op	       0 allocs/op
-BenchmarkCancel-4                	 1000000	       25.0 ns/op	       0 B/op	       0 allocs/op
-BenchmarkBrandNew-4              	 1000000	       99.0 ns/op	       0 B/op	       0 allocs/op
-PASS
-`)
-	if code != 0 {
-		t.Fatalf("in-threshold run failed (%d):\n%s", code, out)
-	}
-	if !strings.Contains(out, "warn: baseline benchmark BenchmarkRetired") {
-		t.Fatalf("missing retired-benchmark warning:\n%s", out)
-	}
-
-	// ns/op blowout on one benchmark: FAIL.
-	code, out = run2("slow.txt", `
-BenchmarkEngineScheduleWheel-4   	 1000000	      500.0 ns/op	       0 B/op	       0 allocs/op
-BenchmarkCancel-4                	 1000000	       30.0 ns/op	       0 B/op	       0 allocs/op
-`)
-	if code != 1 || !strings.Contains(out, "FAIL ns/op") {
-		t.Fatalf("ns/op regression not caught (%d):\n%s", code, out)
-	}
-
-	// allocs/op growth alone, ns/op fine: FAIL (exact gate).
-	code, out = run2("allocs.txt", `
-BenchmarkEngineScheduleWheel-4   	 1000000	       50.0 ns/op	      16 B/op	       1 allocs/op
-BenchmarkCancel-4                	 1000000	       30.0 ns/op	       0 B/op	       0 allocs/op
-`)
-	if code != 1 || !strings.Contains(out, "FAIL allocs/op grew") {
-		t.Fatalf("allocs/op growth not caught (%d):\n%s", code, out)
-	}
-
-	// Nothing matched at all: FAIL loudly rather than green on vacuity.
-	code, out = run2("none.txt", `
-BenchmarkSomethingElse-4         	 1000000	       30.0 ns/op
-`)
-	if code != 1 || !strings.Contains(out, "no benchmarks matched") {
-		t.Fatalf("vacuous match not caught (%d):\n%s", code, out)
-	}
-}

@@ -3,8 +3,9 @@
 //
 // Usage:
 //
-//	pmnetbench [-run all|fig2|fig15|fig16|fig18|fig19|fig20|fig21|fig22|recovery|tpcclock|scale|openloop] [-seed N] [-parallel N] [-shards N] [-format table|csv|json]
+//	pmnetbench [-run all|ID[,ID...]] [-list] [-seed N] [-parallel N] [-shards N] [-format table|csv|json]
 //
+// -list prints the experiment ids -run accepts (fig2 … impairments).
 // Each experiment prints the rows the corresponding figure plots, plus notes
 // comparing the measured shape against the paper's reported numbers.
 // Experiment cells are independent simulations; -parallel N executes them on a
@@ -102,11 +103,6 @@ func main() {
 			}
 		}
 	default:
-		for i, er := range batch.Experiments {
-			if i > 0 {
-				fmt.Println()
-			}
-			fmt.Print(er.Text())
-		}
+		fmt.Print(batch.Text())
 	}
 }

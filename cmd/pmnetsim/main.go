@@ -1,12 +1,13 @@
 // Command pmnetsim runs one interactive PMNet scenario: build a testbed,
-// drive a workload, optionally inject a server failure mid-run, and dump
-// the resulting latency distribution and component statistics.
+// drive a workload, and dump the resulting latency distribution and
+// component statistics. (Server failure and recovery are the "recovery"
+// experiment of pmnetbench and examples/recovery, not a flag here.)
 //
 // Usage:
 //
 //	pmnetsim [-design client-server|pmnet-switch|pmnet-nic] [-workload btree|...|ideal]
 //	         [-clients N] [-requests N] [-update-ratio F] [-replication K]
-//	         [-cache N] [-bypass-stack] [-crash] [-seed N]
+//	         [-cache N] [-bypass-stack] [-seed N]
 //	         [-offered-load RPS] [-duration MS] [-users N]
 //	         [-arrival poisson|mmpp|diurnal|flash] [-backoff]
 //	         [-trace out.json] [-parallel N] [-shards N]

@@ -295,20 +295,9 @@ func decodeSlotFull(raw []byte) (protocol.Message, int, error) {
 	return msg, dst, err
 }
 
-// ValidSlots returns the indices of live entries in slot order; used by the
-// recovery resend loop.
-func (t *LogTable) ValidSlots() []int {
-	var out []int
-	for i, s := range t.slots {
-		if s.state == slotValid {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// ValidSlotsFor returns the live entries destined for one server — the
-// recovery replay set when several servers share the device.
+// ValidSlotsFor returns the indices, in slot order, of the live entries
+// destined for one server — the recovery replay set when several servers
+// share the device.
 func (t *LogTable) ValidSlotsFor(dst int) []int {
 	var out []int
 	for i, s := range t.slots {

@@ -12,6 +12,7 @@ import (
 	"pmnet/internal/netsim"
 	"pmnet/internal/sim"
 	"pmnet/internal/stats"
+	"pmnet/internal/workload"
 )
 
 // designShort names designs in cell keys and metric keys.
@@ -250,42 +251,64 @@ type recoveryOut struct {
 	drained bool
 }
 
+// putStream is one rig client's request stream: updates of a 100-byte value
+// under the keys format(client, 0), format(client, 1), … The key buffer and
+// the value are reused from one request to the next: the session has encoded
+// a request by the time SendUpdate returns.
+func putStream(format string, client int) workload.Generator {
+	var key []byte
+	val := make([]byte, 100)
+	k := 0
+	return workload.GeneratorFunc(func() workload.Op {
+		key = fmt.Appendf(key[:0], format, client, k)
+		k++
+		return workload.Op{Req: pmnet.PutReq(key, val), Update: true}
+	})
+}
+
+// drive plays gen on client c of bed in a closed loop of n requests, issuing
+// the first at once and the rest as bed runs. record, if not nil, gets the
+// latency of every request that succeeded and the number the client had
+// completed before it.
+func drive(bed *pmnet.Testbed, c int, gen workload.Generator, n uint64, record func(lat sim.Time, before uint64)) {
+	d := &workload.Driver{Sess: bed.Session(c), Gen: gen}
+	if record != nil {
+		d.Record = func(lat sim.Time, _ workload.Op) { record(lat, d.Stats().Completed) }
+	}
+	d.Run(bed.Clients[c].Engine(), n, nil)
+}
+
+// crashReplay is the §VI-B6 rig: every client of cfg's testbed streams
+// perClient updates, the server loses power mid-stream while the clients keep
+// logging into PMNet, then it recovers and the log drains.
+func crashReplay(cfg pmnet.Config, perClient uint64) (recoveryOut, sim.Time) {
+	bed := pmnet.NewTestbed(cfg)
+	defer bed.Release()
+	for c := range bed.Clients {
+		drive(bed, c, putStream("c%d-k%03d", c), perClient, nil)
+	}
+	bed.RunFor(300 * sim.Microsecond)
+	bed.CrashServer()
+	bed.RunFor(200 * sim.Microsecond) // clients keep logging into PMNet
+	out := recoveryOut{logged: bed.Devices[0].Log().LiveEntries()}
+	start := bed.Now()
+	bed.RecoverServer()
+	bed.Run()
+	out.total = bed.Now() - start
+	out.resends = bed.Devices[0].Stats().RecoveryResends
+	if out.resends > 0 {
+		out.perReq = out.total / sim.Time(out.resends)
+	}
+	out.drained = bed.Devices[0].Log().LiveEntries() == 0
+	return out, bed.Now()
+}
+
 func recoveryCells(seed uint64) []Cell {
 	return []Cell{{Key: "crash-replay", Custom: func() (any, sim.Time) {
-		bed := pmnet.NewTestbed(pmnet.Config{
+		return crashReplay(pmnet.Config{
 			Design: pmnet.PMNetSwitch, Clients: 4, Seed: seed,
 			Timeout: 50 * sim.Millisecond, // keep clients from re-driving recovery
-		})
-		defer bed.Release()
-		// Load updates, then cut the power mid-stream.
-		for i := 0; i < 4; i++ {
-			i := i
-			var issue func(k int)
-			issue = func(k int) {
-				if k >= 200 {
-					return
-				}
-				key := []byte(fmt.Sprintf("c%d-k%03d", i, k))
-				bed.Session(i).SendUpdate(pmnet.PutReq(key, make([]byte, 100)), func(r pmnet.Result) {
-					issue(k + 1)
-				})
-			}
-			issue(0)
-		}
-		bed.RunFor(300 * sim.Microsecond)
-		bed.CrashServer()
-		bed.RunFor(200 * sim.Microsecond) // clients keep logging into PMNet
-		out := recoveryOut{logged: bed.Devices[0].Log().LiveEntries()}
-		start := bed.Now()
-		bed.RecoverServer()
-		bed.Run()
-		out.total = bed.Now() - start
-		out.resends = bed.Devices[0].Stats().RecoveryResends
-		if out.resends > 0 {
-			out.perReq = out.total / sim.Time(out.resends)
-		}
-		out.drained = bed.Devices[0].Log().LiveEntries() == 0
-		return out, bed.Now()
+		}, 200)
 	}}}
 }
 
@@ -307,36 +330,19 @@ func tailMeasure(seed uint64, d pmnet.Design, noisy bool) (*stats.Histogram, sim
 	})
 	defer bed.Release()
 	h := stats.NewHistogram()
-	for c := 0; c < 4; c++ {
-		c := c
-		var issue func(k int)
-		issue = func(k int) {
-			if k >= 300 {
-				return
-			}
-			key := []byte(fmt.Sprintf("m%d-%d", c, k))
-			bed.Session(c).SendUpdate(pmnet.PutReq(key, make([]byte, 100)), func(r pmnet.Result) {
-				if r.Err == nil && k >= 30 {
-					h.Record(r.Latency)
-				}
-				issue(k + 1)
-			})
+	measure := func(lat sim.Time, before uint64) {
+		if before >= 30 { // each updater's first 30 warm up
+			h.Record(lat)
 		}
-		issue(0)
+	}
+	for c := 0; c < 4; c++ {
+		drive(bed, c, putStream("m%d-%d", c), 300, measure)
 	}
 	if noisy {
+		noise := workload.Op{Req: pmnet.GetReq([]byte("noise"))}
+		read := workload.GeneratorFunc(func() workload.Op { return noise })
 		for c := 4; c < 104; c++ {
-			c := c
-			var read func(k int)
-			read = func(k int) {
-				if k >= 400 {
-					return
-				}
-				bed.Session(c).Bypass(pmnet.GetReq([]byte("noise")), func(pmnet.Result) {
-					read(k + 1)
-				})
-			}
-			read(0)
+			drive(bed, c, read, 400, nil)
 		}
 	}
 	bed.Run()

@@ -122,40 +122,11 @@ func impairBedConfig(sc impairScenario, seed uint64) pmnet.Config {
 	}
 }
 
-// impairRecoveryCell measures crash/replay under one scenario, reusing the
-// recovery experiment's shape (load, power-cut, log, recover, drain).
+// impairRecoveryCell measures crash/replay under one scenario: the recovery
+// experiment's rig on the scenario's testbed.
 func impairRecoveryCell(sc impairScenario, seed uint64) Cell {
 	return Cell{Key: sc.key + "/recovery", Custom: func() (any, sim.Time) {
-		bed := pmnet.NewTestbed(impairBedConfig(sc, seed))
-		defer bed.Release()
-		for i := 0; i < 4; i++ {
-			i := i
-			var issue func(k int)
-			issue = func(k int) {
-				if k >= 100 {
-					return
-				}
-				key := []byte(fmt.Sprintf("c%d-k%03d", i, k))
-				bed.Session(i).SendUpdate(pmnet.PutReq(key, make([]byte, 100)), func(r pmnet.Result) {
-					issue(k + 1)
-				})
-			}
-			issue(0)
-		}
-		bed.RunFor(300 * sim.Microsecond)
-		bed.CrashServer()
-		bed.RunFor(200 * sim.Microsecond)
-		out := recoveryOut{logged: bed.Devices[0].Log().LiveEntries()}
-		start := bed.Now()
-		bed.RecoverServer()
-		bed.Run()
-		out.total = bed.Now() - start
-		out.resends = bed.Devices[0].Stats().RecoveryResends
-		if out.resends > 0 {
-			out.perReq = out.total / sim.Time(out.resends)
-		}
-		out.drained = bed.Devices[0].Log().LiveEntries() == 0
-		return out, bed.Now()
+		return crashReplay(impairBedConfig(sc, seed), 100)
 	}}
 }
 
@@ -235,7 +206,7 @@ func impairmentsRender(seed uint64, cells []CellResult) Result {
 }
 
 // impairmentsSpec parameterizes the matrix; the registered experiment runs
-// the full-size instance, tests and the smoke target run smaller ones.
+// the full-size instance, tests run smaller ones.
 func impairmentsSpec(clients, requests int) *Spec {
 	return &Spec{
 		ID: "impairments",

@@ -138,7 +138,6 @@ func TestOpenLoopArrivalKinds(t *testing.T) {
 // the same offered load against a 10× larger user population and asserts
 // (a) the active-session table stays bounded by the admission cap, and
 // (b) retained heap does not grow with the user count.
-// `make openloop-smoke` runs exactly this test.
 func TestOpenLoopMemoryFlat(t *testing.T) {
 	heapAfterRun := func(users int) (uint64, *OpenLoopResult) {
 		cfg := openCfg(23)

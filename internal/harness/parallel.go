@@ -11,6 +11,7 @@ package harness
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"time"
 )
@@ -57,6 +58,16 @@ type BatchResult struct {
 	Wall        time.Duration // real elapsed time of the whole batch
 	Perf        Perf
 	Experiments []ExperimentRun
+}
+
+// Text renders the batch exactly as `pmnetbench` prints it in table mode:
+// every experiment's Text, a blank line between two.
+func (b *BatchResult) Text() string {
+	texts := make([]string, len(b.Experiments))
+	for i, er := range b.Experiments {
+		texts[i] = er.Text()
+	}
+	return strings.Join(texts, "\n")
 }
 
 // RunExperiments executes the named experiments: it enumerates every cell of

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"os"
 	"testing"
 
 	"pmnet/internal/sim"
@@ -64,14 +65,27 @@ func TestParallelGoldenSmall(t *testing.T) {
 }
 
 // TestParallelGoldenAll is the full golden guarantee: every experiment in the
-// suite renders byte-identically at -parallel 8 and -parallel 1.
+// suite renders byte-identically at -parallel 8 and -parallel 1, and the
+// sequential rendering is the committed docs_results.txt — so a PR that moves
+// any published number has to re-record the file and show the move in its
+// diff.
 func TestParallelGoldenAll(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full suite runs ~40s; skipped in -short mode")
+		t.Skip("runs the full suite twice; skipped in -short mode")
 	}
 	seq, err := RunExperiments(ExperimentOrder, Options{Seed: 1, Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
+	}
+	golden, err := os.ReadFile("../../docs_results.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := seq.Text(); got != string(golden) {
+		t.Errorf("suite text differs from docs_results.txt (%d vs %d bytes); if the change is meant, "+
+			"regenerate it and read the move in git diff:\n"+
+			"  go run ./cmd/pmnetbench -run all -seed 1 -parallel 1 > docs_results.txt",
+			len(got), len(golden))
 	}
 	par, err := RunExperiments(ExperimentOrder, Options{Seed: 1, Parallel: 8})
 	if err != nil {

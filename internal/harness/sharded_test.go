@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -79,6 +80,22 @@ func TestShardedByteIdentical(t *testing.T) {
 		base := probeShards(t, cfg, 1)
 		for _, n := range []int{2, 4, 7} {
 			base.diff(t, fmt.Sprintf("%s shards=%d", cfg.Design, n), probeShards(t, cfg, n))
+		}
+	}
+}
+
+// TestSpeedupRowsAgree: the speedup experiment is one scenario at shards 1, 2
+// and 4, and its renderer marks a row whose events or epochs left the first
+// row's with MISMATCH instead of failing — so here is where that fails.
+func TestSpeedupRowsAgree(t *testing.T) {
+	res := RunSpec(Specs["speedup"], 1, 1)
+	if text := res.Text(); strings.Contains(text, "MISMATCH") {
+		t.Fatalf("shard counts diverged:\n%s", text)
+	}
+	for _, sh := range speedupShards {
+		ev, ep := res.Metrics[fmt.Sprintf("events_%d", sh)], res.Metrics[fmt.Sprintf("epochs_%d", sh)]
+		if ev == 0 || ep == 0 {
+			t.Errorf("shards=%d: %v events over %v epochs", sh, ev, ep)
 		}
 	}
 }

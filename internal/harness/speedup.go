@@ -6,13 +6,13 @@ package harness
 // -shards override never rewrites it: the shard count under test is baked in
 // at enumeration time. The rendered table shows only deterministic values —
 // events, epochs, events per epoch — which are identical on every row by the
-// PDES determinism contract; the wall-clock curve lives in the per-cell
-// wall_ms of the BENCH JSON (with Events populated through the CellEvents
-// hook), where cmd/benchdiff turns it into the tracked ns/event trajectory
-// and CI's speedup-smoke job gates regressions. On a single-CPU runner the
-// curve degenerates to ≈1.00× — the worker budget collapses every cell to
-// one worker — but the artifact still records the machine's cpu count so a
-// flat curve is readable as "no cores", not "no speedup".
+// PDES determinism contract (TestSpeedupRowsAgree fails on a row that is
+// not); the wall-clock curve lives in the per-cell wall_ms of the BENCH JSON
+// (with Events populated through the CellEvents hook), where cmd/benchdiff
+// reads it as an ns/event trajectory — reported, not gated. On a single-CPU
+// runner the curve degenerates to ≈1.00× — the worker budget collapses every
+// cell to one worker — but the artifact still records the machine's cpu count
+// so a flat curve is readable as "no cores", not "no speedup".
 
 import (
 	"fmt"
@@ -33,12 +33,11 @@ type speedupCell struct {
 }
 
 // CellEvents feeds the deterministic event count into CellResult.Events (and
-// so into the BENCH JSON, where wall_ms/events is the gated ns/event rate).
+// so into the BENCH JSON, where wall_ms/events is the ns/event rate).
 func (v speedupCell) CellEvents() uint64 { return v.Events }
 
 // speedupConfig is the measured scenario: the Fig16 saturation shape, big
-// enough that epoch machinery dominates setup but small enough for a CI
-// smoke run.
+// enough that epoch machinery dominates setup but small enough for a test.
 func speedupConfig(seed uint64, shards int) RunConfig {
 	return RunConfig{
 		Design: pmnet.PMNetSwitch, Workload: WLIdeal, Clients: 32,

@@ -46,8 +46,8 @@ import (
 )
 
 // xnever is the pending-minimum identity: no queued arrival. Its value
-// matches the pdes runner's reduction identity, so PendingMin composes with
-// gmin without translation.
+// matches the pdes runner's reduction identity, so a shard's pending minimum
+// composes with gmin without translation.
 const xnever = sim.Time(math.MaxInt64)
 
 // xev is one queued cross-partition arrival.
@@ -75,8 +75,7 @@ type xside struct {
 // sides[k&1] while the destination drains sides[(k-1)&1] — sorted stably by
 // arrival time, preserving source emission order among ties.
 type xqueue struct {
-	src, dst int32
-	sides    [2]xside
+	sides [2]xside
 }
 
 func (q *xqueue) push(parity uint32, at sim.Time, pkt *Packet, hop NodeID) {
@@ -98,7 +97,6 @@ type Fabric struct {
 	xqs       map[[2]int32]*xqueue // (src part, dst part) -> queue
 	xin       [][]*xqueue          // per partition: inbound queues, by src order
 	xoutOf    [][]*xqueue          // per partition: outbound queues, by dst order
-	allq      []*xqueue            // every queue, in (dst, src) order
 	lookahead sim.Time
 	ecmp      bool
 	frozen    bool
@@ -220,7 +218,7 @@ func (f *Fabric) connectDirected(a, b NodeID, cfg LinkConfig) {
 	qk := [2]int32{pa, pb}
 	q := f.xqs[qk]
 	if q == nil {
-		q = &xqueue{src: pa, dst: pb}
+		q = &xqueue{}
 		q.sides[0].qmin = xnever
 		q.sides[1].qmin = xnever
 		f.xqs[qk] = q
@@ -284,7 +282,6 @@ func (f *Fabric) Freeze() {
 		q := f.xqs[qk]
 		f.xin[qk[1]] = append(f.xin[qk[1]], q)
 		f.xoutOf[qk[0]] = append(f.xoutOf[qk[0]], q)
-		f.allq = append(f.allq, q)
 	}
 }
 
@@ -339,44 +336,30 @@ func (f *Fabric) DrainFunc(shard int) func(parity uint32) {
 
 // PendingOutFunc returns the pdes PendingOut hook for one shard: the minimum
 // arrival time queued at the given parity across the shard's outbound
-// handoff queues, split into own (destination partition on this same shard —
-// drained by this shard's own worker) and cross (destination on another
-// shard). The runner folds own into the shard's published next-event time
-// and cross into the published y slot, so its reduce is O(shards) with no
+// handoff queues, whichever shard drains them. The runner folds it into the
+// shard's published next-event time, so its reduce is O(shards) with no
 // global queue scan, and undrained buffered events still bound the epoch
 // window. Only the worker driving the shard calls it (at publish), so it
 // reads only queue minimums that worker's epoch just wrote. Call after
 // Freeze — the queue lists are built there.
-func (f *Fabric) PendingOutFunc(shard int) func(parity uint32) (own, cross sim.Time) {
+func (f *Fabric) PendingOutFunc(shard int) func(parity uint32) sim.Time {
 	if !f.frozen {
 		panic("netsim: fabric not frozen")
 	}
-	var ownQ, crossQ []*xqueue
+	var out []*xqueue
 	for p, s := range f.assign {
-		if s != shard {
-			continue
-		}
-		for _, q := range f.xoutOf[p] {
-			if f.assign[q.dst] == shard {
-				ownQ = append(ownQ, q)
-			} else {
-				crossQ = append(crossQ, q)
-			}
+		if s == shard {
+			out = append(out, f.xoutOf[p]...)
 		}
 	}
-	return func(parity uint32) (own, cross sim.Time) {
-		own, cross = xnever, xnever
-		for _, q := range ownQ {
-			if t := q.sides[parity].qmin; t < own {
-				own = t
+	return func(parity uint32) sim.Time {
+		min := xnever
+		for _, q := range out {
+			if t := q.sides[parity].qmin; t < min {
+				min = t
 			}
 		}
-		for _, q := range crossQ {
-			if t := q.sides[parity].qmin; t < cross {
-				cross = t
-			}
-		}
-		return own, cross
+		return min
 	}
 }
 

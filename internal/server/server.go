@@ -250,7 +250,8 @@ func (s *Server) Host() *netsim.Host { return s.host }
 // Meta exposes the PM region holding the per-session applied sequences.
 func (s *Server) Meta() *pmem.Device { return s.meta }
 
-// SetHandler replaces the request handler (used by harness reconfiguration).
+// SetHandler replaces the request handler. Only a test of the root package
+// calls it, to wrap the handler of an already built testbed.
 func (s *Server) SetHandler(h Handler) { s.handler = h }
 
 func (s *Server) session(id uint16) *sessState {

@@ -9,9 +9,10 @@
 // measured at topology-build time). Execution proceeds in barrier-
 // synchronized epochs, ONE barrier per epoch:
 //
-//  1. Reduce: every worker reads the per-shard next-event times and the
-//     pending cross-shard queue minimum published before the previous
-//     barrier and computes the global minimum gmin identically.
+//  1. Reduce: every worker reads the per-shard next-event times published
+//     before the previous barrier — each already folded with its shard's
+//     pending outbound queue minimum — and computes the global minimum gmin
+//     identically.
 //  2. Begin/Drain/Run: each shard flips its handoff queues to the epoch's
 //     write parity (Begin), injects the cross-shard work its peers queued
 //     during the previous epoch from the read parity (Drain, deterministic
@@ -33,21 +34,16 @@
 // its own outbound-queue minimums into the slot it publishes, so the reduce
 // is O(shards) regardless of how many queues the topology has.
 //
-// Epoch batching (solo stretches): when the reduce shows that no cross-shard
-// handoff is pending and every shard active in the upcoming window belongs
-// to one worker, that worker runs epochs alone — full Begin/Drain/run/publish
-// per epoch, exact same window sequence — while its peers park at the
-// barrier, then rejoin at the epoch the leader publishes. The epoch/gmin
-// sequence (and therefore every engine's event order and the Epochs counter)
-// is byte-identical to the fully barriered run; only the barrier count —
-// wall-clock-class telemetry — changes. See DESIGN.md §10.6.
-//
 // Because the first event of the epoch fires at ≥ gmin, anything a shard
 // sends during the epoch arrives at ≥ gmin+L — the start of the next epoch —
 // so no shard can receive an event in its own past, and the drain at the
 // next epoch sees every cross-shard event before any of them is runnable.
 // DESIGN.md §10.4 and §10.6 develop the full argument and the
 // byte-identical-output discipline built on top of this runner.
+//
+// That loop is the whole runner, for one worker or many. One worker runs it
+// inline with no barrier; what the measurements in DESIGN.md §10.6 back beyond
+// it are the idle-shard skip and the rebalance, nothing else.
 //
 // Determinism: the runner's output order is a pure function of the shard
 // structure, never of the worker count or host scheduling. Workers only
@@ -99,15 +95,12 @@ type Shard struct {
 	// pooled resources returned to it. May be nil.
 	Drain func(parity uint32)
 	// PendingOut reports the minimum event time this shard has queued into
-	// outbound handoff buffers at the given parity (never if none), split by
-	// destination: own covers queues whose destination lives on this same
-	// shard (drained by this shard's own worker), cross covers queues bound
-	// for other shards. The runner folds own into the shard's published
-	// next-event time and publishes cross separately, so the per-epoch reduce
-	// is O(shards) and the solo-stretch detector can see that no other shard
-	// owes or is owed a drain. Required whenever the shard has outbound
-	// queues (netsim: Fabric.PendingOutFunc); may be nil otherwise.
-	PendingOut func(parity uint32) (own, cross sim.Time)
+	// outbound handoff buffers at the given parity (never if none), whatever
+	// shard they are bound for. The runner folds it into the shard's
+	// published next-event time, so the per-epoch reduce is O(shards).
+	// Required whenever the shard has outbound queues (netsim:
+	// Fabric.PendingOutFunc); may be nil otherwise.
+	PendingOut func(parity uint32) sim.Time
 }
 
 // PerfStats reports wall-clock-class runner telemetry. These numbers are NOT
@@ -125,12 +118,6 @@ type PerfStats struct {
 	// IdleSkips counts shard-epochs where the engine run was skipped
 	// because the shard's next event lay beyond the window.
 	IdleSkips uint64
-	// SoloEpochs counts epochs executed barrier-free inside a solo stretch
-	// (each one saved a full barrier round-trip). Depends on the worker
-	// count and shard→worker assignment, so perf-class only.
-	SoloEpochs uint64
-	// SoloStretches counts entries into solo mode.
-	SoloStretches uint64
 }
 
 // Runner drives a set of shards in barrier-synchronized epochs.
@@ -148,24 +135,22 @@ type Runner struct {
 	// selects the live buffer of every double-buffered structure.
 	epoch  uint64
 	states []*workerState
-	// soloRejoin carries the epoch at which a solo stretch ends from the
-	// leader to its parked peers; the leader stores it before arriving at
-	// the rejoin barrier, whose happens-before edge publishes it.
-	soloRejoin atomic.Uint64
-	barrierNs  atomic.Int64
+	// Telemetry each worker adds to once, when its RunUntil call ends. It
+	// lives here, not in workerState, because SetWorkers rebuilds the states.
+	barrierNs atomic.Int64
+	idleSkips atomic.Uint64
 }
 
 // minSlot holds one shard's published next-event time (engine minimum folded
-// with the shard's own intra-shard outbound queue minimum), cross-shard
-// outbound queue minimum, and cumulative event count, double-buffered by
-// epoch parity (the owner writes parity k&1 at the end of epoch k while
-// peers still read parity (k-1)&1 in their reduce), and padded to its own
-// cache line so per-epoch writes from different workers never false-share.
+// with the shard's outbound queue minimum) and cumulative event count,
+// double-buffered by epoch parity (the owner writes parity k&1 at the end of
+// epoch k while peers still read parity (k-1)&1 in their reduce), and padded
+// to its own cache line so per-epoch writes from different workers never
+// false-share.
 type minSlot struct {
 	t      [2]sim.Time
-	y      [2]sim.Time // cross-shard outbound pending minimum
 	events [2]uint64
-	_      [16]byte
+	_      [32]byte
 }
 
 // workerState is one worker's private view of the shard→worker assignment
@@ -173,15 +158,12 @@ type minSlot struct {
 // from the same published data, so private copies stay in agreement without
 // any cross-worker writes.
 type workerState struct {
-	asg           []int32  // shard -> worker
-	lastEvents    []uint64 // cumulative events at last rebalance
-	order         []int32  // scratch: shards sorted by delta desc
-	delta         []uint64 // scratch: events since last rebalance
-	load          []uint64 // scratch: per-worker assigned load
-	lastRebal     uint64   // epoch of the last rebalance (guards re-entry)
-	idleSkips     uint64
-	soloEpochs    uint64
-	soloStretches uint64
+	asg        []int32  // shard -> worker
+	lastEvents []uint64 // cumulative events at last rebalance
+	order      []int32  // scratch: shards sorted by delta desc
+	delta      []uint64 // scratch: events since last rebalance
+	load       []uint64 // scratch: per-worker assigned load
+	lastRebal  uint64   // epoch of the last rebalance (guards re-entry)
 }
 
 // New creates a runner over shards with the given lookahead (must be ≥ 1 ns:
@@ -263,13 +245,7 @@ func (r *Runner) Lookahead() sim.Time { return r.lookahead }
 // Perf returns runner telemetry accumulated so far. Not safe to call while
 // a run is in progress.
 func (r *Runner) Perf() PerfStats {
-	p := PerfStats{Epochs: r.epoch, BarrierNs: r.barrierNs.Load()}
-	for _, st := range r.states {
-		p.IdleSkips += st.idleSkips
-		p.SoloEpochs += st.soloEpochs
-		p.SoloStretches += st.soloStretches
-	}
-	return p
+	return PerfStats{Epochs: r.epoch, BarrierNs: r.barrierNs.Load(), IdleSkips: r.idleSkips.Load()}
 }
 
 // Run executes epochs until every shard's queue — engine and handoff — is
@@ -315,12 +291,13 @@ func (r *Runner) RunUntil(deadline sim.Time) {
 // (identical across workers: every worker computes the same gmin from the
 // same parity snapshot, so they all agree on every window and on the exit
 // epoch without any leader). bar is nil in the single-worker fast path (no
-// goroutines, no atomics, no allocations in steady state).
+// goroutines, no atomics inside the loop, no allocations in steady state).
 func (r *Runner) work(w int, deadline sim.Time, bar *barrier) uint64 {
 	st := r.states[w]
 	epoch := r.epoch
 	var sense uint32
 	var waitNs int64
+	var skips uint64 // shard-epochs this call idle-skipped
 	// Prologue: publish fresh next-event times into the parity the first
 	// reduce will read. Callers may have scheduled new engine work since the
 	// last run, and after SetWorkers the slots may never have been written.
@@ -344,7 +321,7 @@ func (r *Runner) work(w int, deadline sim.Time, bar *barrier) uint64 {
 		}
 		wp := uint32(epoch) & 1 // this epoch's write parity
 		rp := wp ^ 1            // previous epoch's parity: what we read
-		gmin, anyY := r.reduce(rp)
+		gmin := r.reduce(rp)
 		if gmin == never || gmin > deadline {
 			// Globally drained (below the deadline). Advance this worker's
 			// shard clocks to the deadline so every engine agrees on Now,
@@ -368,71 +345,7 @@ func (r *Runner) work(w int, deadline sim.Time, bar *barrier) uint64 {
 		if runTo > deadline {
 			runTo = deadline
 		}
-		// Solo-stretch detection. Every worker computes the same verdict
-		// from the same published slots and the same private-but-identical
-		// assignment, so entry and exit are fleet-consistent without any
-		// extra coordination.
-		if bar != nil && !anyY {
-			if leader, horizon := r.soloCheck(st, rp, runTo); leader >= 0 {
-				if int32(w) != leader {
-					// Park. This epoch's body is the ordinary one (all my
-					// shards idle-skip — that is what the detection proved),
-					// and it leaves my published slots frozen: an idle
-					// shard's publish rewrites the values of the previous
-					// epoch, so BOTH parities already agree and stay valid
-					// for the whole stretch without further writes. Then
-					// wait out the stretch at a second barrier.
-					r.runShards(st, w, wp, rp, runTo)
-					bar.wait(&sense, &waitNs) // end-of-epoch barrier
-					bar.wait(&sense, &waitNs) // park until the leader rejoins
-					epoch = r.soloRejoin.Load()
-					continue
-				}
-				// Leader: run this epoch normally — its end-of-epoch barrier
-				// orders the peers' last writes before the stretch — then run
-				// epochs alone until the window would touch a foreign shard
-				// (horizon, constant while the peers sit idle), a cross-shard
-				// handoff appears, or the deadline is reached. The solo
-				// reduce reads only this worker's own slots and folds the
-				// horizon in for the rest, so no foreign memory is touched
-				// while the peers spin. A stretch also ends at the next
-				// rebalance boundary, so reassignment happens at exactly
-				// the same epochs as the fully barriered run and every
-				// worker's private assignment stays in lockstep.
-				r.runShards(st, w, wp, rp, runTo)
-				epoch++
-				bar.wait(&sense, &waitNs)
-				st.soloStretches++
-				for {
-					wp = uint32(epoch) & 1
-					rp = wp ^ 1
-					g, y := r.soloReduce(st, w, rp)
-					if g > horizon {
-						g = horizon
-					}
-					if g == never || g > deadline {
-						break
-					}
-					rt := g + r.lookahead - 1
-					if rt > deadline {
-						rt = deadline
-					}
-					if y || rt >= horizon {
-						break
-					}
-					r.runShards(st, w, wp, rp, rt)
-					epoch++
-					st.soloEpochs++
-					if epoch%rebalanceEvery == 0 {
-						break
-					}
-				}
-				r.soloRejoin.Store(epoch)
-				bar.wait(&sense, &waitNs) // wake the parked peers at epoch
-				continue
-			}
-		}
-		r.runShards(st, w, wp, rp, runTo)
+		skips += r.runShards(st, w, wp, rp, runTo)
 		epoch++
 		if bar != nil {
 			bar.wait(&sense, &waitNs)
@@ -441,73 +354,27 @@ func (r *Runner) work(w int, deadline sim.Time, bar *barrier) uint64 {
 	if bar != nil && waitNs > 0 {
 		r.barrierNs.Add(waitNs)
 	}
+	r.idleSkips.Add(skips)
 	return epoch
 }
 
 // reduce computes the global minimum over every shard's published next-event
-// time and cross-shard outbound pending minimum at the given parity, and
-// reports whether any cross-shard handoff content is pending at all. O(shards)
-// — the per-queue minimums were folded in at publish time by their owners.
-func (r *Runner) reduce(rp uint32) (gmin sim.Time, anyY bool) {
-	gmin = never
+// time at the given parity. O(shards) — the per-queue minimums were folded in
+// at publish time by their owners.
+func (r *Runner) reduce(rp uint32) sim.Time {
+	gmin := never
 	for i := range r.mins {
-		m := &r.mins[i]
-		if t := m.t[rp]; t < gmin {
+		if t := r.mins[i].t[rp]; t < gmin {
 			gmin = t
 		}
-		if y := m.y[rp]; y < never {
-			anyY = true
-			if y < gmin {
-				gmin = y
-			}
-		}
 	}
-	return gmin, anyY
-}
-
-// soloCheck reports the worker that owns every shard whose next event falls
-// inside the upcoming window, or -1 if those shards span workers (or the
-// stretch is too short to pay for its extra rendezvous). horizon is the
-// earliest next-event time of any shard the leader does NOT own — constant
-// while those shards sit idle, so the leader re-checks it locally each solo
-// epoch without touching its peers. Caller guarantees no cross-shard handoff
-// is pending (anyY false), so published t values cover all queued work.
-func (r *Runner) soloCheck(st *workerState, rp uint32, runTo sim.Time) (int32, sim.Time) {
-	leader := int32(-1)
-	for i := range r.mins {
-		if r.mins[i].t[rp] > runTo {
-			continue
-		}
-		if leader < 0 {
-			leader = st.asg[i]
-		} else if st.asg[i] != leader {
-			return -1, 0
-		}
-	}
-	if leader < 0 {
-		return -1, 0
-	}
-	horizon := never
-	for i := range r.mins {
-		if st.asg[i] != leader {
-			if t := r.mins[i].t[rp]; t < horizon {
-				horizon = t
-			}
-		}
-	}
-	// Entry margin: a stretch pays one extra barrier round-trip (the rejoin),
-	// so require headroom for at least ~two barrier-free windows before the
-	// horizon. Deterministic — every worker reaches the same verdict.
-	if horizon-runTo < 2*r.lookahead {
-		return -1, 0
-	}
-	return leader, horizon
+	return gmin
 }
 
 // runShards performs one epoch of work for every shard this worker owns:
 // flip outbound queues to the write parity, drain the read parity, run the
-// window, publish. Identical to the classic epoch body.
-func (r *Runner) runShards(st *workerState, w int, wp, rp uint32, runTo sim.Time) {
+// window, publish. It returns how many of them skipped the engine run.
+func (r *Runner) runShards(st *workerState, w int, wp, rp uint32, runTo sim.Time) (skips uint64) {
 	for s := range r.shards {
 		if st.asg[s] != int32(w) {
 			continue
@@ -528,42 +395,16 @@ func (r *Runner) runShards(st *workerState, w int, wp, rp uint32, runTo sim.Time
 		if t, ok := sh.Eng.NextTime(); ok && t <= runTo {
 			sh.Eng.RunThrough(runTo)
 		} else {
-			st.idleSkips++
+			skips++
 		}
 		r.publish(s, wp)
 	}
+	return skips
 }
 
-// soloReduce is the stretch-mode reduce: the minimum over only the leader's
-// own shards' published slots at the given parity. The caller folds the
-// (constant) horizon in for everyone else's shards, so the leader never
-// reads memory a parked peer might own. anyY reports cross-shard handoff
-// content queued by the leader's shards — the first such push ends the
-// stretch, because its destination shard must drain at the very next epoch.
-func (r *Runner) soloReduce(st *workerState, w int, rp uint32) (gmin sim.Time, anyY bool) {
-	gmin = never
-	for i := range r.mins {
-		if st.asg[i] != int32(w) {
-			continue
-		}
-		m := &r.mins[i]
-		if t := m.t[rp]; t < gmin {
-			gmin = t
-		}
-		if y := m.y[rp]; y < never {
-			anyY = true
-			if y < gmin {
-				gmin = y
-			}
-		}
-	}
-	return gmin, anyY
-}
-
-// publish writes shard s's next-event time (folded with its intra-shard
-// outbound pending minimum), cross-shard outbound pending minimum, and
-// cumulative event count into the given parity slot. Only the worker driving
-// s calls it.
+// publish writes shard s's next-event time (folded with its outbound pending
+// minimum) and cumulative event count into the given parity slot. Only the
+// worker driving s calls it.
 func (r *Runner) publish(s int, parity uint32) {
 	m := &r.mins[s]
 	sh := &r.shards[s]
@@ -571,16 +412,12 @@ func (r *Runner) publish(s int, parity uint32) {
 	if et, ok := sh.Eng.NextTime(); ok {
 		t = et
 	}
-	y := never
 	if sh.PendingOut != nil {
-		own, cross := sh.PendingOut(parity)
-		if own < t {
-			t = own
+		if q := sh.PendingOut(parity); q < t {
+			t = q
 		}
-		y = cross
 	}
 	m.t[parity] = t
-	m.y[parity] = y
 	m.events[parity] = sh.Eng.EventsRun()
 }
 

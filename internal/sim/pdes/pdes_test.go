@@ -102,22 +102,16 @@ func (tn *testNet) drain(d int, parity uint32) {
 }
 
 // pendingOut is shard i's PendingOut hook: the minimum queued time across
-// its outbound queues at the given parity, split into the self-loop queue
-// (own) and queues bound for other shards (cross) — the same split
-// netsim.Fabric.PendingOutFunc computes from its partition assignment.
-func (tn *testNet) pendingOut(i int, parity uint32) (own, cross sim.Time) {
-	own, cross = never, never
-	for j, q := range tn.queues[i] {
-		t := q[parity].qmin
-		if j == i {
-			if t < own {
-				own = t
-			}
-		} else if t < cross {
-			cross = t
+// its outbound queues at the given parity, as netsim.Fabric.PendingOutFunc
+// computes it.
+func (tn *testNet) pendingOut(i int, parity uint32) sim.Time {
+	min := never
+	for _, q := range tn.queues[i] {
+		if t := q[parity].qmin; t < min {
+			min = t
 		}
 	}
-	return own, cross
+	return min
 }
 
 // deliver logs the message and forwards it around the ring while the virtual
@@ -140,7 +134,7 @@ func (tn *testNet) shards() []Shard {
 			Eng:        tn.engs[i],
 			Begin:      func(p uint32) { tn.begin(i, p) },
 			Drain:      func(p uint32) { tn.drain(i, p) },
-			PendingOut: func(p uint32) (sim.Time, sim.Time) { return tn.pendingOut(i, p) },
+			PendingOut: func(p uint32) sim.Time { return tn.pendingOut(i, p) },
 		}
 	}
 	return out
@@ -153,36 +147,96 @@ func (tn *testNet) runner(workers int) *Runner {
 	return r
 }
 
-func runRing(nshards, workers int, deadline sim.Time) [][]string {
+// newRingNet seeds one message per shard; each walks the ring of shards until
+// the forwarding horizon, so every shard stays busy.
+func newRingNet(nshards int) *testNet {
 	tn := newTestNet(nshards, 50)
 	for i := range tn.engs {
 		i := i
 		tn.engs[i].At(1, func() { tn.deliver(i, xmsg{at: 1, from: i, seq: 0}) })
 	}
-	r := tn.runner(workers)
-	if deadline > 0 {
-		r.RunUntil(deadline)
-	} else {
-		r.Run()
+	return tn
+}
+
+// newPhasedNet parks the activity on shard 0 for long phases — the idle-skip
+// path's best case. Shard 0 runs 1500 local events 7 ns apart (to t≈10500)
+// and sends into the ring on every 37th, which walks on while t < 100·la =
+// 5000; from there to the lone far event on shard 2 at t=20000 the other
+// shards have next to nothing to run.
+func newPhasedNet() *testNet {
+	tn := newTestNet(4, 50)
+	eng := tn.engs[0]
+	n := 0
+	var tick func()
+	tick = func() {
+		n++
+		now := eng.Now()
+		tn.logs[0] = append(tn.logs[0], fmt.Sprintf("t=%d local %d", now, n))
+		if n%37 == 0 {
+			tn.send(0, 1, now+tn.la+sim.Time(n%11))
+		}
+		if n < 1500 {
+			eng.At(now+7, tick)
+		}
 	}
-	return tn.logs
+	eng.At(1, tick)
+	tn.engs[2].At(20000, func() {
+		tn.logs[2] = append(tn.logs[2], fmt.Sprintf("t=%d far", tn.engs[2].Now()))
+	})
+	return tn
+}
+
+// sameLogs fails the test unless the per-shard logs match line for line.
+func sameLogs(t *testing.T, label string, got, want [][]string) {
+	t.Helper()
+	for s := range want {
+		if len(got[s]) != len(want[s]) {
+			t.Fatalf("%s shard %d: %d events vs %d", label, s, len(got[s]), len(want[s]))
+		}
+		for i := range want[s] {
+			if got[s][i] != want[s][i] {
+				t.Fatalf("%s shard %d event %d: %q vs %q", label, s, i, got[s][i], want[s][i])
+			}
+		}
+	}
 }
 
 // TestWorkerCountInvariance: per-shard event logs are identical no matter how
-// many workers drive the shard set — the core determinism contract. Run with
-// -race to also prove the barrier publishes the queue handoffs.
+// many workers drive the shard set — the core determinism contract — and so
+// are the epoch count (mirrored into the deterministic counter registry) and
+// the idle skips, which depend on the shard structure alone. Run with -race
+// to also prove the barrier publishes the queue handoffs.
 func TestWorkerCountInvariance(t *testing.T) {
-	base := runRing(5, 1, 0)
-	for _, w := range []int{2, 3, 5} {
-		got := runRing(5, w, 0)
-		for s := range base {
-			if len(got[s]) != len(base[s]) {
-				t.Fatalf("workers=%d shard %d: %d events vs %d", w, s, len(got[s]), len(base[s]))
-			}
-			for i := range base[s] {
-				if got[s][i] != base[s][i] {
-					t.Fatalf("workers=%d shard %d event %d: %q vs %q", w, s, i, got[s][i], base[s][i])
-				}
+	for _, tc := range []struct {
+		name    string
+		net     func() *testNet
+		workers []int
+		idle    bool // most shard-epochs have nothing to run
+	}{
+		{"ring", func() *testNet { return newRingNet(5) }, []int{2, 3, 5}, false},
+		{"phased", newPhasedNet, []int{2, 4}, true},
+	} {
+		run := func(workers int) ([][]string, PerfStats) {
+			tn := tc.net()
+			r := tn.runner(workers)
+			r.Run()
+			return tn.logs, r.Perf()
+		}
+		base, basePerf := run(1)
+		if len(base[0]) == 0 {
+			t.Fatalf("%s: shard 0 logged nothing", tc.name)
+		}
+		if tc.idle && basePerf.IdleSkips < basePerf.Epochs {
+			t.Fatalf("%s: %d idle skips over %d epochs — the workload no longer parks on one shard",
+				tc.name, basePerf.IdleSkips, basePerf.Epochs)
+		}
+		for _, w := range tc.workers {
+			label := fmt.Sprintf("%s workers=%d", tc.name, w)
+			got, perf := run(w)
+			sameLogs(t, label, got, base)
+			if perf.Epochs != basePerf.Epochs || perf.IdleSkips != basePerf.IdleSkips {
+				t.Fatalf("%s: %d epochs, %d idle skips; one worker ran %d and %d",
+					label, perf.Epochs, perf.IdleSkips, basePerf.Epochs, basePerf.IdleSkips)
 			}
 		}
 	}
@@ -231,6 +285,46 @@ func TestRunUntilSemantics(t *testing.T) {
 	r.RunUntil(2000)
 	if fired != 3 {
 		t.Fatalf("fired %d of 3 after resume", fired)
+	}
+
+	// A deadline that lands while only shard 0 has work: every worker must
+	// leave every clock on it, idle shards included, and the resumed run must
+	// match the uninterrupted one.
+	whole := newPhasedNet()
+	whole.runner(1).Run()
+	for _, w := range []int{1, 2, 3} {
+		tn := newPhasedNet()
+		r := tn.runner(w)
+		r.RunUntil(8000)
+		for i, e := range tn.engs {
+			if e.Now() != 8000 {
+				t.Fatalf("workers=%d: shard %d clock %d after RunUntil(8000)", w, i, e.Now())
+			}
+		}
+		r.Run()
+		sameLogs(t, fmt.Sprintf("resumed workers=%d", w), tn.logs, whole.logs)
+	}
+}
+
+// TestPerfSurvivesSetWorkers: Perf is accumulated over the runner's life, so
+// resizing the worker pool between two RunUntil calls — what the testbed does
+// whenever the shared worker budget grants a segment a different count — must
+// not restart IdleSkips.
+func TestPerfSurvivesSetWorkers(t *testing.T) {
+	tn := newPhasedNet()
+	r := tn.runner(2)
+	r.RunUntil(8000)
+	mid := r.Perf()
+	if mid.IdleSkips == 0 {
+		t.Fatal("no idle skips before the resize; the workload shape is broken")
+	}
+	r.SetWorkers(1)
+	if got := r.Perf(); got != mid {
+		t.Fatalf("SetWorkers changed Perf from %+v to %+v", mid, got)
+	}
+	r.Run()
+	if end := r.Perf(); end.IdleSkips <= mid.IdleSkips || end.Epochs <= mid.Epochs {
+		t.Fatalf("Perf did not keep accumulating: %+v after %+v", end, mid)
 	}
 }
 
@@ -432,117 +526,4 @@ func TestNewClamps(t *testing.T) {
 		}
 	}()
 	New(tn.shards(), 0, 1)
-}
-
-// TestSoloStretchInvariance drives a workload whose activity concentrates on
-// one shard for long phases — the shape that triggers solo-stretch epoch
-// batching — and asserts the batched multi-worker runs produce the identical
-// per-shard logs AND the identical epoch count as the single-worker run
-// (Epochs is mirrored into the deterministic counter registry, so a stretch
-// that merged or skipped a window would corrupt goldens). The workload also
-// exercises both stretch exits: a cross-shard push (shard 0 sends into the
-// ring every 37th local event) and the horizon (a lone far event on an
-// otherwise idle shard that the window eventually reaches).
-func TestSoloStretchInvariance(t *testing.T) {
-	run := func(workers int) ([][]string, uint64, PerfStats) {
-		tn := newTestNet(4, 50)
-		eng := tn.engs[0]
-		n := 0
-		var tick func()
-		tick = func() {
-			n++
-			now := eng.Now()
-			tn.logs[0] = append(tn.logs[0], fmt.Sprintf("t=%d local %d", now, n))
-			if n%37 == 0 {
-				// Occasional cross-shard hop: ends any running stretch at
-				// the next epoch, and (below t=100·la) walks the ring.
-				tn.send(0, 1, now+tn.la+sim.Time(n%11))
-			}
-			if n < 1500 {
-				eng.At(now+7, tick)
-			}
-		}
-		eng.At(1, tick)
-		// Far event on an idle shard: a finite horizon the dense phase runs
-		// beneath, then a rejoin must hand the window over to shard 2.
-		tn.engs[2].At(20000, func() {
-			tn.logs[2] = append(tn.logs[2], fmt.Sprintf("t=%d far", tn.engs[2].Now()))
-		})
-		r := tn.runner(workers)
-		r.Run()
-		return tn.logs, r.EventsRun(), r.Perf()
-	}
-
-	baseLogs, baseEvents, basePerf := run(1)
-	if len(baseLogs[0]) == 0 || len(baseLogs[2]) == 0 {
-		t.Fatal("workload shape broken: expected logs on shards 0 and 2")
-	}
-	if basePerf.SoloEpochs != 0 {
-		t.Fatalf("single-worker path reported %d solo epochs; it has no barrier to skip", basePerf.SoloEpochs)
-	}
-	for _, w := range []int{2, 3} {
-		logs, events, perf := run(w)
-		if events != baseEvents {
-			t.Fatalf("workers=%d: EventsRun %d != %d", w, events, baseEvents)
-		}
-		if perf.Epochs != basePerf.Epochs {
-			t.Fatalf("workers=%d: Epochs %d != %d — solo stretches must not change the window sequence", w, perf.Epochs, basePerf.Epochs)
-		}
-		if perf.SoloEpochs == 0 {
-			t.Fatalf("workers=%d: no solo epochs — the batching path was never exercised", w)
-		}
-		if perf.SoloStretches == 0 || perf.SoloEpochs < perf.SoloStretches {
-			t.Fatalf("workers=%d: implausible stretch accounting: %d epochs over %d stretches", w, perf.SoloEpochs, perf.SoloStretches)
-		}
-		for s := range baseLogs {
-			if len(logs[s]) != len(baseLogs[s]) {
-				t.Fatalf("workers=%d shard %d: %d lines vs %d", w, s, len(logs[s]), len(baseLogs[s]))
-			}
-			for i := range baseLogs[s] {
-				if logs[s][i] != baseLogs[s][i] {
-					t.Fatalf("workers=%d shard %d line %d: %q vs %q", w, s, i, logs[s][i], baseLogs[s][i])
-				}
-			}
-		}
-	}
-}
-
-// TestSoloStretchDeadline: a bounded RunUntil that lands inside a stretch
-// must exit with every shard clock on the deadline and resume exactly —
-// the leader's deadline break has to rejoin its parked peers first.
-func TestSoloStretchDeadline(t *testing.T) {
-	run := func(workers int) ([][]string, sim.Time) {
-		tn := newTestNet(3, 50)
-		eng := tn.engs[0]
-		n := 0
-		var tick func()
-		tick = func() {
-			n++
-			tn.logs[0] = append(tn.logs[0], fmt.Sprintf("t=%d local %d", eng.Now(), n))
-			if n < 800 {
-				eng.At(eng.Now()+9, tick)
-			}
-		}
-		eng.At(1, tick)
-		tn.engs[1].At(30000, func() {
-			tn.logs[1] = append(tn.logs[1], "late")
-		})
-		r := tn.runner(workers)
-		r.RunUntil(3000)
-		mid := r.Now()
-		r.Run()
-		return tn.logs, mid
-	}
-	baseLogs, baseMid := run(1)
-	for _, w := range []int{2, 3} {
-		logs, mid := run(w)
-		if mid != baseMid || mid != 3000 {
-			t.Fatalf("workers=%d: clock after RunUntil(3000) = %d (base %d), want 3000", w, mid, baseMid)
-		}
-		for s := range baseLogs {
-			if fmt.Sprint(logs[s]) != fmt.Sprint(baseLogs[s]) {
-				t.Fatalf("workers=%d shard %d: logs diverge", w, s)
-			}
-		}
-	}
 }

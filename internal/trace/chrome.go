@@ -15,7 +15,7 @@ import (
 // round-tripping), process metadata is emitted in sorted pid order, and
 // events appear in emission order — so the bytes are identical for identical
 // runs, regardless of host, GOMAXPROCS, or the race detector. The golden
-// test and `make trace-smoke` hold us to that.
+// test (TestTraceGoldenSmoke) holds us to that.
 //
 // Layout: request lifecycles are async spans ("b"/"e") under a synthetic
 // "requests" process (pid 0, one tid per session); per-node stage events are

@@ -21,9 +21,8 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files from current output")
 
-// smokeConfig mirrors the `pmnetsim -workload ideal -clients 1 -requests 5
-// -seed 7` scenario used by `make trace-smoke`, so the Go golden test and the
-// CLI smoke target pin the same bytes.
+// smokeConfig is the `pmnetsim -workload ideal -clients 1 -requests 5 -seed 7`
+// scenario, whose -trace file is testdata/trace_smoke.json byte for byte.
 func smokeConfig() harness.RunConfig {
 	return harness.RunConfig{
 		Design:      pmnet.PMNetSwitch,
