@@ -43,20 +43,22 @@ ci: build test race vet fmt-check lint
 # Hot-path micro-benchmarks (allocs/op must stay 0 — 1, the payload, for
 # BenchmarkClientRoundtrip; 2 and 3 for BenchmarkEnginePut/Get, whose loops
 # format their own key: the engines add 0 and 1, the returned value; see the
-# pins in the matching alloc_test.go files). Override BENCHTIME=1x for a CI
-# smoke run.
+# pins in the matching alloc_test.go files; BenchmarkTransmit also selects
+# BenchmarkTransmitECMP). Override BENCHTIME=1x for a CI smoke run.
 BENCHTIME ?= 1s
 microbench:
-	$(GO) test -run '^$$' -bench 'BenchmarkEngineSchedule|BenchmarkCancel|BenchmarkTransmit|BenchmarkPersistAll|BenchmarkPowerFail|BenchmarkNewDeviceRecycled|BenchmarkEpochOverhead|BenchmarkBarrier|BenchmarkRedisLPush|BenchmarkTwitterAction|BenchmarkUpdateHop|BenchmarkServerApply|BenchmarkClientRoundtrip|BenchmarkEnginePut|BenchmarkEngineGet' \
+	$(GO) test -run '^$$' -bench 'BenchmarkEngineSchedule|BenchmarkRunThroughWindowed|BenchmarkCancel|BenchmarkTransmit|BenchmarkPersistAll|BenchmarkPowerFail|BenchmarkNewDeviceRecycled|BenchmarkEpochOverhead|BenchmarkBarrier|BenchmarkRedisLPush|BenchmarkTwitterAction|BenchmarkUpdateHop|BenchmarkServerApply|BenchmarkClientRoundtrip|BenchmarkEnginePut|BenchmarkEngineGet' \
 		-benchtime $(BENCHTIME) -benchmem ./internal/sim ./internal/netsim ./internal/pmem ./internal/sim/pdes \
 		./internal/rediskv ./internal/workload ./internal/dataplane ./internal/server ./internal/client .
 
 # Fuzz, one target after the other (go test takes one -fuzz target and one
 # package at a time): the PM device against its two-image reference model
 # (internal/pmem/model_test.go), the Redis-like store against the
-# whole-value encoder it replaced (internal/rediskv/model_test.go), and the
+# whole-value encoder it replaced (internal/rediskv/model_test.go), the
 # Redis handler on arbitrary requests against an in-memory model
-# (internal/apps/model_test.go). Not part of `make ci`: `go test ./...`
+# (internal/apps/model_test.go), and the timer wheel on arbitrary schedules
+# against the O(n²) reference scheduler (internal/sim/wheel_test.go). Not
+# part of `make ci`: `go test ./...`
 # already replays the seeds; this searches past them. Minimizing each new
 # input gets 2 s, not the default minute, so each target's 30 s go to fuzzing.
 FUZZTIME ?= 30s
@@ -67,6 +69,8 @@ fuzz:
 		-fuzzminimizetime 2s ./internal/rediskv
 	$(GO) test -run '^$$' -fuzz FuzzRedisHandler -fuzztime $(FUZZTIME) \
 		-fuzzminimizetime 2s ./internal/apps
+	$(GO) test -run '^$$' -fuzz FuzzWheelMatchesReference -fuzztime $(FUZZTIME) \
+		-fuzzminimizetime 2s ./internal/sim
 
 # Full experiment suite, cells on a GOMAXPROCS-sized worker pool.
 bench:

@@ -3,11 +3,11 @@ package netsim
 // This file partitions a Network for conservative parallel simulation
 // (internal/sim/pdes). A Fabric owns a set of partition Networks — each on
 // its own (possibly shared) sim.Engine — plus the global topology spanning
-// them: one route table, one name table, and one handoff queue per ordered
-// pair of adjacent partitions. The partition structure is a pure function of
-// the topology, chosen by the builder (testbed) independently of how many
-// engines/shards drive it; that invariance is what makes `-shards 1` and
-// `-shards N` produce byte-identical output (DESIGN.md §10.4). One partition
+// them: one forwarding table, one name table, and one handoff queue per
+// ordered pair of adjacent partitions. The partition structure is a pure
+// function of the topology, chosen by the builder (testbed) independently of
+// how many engines/shards drive it; that invariance is what makes `-shards 1`
+// and `-shards N` produce byte-identical output (DESIGN.md §10.4). One partition
 // is a valid fabric — the testbed's default: no link crosses, no handoff
 // queue exists, and it is a plain single-engine network.
 //
@@ -93,7 +93,6 @@ type Fabric struct {
 	parts     []*Network
 	assign    []int // partition -> engine (shard) index
 	owner     map[NodeID]int32
-	links     [][2]NodeID          // directed global topology; released by Freeze
 	xqs       map[[2]int32]*xqueue // (src part, dst part) -> queue
 	xin       [][]*xqueue          // per partition: inbound queues, by src order
 	xoutOf    [][]*xqueue          // per partition: outbound queues, by dst order
@@ -181,8 +180,8 @@ func (f *Fabric) ConnectAsym(a, b NodeID, ab, ba LinkConfig) {
 }
 
 // SetECMP enables flow-hashed equal-cost multipath forwarding fabric-wide.
-// Call before Freeze; the multi-route table is built there and shared
-// read-only by every partition, exactly like the single-path table.
+// Call before Freeze; the forwarding table built there carries the
+// equal-cost member groups beside the single-path ports.
 func (f *Fabric) SetECMP(on bool) {
 	if f.frozen {
 		panic("netsim: fabric is frozen; topology is immutable")
@@ -199,21 +198,20 @@ func (f *Fabric) connectDirected(a, b NodeID, cfg LinkConfig) {
 	if !ok {
 		panic(fmt.Sprintf("netsim: connect: unknown node %d", b))
 	}
-	key := [2]NodeID{a, b}
-	f.links = append(f.links, key)
 	src := f.parts[pa]
 	// The directed link — including any impairment RNG fork — lives in the
 	// SOURCE partition, so its draw stream is a function of that partition's
 	// build order alone, never of the shard count.
-	src.links[key] = src.newLink(a, b, cfg)
+	l := src.newLink(a, b, cfg)
+	src.wired = append(src.wired, l)
 	if pa == pb {
 		return
 	}
 	// Lookahead: every cross-partition arrival is scheduled at
 	// txStart + serialization(size) + PropDelay with size ≥ UDPOverhead,
 	// so min(serMin + PropDelay) over cross links bounds it from below.
-	if l := linkLatency(cfg); f.lookahead == 0 || l < f.lookahead {
-		f.lookahead = l
+	if lat := linkLatency(cfg); f.lookahead == 0 || lat < f.lookahead {
+		f.lookahead = lat
 	}
 	qk := [2]int32{pa, pb}
 	q := f.xqs[qk]
@@ -223,38 +221,32 @@ func (f *Fabric) connectDirected(a, b NodeID, cfg LinkConfig) {
 		q.sides[1].qmin = xnever
 		f.xqs[qk] = q
 	}
-	if src.xout == nil {
-		src.xout = make(map[[2]NodeID]*xqueue)
-	}
-	src.xout[key] = q
+	l.x = q
 }
 
-// Freeze computes the global route table (shared read-only by every
-// partition) and the inbound queue lists, and settles the lookahead bound —
-// the minimum over cross-partition links of propagation delay plus the
+// Freeze builds the forwarding table over every partition's nodes and links
+// — one fwdTable (routes.go) the partitions share: the id index, the next-hop
+// ports and the ECMP groups are read-only from here on, and a node's record
+// is read, and its down flag written, only by the partition that owns the
+// node — and the inbound queue lists, and settles the lookahead bound: the
+// minimum over cross-partition links of propagation delay plus the
 // serialization time of a minimum-size datagram, i.e. the least virtual time
-// any cross-partition interaction can take. Topology is immutable afterwards,
-// and the link list, which only Freeze reads, is released.
+// any cross-partition interaction can take. Topology is immutable afterwards.
 func (f *Fabric) Freeze() {
 	if f.frozen {
 		return
 	}
 	f.frozen = true
-	linkKeys := f.links
-	f.links = nil
-	nodes := make([]NodeID, 0, len(f.owner))
-	for id := range f.owner {
-		nodes = append(nodes, id)
-	}
-	routes := buildRouteTable(linkKeys, nodes)
-	var multi map[NodeID]map[NodeID][]NodeID
-	if f.ecmp {
-		multi = buildMultiRouteTable(linkKeys, nodes)
-	}
+	var nodes []nodeRec
+	var links []*link
 	for _, n := range f.parts {
-		n.routes = routes
-		n.ecmp = f.ecmp
-		n.multi = multi
+		nodes = append(nodes, n.own...)
+		links = append(links, n.wired...)
+	}
+	t := buildFwdTable(nodes, links, f.ecmp)
+	for _, n := range f.parts {
+		n.fwd = t
+		n.own = nil // the table's records are the only copy from here on
 	}
 
 	if f.lookahead == 0 {
@@ -296,7 +288,7 @@ func (f *Fabric) Lookahead() sim.Time {
 // BeginFunc returns the pdes Begin hook for one shard: at the start of every
 // epoch it flips each owned partition to the epoch's write parity and resets
 // that parity's pending minimums on the partition's outbound queues. It must
-// run even for shards whose engine run is skipped — a stale minimum would
+// run even for shards with nothing to run in the window — a stale minimum would
 // wedge the global window (see pdes.Shard.Begin).
 func (f *Fabric) BeginFunc(shard int) func(parity uint32) {
 	var mine []*Network

@@ -247,7 +247,7 @@ func TestBurstDropCounter(t *testing.T) {
 // ecmpRig wires a two-spine leaf-spine by hand:
 //
 //	clients 1..8 — leaf 100 — {spine 200, spine 201} — leaf 101 — server 9.
-func ecmpRig(t *testing.T) (*sim.Engine, *Network, *Host, []*Host, map[NodeID]*Switch) {
+func ecmpRig(t testing.TB) (*sim.Engine, *Network, *Host, []*Host, map[NodeID]*Switch) {
 	t.Helper()
 	eng := sim.NewEngine()
 	r := sim.NewRand(3)

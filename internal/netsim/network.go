@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"fmt"
-	"sort"
 
 	"pmnet/internal/sim"
 	"pmnet/internal/trace"
@@ -45,12 +44,15 @@ func DefaultLink() LinkConfig {
 
 type link struct {
 	cfg      LinkConfig
-	from, to NodeID   // endpoints, for the queue-depth gauge
+	from, to NodeID   // endpoints
 	busyAt   sim.Time // when the transmitter frees up
 	queued   int      // bytes awaiting/under serialization
 	dropped  uint64   // drop-tail losses only (LinkDrops)
 	sent     uint64
 	imp      *linkImpair // nil unless cfg.Impair is set
+	// x is the cross-partition handoff queue when `to` lives in another
+	// fabric partition than `from`; nil for every other link.
+	x *xqueue
 }
 
 // Stats aggregates network-wide counters.
@@ -66,6 +68,12 @@ type Stats struct {
 // Network owns the topology, routing and packet delivery.
 // It is single-threaded on the virtual clock.
 //
+// Forwarding reads one dense table (routes.go) — a node's record, then the
+// next-hop port toward the destination, both by slice index. A fabric's
+// partitions share the table Fabric.Freeze built; a standalone Network wired
+// with Connect builds its own at first traffic and drops it whenever AddNode,
+// Connect or SetECMP change the topology, so the next packet rebuilds it.
+//
 // Packet ownership: packets minted with AllocPacket are owned by whoever
 // holds them and recycled with FreePacket when their journey ends — the
 // network frees on every drop path, hosts free after the receive callback
@@ -73,31 +81,32 @@ type Stats struct {
 // copying Msg is fine — payload buffers are never pooled), and devices free
 // packets they sink. Packets built with &Packet{} bypass the pool entirely.
 type Network struct {
-	eng    *sim.Engine
-	rand   *sim.Rand
-	nodes  map[NodeID]Node
-	names  map[NodeID]string
-	links  map[[2]NodeID]*link
-	routes map[NodeID]map[NodeID]NodeID   // routes[at][dst] = next hop
-	ecmp   bool                           // flow-hash over equal-cost paths
-	multi  map[NodeID]map[NodeID][]NodeID // ECMP: all equal-cost next hops
-	down   map[NodeID]bool                // failed nodes drop all traffic
-	idSeq  uint64                         // packet-id counter (partition-tagged inside a fabric)
+	eng   *sim.Engine
+	rand  *sim.Rand
+	names map[NodeID]string
+	// The topology as wired, off the packet path: the nodes added here
+	// (released by Fabric.Freeze — a frozen partition's records live in the
+	// shared table) and the directed links whose source is here, both in call
+	// order. They are what the table is built from, and wired also answers
+	// LinkQueueBytes/LinkDrops.
+	own    []nodeRec
+	wired  []*link
+	ecmp   bool      // flow-hash over equal-cost paths
+	fwd    *fwdTable // nil until built (and after a standalone topology change)
+	idSeq  uint64    // packet-id counter (partition-tagged inside a fabric)
 	stats  Stats
 	tracer *trace.Tracer // nil = tracing off (the common, zero-cost case)
 
 	// Fabric membership (nil/zero on a standalone Network built with New
-	// and wired with Connect). pidx is this
-	// partition's index; par is the current epoch's write parity (set by
-	// the fabric's Begin hook; starts at 1 so setup-time pushes land where
-	// the first epoch reads); xout routes directed links whose far endpoint
-	// lives in another partition to the cross-partition handoff queue;
-	// ret[par][p] collects packets freed here during the current epoch
-	// whose home pool is partition p, reclaimed by p at the next epoch.
+	// and wired with Connect). pidx is this partition's index; par is the
+	// current epoch's write parity (set by the fabric's Begin hook; starts at
+	// 1 so setup-time pushes land where the first epoch reads); ret[par][p]
+	// collects packets freed here during the current epoch whose home pool is
+	// partition p, reclaimed by p at the next epoch. A link whose far end
+	// lives in another partition carries its handoff queue itself (link.x).
 	fab   *Fabric
 	pidx  int32
 	par   uint32
-	xout  map[[2]NodeID]*xqueue
 	ret   [2][][]*Packet
 	xlive []*xqueue // drainInbound scratch (non-empty inbound queues)
 
@@ -138,15 +147,7 @@ type delayedTx struct {
 // New creates an empty network on eng. rand drives random loss; pass any
 // seeded generator.
 func New(eng *sim.Engine, rand *sim.Rand) *Network {
-	return &Network{
-		eng:    eng,
-		rand:   rand,
-		nodes:  make(map[NodeID]Node),
-		names:  make(map[NodeID]string),
-		links:  make(map[[2]NodeID]*link),
-		routes: make(map[NodeID]map[NodeID]NodeID),
-		down:   make(map[NodeID]bool),
-	}
+	return &Network{eng: eng, rand: rand, names: make(map[NodeID]string)}
 }
 
 // Engine returns the virtual clock driving this network.
@@ -169,14 +170,14 @@ func (n *Network) Tracer() *trace.Tracer { return n.tracer }
 // same ID is a topology bug and panics.
 func (n *Network) AddNode(node Node, name string) {
 	id := node.ID()
-	if _, dup := n.nodes[id]; dup {
-		panic(fmt.Sprintf("netsim: duplicate node id %d (%s)", id, name))
-	}
 	if n.fab != nil {
 		n.fab.addOwner(id, n.pidx, name)
+	} else if _, dup := n.names[id]; dup {
+		panic(fmt.Sprintf("netsim: duplicate node id %d (%s)", id, name))
 	}
-	n.nodes[id] = node
+	n.own = append(n.own, nodeRec{id: id, node: node, net: n})
 	n.names[id] = name
+	n.fwd = nil
 }
 
 // Name returns the registered name of a node.
@@ -200,16 +201,14 @@ func (n *Network) ConnectAsym(a, b NodeID, ab, ba LinkConfig) {
 	if n.fab != nil {
 		panic("netsim: partition networks are wired through Fabric.Connect")
 	}
-	if _, ok := n.nodes[a]; !ok {
+	if _, ok := n.names[a]; !ok {
 		panic(fmt.Sprintf("netsim: connect: unknown node %d", a))
 	}
-	if _, ok := n.nodes[b]; !ok {
+	if _, ok := n.names[b]; !ok {
 		panic(fmt.Sprintf("netsim: connect: unknown node %d", b))
 	}
-	n.links[[2]NodeID{a, b}] = n.newLink(a, b, ab)
-	n.links[[2]NodeID{b, a}] = n.newLink(b, a, ba)
-	n.routes = nil // invalidate; recomputed lazily
-	n.multi = nil
+	n.wired = append(n.wired, n.newLink(a, b, ab), n.newLink(b, a, ba))
+	n.fwd = nil // invalidate; rebuilt lazily
 }
 
 // newLink builds one directed link, validating its config and forking the
@@ -239,175 +238,36 @@ func (n *Network) SetECMP(on bool) {
 		panic("netsim: partition networks get ECMP from Fabric.SetECMP")
 	}
 	n.ecmp = on
-	n.routes = nil
-	n.multi = nil
+	n.fwd = nil
 }
 
-// computeRoutes runs BFS from every node to build next-hop tables.
-// Datacenter fabrics use flow-consistent (ECMP) load balancing; with our
-// tree/chain topologies there is a single shortest path, so plain BFS
-// reproduces in-order delivery within a flow (§IV-A4 footnote).
-func (n *Network) computeRoutes() {
-	if n.fab != nil {
-		// Partition networks share the fabric-wide table installed by
-		// Freeze; computing one from the partition's own links would route
-		// within a fragment of the topology.
-		panic("netsim: fabric not frozen before traffic")
-	}
-	linkKeys := make([][2]NodeID, 0, len(n.links))
-	for key := range n.links {
-		linkKeys = append(linkKeys, key)
-	}
-	srcs := make([]NodeID, 0, len(n.nodes))
-	for src := range n.nodes {
-		srcs = append(srcs, src)
-	}
-	n.routes = buildRouteTable(linkKeys, srcs)
-	if n.ecmp {
-		n.multi = buildMultiRouteTable(linkKeys, srcs)
-	}
-}
-
-// buildRouteTable is the shared BFS next-hop builder, used both by a standalone
-// Network (over its own links and nodes) and by a Fabric (over the global
-// topology spanning every partition). Both inputs may arrive in map order:
-// they are sorted here, because neighbour order steers BFS parent choice
-// between equal-cost paths — adjacency lists built in map iteration order
-// could pick different next hops (and thus different delivery times) from
-// run to run on multipath topologies.
-func buildRouteTable(linkKeys [][2]NodeID, srcs []NodeID) map[NodeID]map[NodeID]NodeID {
-	routes := make(map[NodeID]map[NodeID]NodeID, len(srcs))
-	sort.Slice(linkKeys, func(i, j int) bool {
-		if linkKeys[i][0] != linkKeys[j][0] {
-			return linkKeys[i][0] < linkKeys[j][0]
+// table returns the forwarding table, building a standalone network's on
+// first use. A partition's is installed by Fabric.Freeze: building one from
+// the partition's own links would route within a fragment of the topology.
+func (n *Network) table() *fwdTable {
+	if n.fwd == nil {
+		if n.fab != nil {
+			panic("netsim: fabric not frozen before traffic")
 		}
-		return linkKeys[i][1] < linkKeys[j][1]
-	})
-	adj := make(map[NodeID][]NodeID)
-	for _, key := range linkKeys {
-		adj[key[0]] = append(adj[key[0]], key[1])
+		n.fwd = buildFwdTable(n.own, n.wired, n.ecmp)
 	}
-	sort.Slice(srcs, func(i, j int) bool { return srcs[i] < srcs[j] })
-	for _, src := range srcs {
-		// BFS from src, recording each node's parent; next hop from any
-		// node toward src is its parent on the BFS tree rooted at src.
-		parent := map[NodeID]NodeID{src: src}
-		order := []NodeID{src}
-		queue := []NodeID{src}
-		for len(queue) > 0 {
-			cur := queue[0]
-			queue = queue[1:]
-			for _, nb := range adj[cur] {
-				if _, seen := parent[nb]; !seen {
-					parent[nb] = cur
-					order = append(order, nb)
-					queue = append(queue, nb)
-				}
-			}
-		}
-		// Walk the BFS discovery order, not the parent map.
-		for _, node := range order {
-			if node == src {
-				continue
-			}
-			if routes[node] == nil {
-				routes[node] = make(map[NodeID]NodeID)
-			}
-			routes[node][src] = parent[node]
-		}
-	}
-	return routes
-}
-
-// buildMultiRouteTable is the ECMP companion of buildRouteTable: for every
-// (node, dst) pair it records ALL neighbours one BFS level closer to dst, in
-// ascending neighbour order. The single-path table's next hop is always a
-// member, so enabling ECMP on a single-path topology changes nothing.
-func buildMultiRouteTable(linkKeys [][2]NodeID, srcs []NodeID) map[NodeID]map[NodeID][]NodeID {
-	sort.Slice(linkKeys, func(i, j int) bool {
-		if linkKeys[i][0] != linkKeys[j][0] {
-			return linkKeys[i][0] < linkKeys[j][0]
-		}
-		return linkKeys[i][1] < linkKeys[j][1]
-	})
-	adj := make(map[NodeID][]NodeID)
-	for _, key := range linkKeys {
-		adj[key[0]] = append(adj[key[0]], key[1])
-	}
-	sort.Slice(srcs, func(i, j int) bool { return srcs[i] < srcs[j] })
-	multi := make(map[NodeID]map[NodeID][]NodeID, len(srcs))
-	for _, src := range srcs {
-		// BFS from src records hop distances; any neighbour one level closer
-		// is an equal-cost next hop toward src.
-		dist := map[NodeID]int{src: 0}
-		order := []NodeID{src}
-		queue := []NodeID{src}
-		for len(queue) > 0 {
-			cur := queue[0]
-			queue = queue[1:]
-			for _, nb := range adj[cur] {
-				if _, seen := dist[nb]; !seen {
-					dist[nb] = dist[cur] + 1
-					order = append(order, nb)
-					queue = append(queue, nb)
-				}
-			}
-		}
-		for _, node := range order {
-			if node == src {
-				continue
-			}
-			var hops []NodeID
-			for _, nb := range adj[node] {
-				if d, ok := dist[nb]; ok && d == dist[node]-1 {
-					hops = append(hops, nb)
-				}
-			}
-			if multi[node] == nil {
-				multi[node] = make(map[NodeID][]NodeID)
-			}
-			multi[node][src] = hops
-		}
-	}
-	return multi
-}
-
-// nextHopFor picks the egress neighbour for pkt at `from`: the single-path
-// table normally, a flow-hashed choice among the equal-cost next hops under
-// ECMP. The hash covers (switch, From, To, ports), so one flow always takes
-// one path through a given switch — in-order delivery within a flow is
-// preserved (§IV-A4) while distinct flows spread across the fabric.
-func (n *Network) nextHopFor(from NodeID, pkt *Packet) (NodeID, bool) {
-	if n.routes == nil {
-		n.computeRoutes()
-	}
-	if n.multi != nil {
-		if hops := n.multi[from][pkt.To]; len(hops) > 1 {
-			return hops[ecmpFlowHash(from, pkt)%uint64(len(hops))], true
-		}
-	}
-	hop, ok := n.routes[from][pkt.To]
-	return hop, ok
-}
-
-// ecmpFlowHash mixes the flow identity with the hashing switch's id through
-// a splitmix64 finalizer — per-switch-independent choices, deterministic
-// across runs and shard counts (no RNG involved).
-func ecmpFlowHash(at NodeID, pkt *Packet) uint64 {
-	h := uint64(uint32(at))<<40 ^ uint64(uint32(pkt.From))<<24 ^
-		uint64(uint32(pkt.To))<<8 ^ uint64(pkt.SrcPort)<<16 ^ uint64(pkt.DstPort)
-	h ^= h >> 30
-	h *= 0xbf58476d1ce4e5b9
-	h ^= h >> 27
-	h *= 0x94d049bb133111eb
-	h ^= h >> 31
-	return h
+	return n.fwd
 }
 
 // SetNodeDown marks a node failed (true) or restored (false). Failed nodes
 // silently drop every packet addressed to or traversing them.
 func (n *Network) SetNodeDown(id NodeID, down bool) {
-	n.down[id] = down
+	for i := range n.own {
+		if n.own[i].id == id {
+			n.own[i].down = down // survives a rebuild of the table
+			break
+		}
+	}
+	if t := n.fwd; t != nil {
+		if i := t.index(id); i >= 0 && t.recs[i].net == n {
+			t.recs[i].down = down
+		}
+	}
 }
 
 // NewPacketID mints a unique packet identity. Inside a fabric the id carries
@@ -541,9 +401,15 @@ func (n *Network) Transmit(pkt *Packet, from NodeID) {
 	if pkt.ID == 0 {
 		pkt.ID = n.NewPacketID()
 	}
-	if n.down[from] {
-		n.stats.DroppedDead++
-		n.dropPacket(pkt, from, trace.DropDead)
+	t := n.table()
+	i := t.index(from)
+	if i < 0 {
+		n.dropDead(pkt, from)
+		return
+	}
+	r := &t.recs[i]
+	if r.down || r.net != n {
+		n.dropDead(pkt, from)
 		return
 	}
 	if from == pkt.To {
@@ -551,18 +417,26 @@ func (n *Network) Transmit(pkt *Packet, from NodeID) {
 		n.deliver(pkt, from)
 		return
 	}
-	hop, ok := n.nextHopFor(from, pkt)
-	if !ok {
-		n.stats.DroppedDead++
-		n.dropPacket(pkt, from, trace.DropDead)
+	j := t.index(pkt.To)
+	if j < 0 {
+		n.dropDead(pkt, from)
 		return
 	}
-	l := n.links[[2]NodeID{from, hop}]
-	if l == nil {
-		n.stats.DroppedDead++
-		n.dropPacket(pkt, from, trace.DropDead)
-		return
+	// The single-path port normally, a flow-hashed choice among the
+	// equal-cost ports under ECMP. The hash covers (switch, From, To, ports),
+	// so one flow always takes one path through a given switch — in-order
+	// delivery within a flow is preserved (§IV-A4) while distinct flows spread
+	// across the fabric.
+	port := t.next[i*len(t.recs)+j]
+	if port < 0 {
+		if port == noRoute {
+			n.dropDead(pkt, from)
+			return
+		}
+		group := t.sets[^port:]
+		port = group[1+ecmpFlowHash(from, pkt)%uint64(group[0])]
 	}
+	l := r.ports[port]
 	var dup *Packet
 	if im := l.imp; im != nil {
 		if im.lose() {
@@ -574,19 +448,19 @@ func (n *Network) Transmit(pkt *Packet, from NodeID) {
 			dup = n.dupPacket(pkt)
 		}
 	}
-	n.sendOnLink(l, pkt, from, hop)
+	n.sendOnLink(l, pkt)
 	if dup != nil {
 		n.stats.Duplicated++
-		n.sendOnLink(l, dup, from, hop)
+		n.sendOnLink(l, dup)
 	}
 }
 
-// sendOnLink runs one packet through the from→hop link: drop-tail admission,
+// sendOnLink runs one packet through the link l: drop-tail admission,
 // legacy random loss, (optionally rate-shaped) serialization, then the
 // arrival hand-off. The draw order on n.rand is exactly the historical
 // Transmit sequence — the impairment models draw only from the link's own
 // forked stream — so pre-impairment configurations keep their golden bytes.
-func (n *Network) sendOnLink(l *link, pkt *Packet, from, hop NodeID) {
+func (n *Network) sendOnLink(l *link, pkt *Packet) {
 	size := pkt.Size()
 	// Drop-tail admission: a full queue drops the tail, but the head packet
 	// is always admitted — when nothing is queued or in service the packet
@@ -595,12 +469,12 @@ func (n *Network) sendOnLink(l *link, pkt *Packet, from, hop NodeID) {
 	if l.cfg.QueueBytes > 0 && l.queued > 0 && l.queued+size > l.cfg.QueueBytes {
 		l.dropped++
 		n.stats.DroppedFull++
-		n.dropPacket(pkt, from, trace.DropFull)
+		n.dropPacket(pkt, l.from, trace.DropFull)
 		return
 	}
 	if l.cfg.LossRate > 0 && n.rand.Float64() < l.cfg.LossRate {
 		n.stats.DroppedRand++
-		n.dropPacket(pkt, from, trace.DropRand)
+		n.dropPacket(pkt, l.from, trace.DropRand)
 		return
 	}
 	var ser sim.Time
@@ -622,7 +496,7 @@ func (n *Network) sendOnLink(l *link, pkt *Packet, from, hop NodeID) {
 	txDone := l.busyAt
 	l.sent++
 	if n.tracer != nil {
-		n.tracer.Emit(trace.GaugeLinkQueue, trace.LinkID(uint64(from), uint64(hop)), uint64(l.queued), 0)
+		n.tracer.Emit(trace.GaugeLinkQueue, trace.LinkID(uint64(l.from), uint64(l.to)), uint64(l.queued), 0)
 	}
 	n.eng.At(txDone, n.getTxEnd(l, size).fn)
 	arriveAt := txDone + l.cfg.PropDelay
@@ -631,20 +505,17 @@ func (n *Network) sendOnLink(l *link, pkt *Packet, from, hop NodeID) {
 		// now + serialization + PropDelay — the fabric lookahead bound.
 		arriveAt += im.extraDelay()
 	}
-	if n.xout != nil {
-		if x := n.xout[[2]NodeID{from, hop}]; x != nil {
-			// The next hop lives in another partition: hand the packet off
-			// through the cross-partition queue (current write parity)
-			// instead of scheduling the arrival locally. The receiving
-			// partition injects it at the next epoch — always ≥ lookahead
-			// away, because arriveAt ≥ now + serialization + PropDelay and
-			// the fabric lookahead is the minimum of that sum over cross
-			// links.
-			x.push(n.par, arriveAt, pkt, hop)
-			return
-		}
+	if l.x != nil {
+		// The next hop lives in another partition: hand the packet off
+		// through the cross-partition queue (current write parity) instead of
+		// scheduling the arrival locally. The receiving partition injects it
+		// at the next epoch — always ≥ lookahead away, because arriveAt ≥ now
+		// + serialization + PropDelay and the fabric lookahead is the minimum
+		// of that sum over cross links.
+		l.x.push(n.par, arriveAt, pkt, l.to)
+		return
 	}
-	n.eng.At(arriveAt, n.getArrival(pkt, hop).fn)
+	n.eng.At(arriveAt, n.getArrival(pkt, l.to).fn)
 }
 
 // dupPacket mints a pool-owned copy of p for link-level duplication with its
@@ -673,28 +544,45 @@ func (n *Network) dropPacket(pkt *Packet, at NodeID, reason uint64) {
 	n.FreePacket(pkt)
 }
 
+// dropDead drops a packet that met a failed or unknown node, or has no route.
+func (n *Network) dropDead(pkt *Packet, at NodeID) {
+	n.stats.DroppedDead++
+	n.dropPacket(pkt, at, trace.DropDead)
+}
+
 func (n *Network) deliver(pkt *Packet, at NodeID) {
-	if n.down[at] {
-		n.stats.DroppedDead++
-		n.dropPacket(pkt, at, trace.DropDead)
+	t := n.table()
+	i := t.index(at)
+	if i < 0 {
+		n.dropDead(pkt, at)
 		return
 	}
-	node, ok := n.nodes[at]
-	if !ok {
-		n.stats.DroppedDead++
-		n.dropPacket(pkt, at, trace.DropDead)
+	r := &t.recs[i]
+	if r.down || r.net != n {
+		n.dropDead(pkt, at)
 		return
 	}
 	if at == pkt.To {
 		n.stats.Delivered++
 	}
-	node.HandlePacket(pkt)
+	r.node.HandlePacket(pkt)
+}
+
+// findLink returns the a→b link wired here (the latest, had it been wired
+// twice), or nil.
+func (n *Network) findLink(a, b NodeID) *link {
+	for i := len(n.wired) - 1; i >= 0; i-- {
+		if l := n.wired[i]; l.from == a && l.to == b {
+			return l
+		}
+	}
+	return nil
 }
 
 // LinkQueueBytes reports the bytes currently queued on the a→b link; useful
 // in tests and for the Fig. 16 saturation experiment.
 func (n *Network) LinkQueueBytes(a, b NodeID) int {
-	if l := n.links[[2]NodeID{a, b}]; l != nil {
+	if l := n.findLink(a, b); l != nil {
 		return l.queued
 	}
 	return 0
@@ -702,7 +590,7 @@ func (n *Network) LinkQueueBytes(a, b NodeID) int {
 
 // LinkDrops reports drop-tail losses on the a→b link.
 func (n *Network) LinkDrops(a, b NodeID) uint64 {
-	if l := n.links[[2]NodeID{a, b}]; l != nil {
+	if l := n.findLink(a, b); l != nil {
 		return l.dropped
 	}
 	return 0

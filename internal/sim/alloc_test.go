@@ -93,3 +93,30 @@ func BenchmarkCancel(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkRunThroughWindowed measures the event loop the way the PDES runner
+// drives it: a standing population of self-rescheduling events (delays spread
+// over levels 0–2, like link serialization, propagation and stack crossings)
+// consumed in 640 ns windows — the wire's lookahead — each opened at the next
+// pending event as an epoch is, so most windows end inside a level-1 or
+// level-2 slot and the deadline-inside-slot path of open is in the measured
+// loop. One iteration is one fired event.
+func BenchmarkRunThroughWindowed(b *testing.B) {
+	e := NewEngine()
+	delays := [8]Time{3, 37, 116, 600, 716, 1200, 2500, 5000}
+	var k int
+	var fn func()
+	fn = func() {
+		k++
+		e.After(delays[k%len(delays)], fn)
+	}
+	for i := 0; i < 256; i++ {
+		e.After(Time(i*7), fn)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for target := e.EventsRun() + uint64(b.N); e.EventsRun() < target; {
+		next, _ := e.NextTime() // the epoch's one peek: where the window starts
+		e.RunThrough(next + 639)
+	}
+}

@@ -16,8 +16,8 @@
 //  2. Begin/Drain/Run: each shard flips its handoff queues to the epoch's
 //     write parity (Begin), injects the cross-shard work its peers queued
 //     during the previous epoch from the read parity (Drain, deterministic
-//     merge order), then executes its events in [gmin, gmin+L). Shards whose
-//     next event lies beyond the window skip the engine run entirely.
+//     merge order), then executes its events in [gmin, gmin+L). A shard whose
+//     next event lies beyond the window fires nothing (an idle skip).
 //  3. Publish: each shard writes its next-event time and cumulative event
 //     count into the epoch's parity slot, then all workers meet at the
 //     barrier.
@@ -85,7 +85,7 @@ type Shard struct {
 	// Begin is invoked at the start of every epoch, before Drain: it must
 	// flip the shard's OUTBOUND handoff queues to the given write parity
 	// (resetting that parity's pending-minimum slots). It runs
-	// unconditionally — even for shards whose engine run is skipped —
+	// unconditionally — even for shards with nothing to run in the window —
 	// because a stale pending minimum would wedge the global window.
 	// May be nil for shards with no cross-shard queues.
 	Begin func(parity uint32)
@@ -115,8 +115,8 @@ type PerfStats struct {
 	// BarrierNs is the cumulative wall time workers spent spinning at the
 	// epoch barrier (0 on the single-worker path, which has no barrier).
 	BarrierNs int64
-	// IdleSkips counts shard-epochs where the engine run was skipped
-	// because the shard's next event lay beyond the window.
+	// IdleSkips counts shard-epochs in which the shard fired nothing
+	// because its next event lay beyond the window.
 	IdleSkips uint64
 }
 
@@ -373,7 +373,7 @@ func (r *Runner) reduce(rp uint32) sim.Time {
 
 // runShards performs one epoch of work for every shard this worker owns:
 // flip outbound queues to the write parity, drain the read parity, run the
-// window, publish. It returns how many of them skipped the engine run.
+// window, publish. It returns how many of them had nothing to run in it.
 func (r *Runner) runShards(st *workerState, w int, wp, rp uint32, runTo sim.Time) (skips uint64) {
 	for s := range r.shards {
 		if st.asg[s] != int32(w) {
@@ -386,15 +386,14 @@ func (r *Runner) runShards(st *workerState, w int, wp, rp uint32, runTo sim.Time
 		if sh.Drain != nil {
 			sh.Drain(rp)
 		}
-		// Idle-shard fast path: if the shard's next event (after the
-		// drain) lies beyond the window, skip the engine run. A window never
-		// moves a clock past the last event it fired (RunThrough, not
-		// RunUntil): Now is the max across shards, so after an unbounded Run
-		// it is the time of the last event, and only the bounded exit path
-		// advances every clock to the deadline.
-		if t, ok := sh.Eng.NextTime(); ok && t <= runTo {
-			sh.Eng.RunThrough(runTo)
-		} else {
+		// A shard whose next event (after the drain) lies beyond the window
+		// is idle this epoch: RunThrough finds that out at its first pop and
+		// fires nothing, so no separate peek decides it — publish below is the
+		// epoch's only one. A window never moves a clock past the last event
+		// it fired (RunThrough, not RunUntil): Now is the max across shards,
+		// so after an unbounded Run it is the time of the last event, and only
+		// the bounded exit path advances every clock to the deadline.
+		if !sh.Eng.RunThrough(runTo) {
 			skips++
 		}
 		r.publish(s, wp)

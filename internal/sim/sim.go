@@ -144,9 +144,11 @@ type Engine struct {
 	now Time
 	// base is the wheel's reference time. Invariants: base never decreases,
 	// base ≤ now whenever the engine is between events (base only advances
-	// in popNext, to the slot start of the event about to fire), and every
-	// node in the wheel has at ≥ base. Together these guarantee At(t ≥ now)
-	// always places at or above base — no "past the wheel" case exists.
+	// in popNext, to the start of a slot that holds a live event about to
+	// fire — never on the strength of cancelled nodes, which fire nothing),
+	// and every node in the wheel has at ≥ base. Together these guarantee
+	// At(t ≥ now) always places at or above base — no "past the wheel" case
+	// exists.
 	base    Time
 	seq     uint64
 	live    int // queued, not cancelled
@@ -245,16 +247,22 @@ func (e *Engine) Run() {
 // RunThrough executes events with time ≤ deadline and leaves the clock at the
 // last executed event: it never parks the clock at the deadline, so a run
 // carved into windows (the epochs of internal/sim/pdes) ends at the same
-// virtual time as one undivided Run.
-func (e *Engine) RunThrough(deadline Time) {
+// virtual time as one undivided Run. It reports whether any event fired.
+//
+// Each event costs one walk of the wheel, not a peek and then a pop: popNext
+// itself stops at the deadline (see there for when it has to look inside a
+// slot to tell).
+func (e *Engine) RunThrough(deadline Time) (fired bool) {
 	e.stopped = false
 	for !e.stopped {
-		t, ok := e.peekTime()
-		if !ok || t > deadline {
-			return
+		n := e.popNext(deadline)
+		if n == nil {
+			break
 		}
-		e.fire(e.popNext())
+		e.fire(n)
+		fired = true
 	}
+	return fired
 }
 
 // RunUntil executes events with time ≤ deadline, then advances the clock to
@@ -269,7 +277,7 @@ func (e *Engine) RunUntil(deadline Time) {
 // Step executes exactly one pending event and reports whether one ran. It
 // shares popNext/fire with RunUntil so the two paths cannot diverge.
 func (e *Engine) Step() bool {
-	n := e.popNext()
+	n := e.popNext(Time(math.MaxInt64))
 	if n == nil {
 		return false
 	}
@@ -362,25 +370,16 @@ func (e *Engine) ovInsert(n *node) {
 func (e *Engine) peekTime() (Time, bool) {
 	for lvl := 0; lvl < wheelLevels; lvl++ {
 		for e.occ[lvl] != 0 {
-			slot := bits.TrailingZeros64(e.occ[lvl])
-			l := &e.slots[lvl][slot]
-			for l.head != nil && l.head.dead {
-				n := l.head
-				l.head = n.next
-				e.dead--
-				e.release(n)
-			}
-			if l.head == nil {
-				l.tail = nil
-				e.occ[lvl] &^= 1 << uint(slot)
+			head := e.liveHead(lvl, bits.TrailingZeros64(e.occ[lvl]))
+			if head == nil {
 				continue
 			}
 			// The lowest occupied slot of the lowest occupied level holds the
 			// earliest pending node; at level ≥ 1 the slot list is unsorted,
 			// so scan it for the minimum live time.
-			best := l.head.at
+			best := head.at
 			if lvl > 0 {
-				for n := l.head.next; n != nil; n = n.next {
+				for n := head.next; n != nil; n = n.next {
 					if !n.dead && n.at < best {
 						best = n.at
 					}
@@ -406,78 +405,117 @@ func (e *Engine) peekTime() (Time, bool) {
 	return 0, false
 }
 
-// popNext removes and returns the earliest live pending node, or nil on an
-// empty queue, freeing any dead nodes it passes. Level-0 pops are O(1);
-// otherwise base advances to the lowest occupied slot's start time and that
-// slot cascades down, each node moving at most wheelLevels times over its
-// lifetime (amortized O(1)).
-func (e *Engine) popNext() *node {
+// liveHead frees the cancelled nodes at the front of a slot's list and returns
+// the first live one — or nil, having emptied the slot and cleared its
+// occupancy bit. It never moves a live node or base.
+func (e *Engine) liveHead(lvl, slot int) *node {
+	l := &e.slots[lvl][slot]
+	for l.head != nil && l.head.dead {
+		n := l.head
+		l.head = n.next
+		e.dead--
+		e.release(n)
+	}
+	if l.head == nil {
+		l.tail = nil
+		e.occ[lvl] &^= 1 << uint(slot)
+	}
+	return l.head
+}
+
+// popNext removes and returns the earliest live pending node if its time is
+// ≤ deadline, or nil (queue untouched but for freed dead nodes) when there is
+// none. Level-0 pops are O(1): the head of the lowest occupied slot is the
+// earliest event, compared with the deadline and taken. Otherwise open moves
+// base to the lowest occupied slot's start and cascades that slot down, each
+// node moving at most wheelLevels times over its lifetime (amortized O(1)).
+func (e *Engine) popNext(deadline Time) *node {
 	for {
-		if e.occ[0] != 0 {
+		for e.occ[0] != 0 {
 			slot := bits.TrailingZeros64(e.occ[0])
 			l := &e.slots[0][slot]
-			for l.head != nil {
-				n := l.head
-				l.head = n.next
-				if l.head == nil {
-					l.tail = nil
-					e.occ[0] &^= 1 << uint(slot)
-				}
-				if n.dead {
-					e.dead--
-					e.release(n)
-					continue
-				}
-				n.next = nil
-				n.queued = false
-				e.live--
-				return n
+			n := l.head
+			if !n.dead && n.at > deadline {
+				return nil
 			}
-			continue
+			l.head = n.next
+			if l.head == nil {
+				l.tail = nil
+				e.occ[0] &^= 1 << uint(slot)
+			}
+			if n.dead {
+				e.dead--
+				e.release(n)
+				continue
+			}
+			n.next = nil
+			n.queued = false
+			e.live--
+			return n
 		}
-		if !e.cascade() {
+		if !e.open(deadline) {
 			return nil
 		}
 	}
 }
 
-// cascade advances base to the earliest occupied slot (or the earliest
-// overflow segment once the wheel is empty) and redistributes that slot's
-// nodes to lower levels, freeing dead ones. It reports whether any slot was
-// opened; false means the queue is fully drained.
-func (e *Engine) cascade() bool {
+// open advances base to the earliest occupied slot above level 0 (or the
+// earliest overflow segment once the wheel is empty) and redistributes that
+// slot's nodes to lower levels, freeing dead ones — provided the slot holds a
+// live event at or before the deadline. It reports whether a slot was opened;
+// false means nothing is due by the deadline, and base has not moved.
+//
+// base may never pass a live event, and never pass now (At places relative to
+// base, and a time below base has no slot): so a slot is opened only when an
+// event inside it is certain to fire next. Dead nodes are stripped from its
+// head first — a slot of cancelled timers alone is emptied where it stands,
+// it must not pull base forward — and then a live head proves the slot holds
+// an event. Whether one is due is read off the slot's span where possible: a
+// slot that ends at or before the deadline (always, under Run; nearly always
+// inside a PDES window) is opened without looking at its list, and only a
+// slot the deadline falls inside is scanned for a live node at or before it.
+func (e *Engine) open(deadline Time) bool {
 	for lvl := 1; lvl < wheelLevels; lvl++ {
-		if e.occ[lvl] == 0 {
-			continue
-		}
-		slot := bits.TrailingZeros64(e.occ[lvl])
-		shift := uint(wheelBits * lvl)
-		span := Time(1) << (shift + wheelBits)
-		// All lower levels are empty, so the earliest pending time is inside
-		// this slot: advance base to the slot's start and re-place its list.
-		// Relative order is preserved, and every node lands at a lower level
-		// (its differing bits vs the new base are below this slot's width).
-		e.base = e.base&^(span-1) | Time(slot)<<shift
-		l := &e.slots[lvl][slot]
-		n := l.head
-		l.head, l.tail = nil, nil
-		e.occ[lvl] &^= 1 << uint(slot)
-		for n != nil {
-			next := n.next
-			if n.dead {
-				e.dead--
-				e.release(n)
-			} else {
-				e.place(n)
+		for e.occ[lvl] != 0 {
+			slot := bits.TrailingZeros64(e.occ[lvl])
+			n := e.liveHead(lvl, slot)
+			if n == nil {
+				continue
 			}
-			n = next
+			shift := uint(wheelBits * lvl)
+			span := Time(1) << (shift + wheelBits)
+			// All lower levels are empty, so the earliest pending time is inside
+			// this slot, which covers [start, start + 1<<shift).
+			start := e.base&^(span-1) | Time(slot)<<shift
+			if deadline-start < Time(1)<<shift-1 && !dueBy(n, deadline) {
+				return false
+			}
+			// Advance base to the slot's start and re-place its list. Relative
+			// order is preserved, and every node lands at a lower level (its
+			// differing bits vs the new base are below this slot's width).
+			e.base = start
+			e.slots[lvl][slot] = slotList{}
+			e.occ[lvl] &^= 1 << uint(slot)
+			for n != nil {
+				next := n.next
+				if n.dead {
+					e.dead--
+					e.release(n)
+				} else {
+					e.place(n)
+				}
+				n = next
+			}
+			return true
 		}
-		return true
 	}
 	// Wheel empty: turn it into the earliest overflow segment and promote
 	// that segment's (sorted) prefix.
 	for e.ovOff < len(e.ov) {
 		n := e.ov[e.ovOff]
+		if !n.dead && n.at > deadline {
+			return false
+		}
 		e.ov[e.ovOff] = nil
 		e.ovOff++
 		if n.dead {
@@ -510,6 +548,17 @@ func (e *Engine) cascade() bool {
 	if e.ovOff > 0 {
 		e.ov = e.ov[:0]
 		e.ovOff = 0
+	}
+	return false
+}
+
+// dueBy reports whether the slot list starting at n holds a live node with
+// time ≤ deadline.
+func dueBy(n *node, deadline Time) bool {
+	for ; n != nil; n = n.next {
+		if !n.dead && n.at <= deadline {
+			return true
+		}
 	}
 	return false
 }

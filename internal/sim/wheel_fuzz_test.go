@@ -1,0 +1,314 @@
+package sim
+
+// FuzzWheelMatchesReference drives the timer wheel and the O(n²) reference
+// scheduler of wheel_test.go with the same byte-coded schedule — At, After,
+// Cancel, RunThrough over a window, RunUntil, Step, NextTime, with callbacks
+// that schedule and cancel in their turn — and compares what fired, in which
+// order and at what time, Now, Pending and NextTime after every call, and the
+// wheel's own invariants (base ≤ now, every node in the slot its time and
+// base assign it, the live/dead counters). `go test` replays the seeds; `make
+// fuzz` searches past them.
+
+import (
+	"fmt"
+	"math"
+	"math/bits"
+	"testing"
+)
+
+// The schedule's opcodes (an op byte's low three bits; bit 3 of an After op
+// makes its delay negative).
+const (
+	fzAt = iota
+	fzAtAgain
+	fzAfter
+	fzCancel
+	fzRunThrough
+	fzRunUntil
+	fzStep
+	fzNextTime
+)
+
+// fzSpan decodes a duration from two bytes: a mantissa at one of the six
+// wheel levels or beyond the wheel (overflow list), plus up to 31 ns so times
+// are not all multiples of a slot width.
+func fzSpan(a, b byte) Time {
+	lvl := uint(a & 7)
+	if lvl > wheelLevels {
+		lvl = wheelLevels
+	}
+	return Time(b)<<(wheelBits*lvl) | Time(a>>3)
+}
+
+// fzSched is what a schedule needs of a scheduler.
+type fzSched struct {
+	now        func() Time
+	at         func(t Time, fn func()) (cancel func())
+	after      func(d Time, fn func()) (cancel func())
+	runThrough func(deadline Time) bool
+	runUntil   func(deadline Time)
+	step       func() bool
+	nextTime   func() (Time, bool)
+	pending    func() int
+	check      func() error // the scheduler's own invariants
+}
+
+// fzPlay interprets data as a schedule on s and returns the log the two
+// schedulers must agree on.
+func fzPlay(t *testing.T, data []byte, s fzSched) []string {
+	var log []string
+	var cancels []func()
+	nextID := 0
+	// arm returns the callback of a new event: it logs itself and, while its
+	// spawn byte lasts, schedules a child and cancels some earlier event.
+	var arm func(spawn byte) func()
+	arm = func(spawn byte) func() {
+		id := nextID
+		nextID++
+		return func() {
+			log = append(log, fmt.Sprintf("fire %d @%d", id, s.now()))
+			if spawn == 0 {
+				return
+			}
+			cancels = append(cancels, s.at(s.now()+fzSpan(spawn, spawn*37), arm(spawn>>1)))
+			if spawn&1 != 0 {
+				cancels[(id*7)%len(cancels)]()
+			}
+		}
+	}
+	pos := 0
+	arg := func() byte {
+		if pos < len(data) {
+			pos++
+			return data[pos-1]
+		}
+		return 0
+	}
+	for ops := 0; pos < len(data) && ops < 512; ops++ {
+		op := arg()
+		switch op & 7 {
+		case fzAt, fzAtAgain:
+			a, b := arg(), arg()
+			cancels = append(cancels, s.at(s.now()+fzSpan(a, b), arm(arg())))
+		case fzAfter:
+			d := fzSpan(arg(), arg())
+			if op&8 != 0 {
+				d = -d
+			}
+			cancels = append(cancels, s.after(d, arm(0)))
+		case fzCancel:
+			if k := int(arg()); len(cancels) > 0 {
+				cancels[k%len(cancels)]()
+			}
+		case fzRunThrough:
+			fired := s.runThrough(s.now() + fzSpan(arg(), arg()))
+			log = append(log, fmt.Sprintf("runThrough fired=%v", fired))
+		case fzRunUntil:
+			s.runUntil(s.now() + fzSpan(arg(), arg()))
+		case fzStep:
+			log = append(log, fmt.Sprintf("step ran=%v", s.step()))
+		case fzNextTime:
+			// Only on request: the wheel's peek frees the cancelled nodes it
+			// walks over, and a peek after every op would hide what a pop
+			// does when it meets them first.
+			at, ok := s.nextTime()
+			log = append(log, fmt.Sprintf("next=%d,%v", at, ok))
+		}
+		log = append(log, fmt.Sprintf("op %d: now=%d pending=%d", op&7, s.now(), s.pending()))
+		if err := s.check(); err != nil {
+			t.Fatalf("after op %d (%d bytes in): %v", op&7, pos, err)
+		}
+	}
+	s.runThrough(Time(math.MaxInt64))
+	log = append(log, fmt.Sprintf("drained: now=%d pending=%d", s.now(), s.pending()))
+	if err := s.check(); err != nil {
+		t.Fatalf("after the final drain: %v", err)
+	}
+	return log
+}
+
+// checkWheel verifies the engine's structural invariants: base ≤ now, the
+// live and dead counters, and every queued node sitting in the slot that its
+// time and the current base assign it (at ≥ base follows).
+func checkWheel(e *Engine) error {
+	if e.base > e.now {
+		return fmt.Errorf("base %d passed now %d", e.base, e.now)
+	}
+	live, dead := 0, 0
+	count := func(n *node) {
+		if n.dead {
+			dead++
+		} else {
+			live++
+		}
+	}
+	for lvl := 0; lvl < wheelLevels; lvl++ {
+		for slot := 0; slot < wheelSlots; slot++ {
+			l := &e.slots[lvl][slot]
+			if (l.head != nil) != (e.occ[lvl]&(1<<uint(slot)) != 0) {
+				return fmt.Errorf("level %d slot %d: occupancy bit disagrees with the list", lvl, slot)
+			}
+			for n := l.head; n != nil; n = n.next {
+				count(n)
+				if n.at < e.base {
+					return fmt.Errorf("level %d slot %d: node at %d below base %d", lvl, slot, n.at, e.base)
+				}
+				wantLvl := 0
+				if d := uint64(n.at ^ e.base); d != 0 {
+					wantLvl = (bits.Len64(d) - 1) / wheelBits
+				}
+				wantSlot := int(uint64(n.at)>>(wheelBits*uint(lvl))) & wheelMask
+				if wantLvl != lvl || wantSlot != slot {
+					return fmt.Errorf("node at %d (base %d) sits in level %d slot %d, belongs in level %d slot %d",
+						n.at, e.base, lvl, slot, wantLvl, wantSlot)
+				}
+			}
+		}
+	}
+	for i, n := range e.ov[e.ovOff:] {
+		count(n)
+		if i > 0 {
+			if p := e.ov[e.ovOff+i-1]; p.at > n.at || (p.at == n.at && p.seq > n.seq) {
+				return fmt.Errorf("overflow list out of order at %d", i)
+			}
+		}
+	}
+	if live != e.live || dead != e.dead {
+		return fmt.Errorf("queued live/dead = %d/%d, counters say %d/%d", live, dead, e.live, e.dead)
+	}
+	return nil
+}
+
+func wheelFzSched(e *Engine) fzSched {
+	return fzSched{
+		now:        e.Now,
+		at:         func(t Time, fn func()) func() { return e.At(t, fn).Cancel },
+		after:      func(d Time, fn func()) func() { return e.After(d, fn).Cancel },
+		runThrough: e.RunThrough,
+		runUntil:   e.RunUntil,
+		step:       e.Step,
+		nextTime:   e.NextTime,
+		pending:    e.Pending,
+		check:      func() error { return checkWheel(e) },
+	}
+}
+
+func refFzSched(s *refSched) fzSched {
+	at := func(t Time, fn func()) func() {
+		ev := s.at(t, fn)
+		return func() { ev.dead = true }
+	}
+	return fzSched{
+		now: func() Time { return s.now },
+		at:  at,
+		after: func(d Time, fn func()) func() {
+			if d < 0 {
+				d = 0
+			}
+			return at(s.now+d, fn)
+		},
+		runThrough: s.runThrough,
+		runUntil:   s.runUntil,
+		step:       s.step,
+		nextTime: func() (Time, bool) {
+			if ev := s.next(); ev != nil {
+				return ev.at, true
+			}
+			return 0, false
+		},
+		pending: s.pending,
+		check:   func() error { return nil },
+	}
+}
+
+// jit packs a level and a low-bits offset into a span's first byte.
+func jit(lvl, low byte) byte { return lvl | low<<3 }
+
+// fzSeeds are the schedules `go test` replays. The first is the invariant a
+// one-pass pop can break: a slot holding only cancelled nodes must not pull
+// base past now, or the next At below base is misplaced (the event at 4116
+// would fire before the one at 10).
+var fzSeeds = [][]byte{
+	{ // a far timer, cancelled; drain; then schedule inside and below its slot
+		fzAt, jit(2, 8), 1, 0, // id 0 at 4104: level 2, slot 1
+		fzCancel, 0,
+		fzRunThrough, 6, 255, // drains: nothing is live
+		fzAt, jit(2, 20), 1, 0, // id 1 at 4116, the dead node's slot
+		fzAt, 0, 10, 0, // id 2 at 10
+		fzStep, fzStep, fzStep,
+	},
+	{ // the same, drained by Step
+		fzAt, jit(2, 8), 1, 0,
+		fzCancel, 0,
+		fzStep,
+		fzAt, jit(2, 20), 1, 0,
+		fzAt, 0, 10, 0,
+		fzRunThrough, 6, 255,
+	},
+	{ // a deadline inside a level-1 slot [64,128): 70 fires, 100 waits
+		fzAt, jit(1, 6), 1, 0, // 70
+		fzAt, jit(1, 4), 1, 1, // 68, spawning
+		fzAt, 0, 100, 0, // 100
+		fzRunThrough, 0, 80,
+		fzNextTime,
+		fzAt, 0, 5, 0, // 85: below the slot's remaining node
+		fzRunUntil, 0, 10,
+		fzRunThrough, 1, 2,
+	},
+	{ // the only node due inside the slot is a cancelled one behind a live head
+		fzAt, 0, 100, 0, // id 0 at 100, the head of level 1 slot 1
+		fzAt, jit(1, 6), 1, 0, // id 1 at 70, behind it
+		fzCancel, 1,
+		fzRunThrough, 0, 80, // nothing is due: the slot must stay shut
+		fzAt, 0, 66, 0,
+		fzAt, 0, 3, 0,
+		fzStep, fzStep,
+	},
+	{ // a deadline inside a level-2 slot [4096,8192)
+		fzAt, jit(2, 9), 1, 0, // 4105
+		fzAt, 1, 78, 0, // 4992
+		fzAt, 1, 70, 7, // 4480, spawning and cancelling
+		fzRunThrough, 1, 66, // to 4224
+		fzNextTime,
+		fzRunThrough, 1, 5, // to the last fired + 320
+		fzAt, 0, 1, 0,
+		fzRunUntil, 2, 1,
+	},
+	{ // overflow list: a deadline short of the segment, then into it
+		fzAt, 6, 1, 0,
+		fzAt, 6, 1, 3,
+		fzAt, 6, 2, 0,
+		fzCancel, 0,
+		fzRunThrough, 5, 63,
+		fzAfter | 8, 3, 9, // negative delay clamps to now
+		fzRunThrough, 6, 1,
+		fzStep,
+	},
+	{ // a cancel storm large enough to trigger compaction mid-schedule
+		fzAt, 1, 1, 255, fzAt, 1, 2, 255, fzAt, 1, 3, 255, fzAt, 1, 4, 255,
+		fzAt, 2, 1, 255, fzAt, 2, 2, 255, fzAt, 3, 1, 255, fzAt, 0, 9, 255,
+		fzRunThrough, 3, 2,
+		fzCancel, 1, fzCancel, 2, fzCancel, 3, fzCancel, 4, fzCancel, 5, fzCancel, 6,
+		fzCancel, 7, fzCancel, 8, fzCancel, 9, fzCancel, 10, fzCancel, 11, fzCancel, 12,
+		fzCancel, 13, fzCancel, 14, fzCancel, 15, fzCancel, 16, fzCancel, 17, fzCancel, 18,
+		fzRunUntil, 4, 1,
+	},
+}
+
+func FuzzWheelMatchesReference(f *testing.F) {
+	for _, seed := range fzSeeds {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		wheel := fzPlay(t, data, wheelFzSched(NewEngine()))
+		ref := fzPlay(t, data, refFzSched(&refSched{}))
+		for i := 0; i < len(wheel) && i < len(ref); i++ {
+			if wheel[i] != ref[i] {
+				t.Fatalf("log entry %d: wheel %q, reference %q", i, wheel[i], ref[i])
+			}
+		}
+		if len(wheel) != len(ref) {
+			t.Fatalf("wheel logged %d entries, reference %d", len(wheel), len(ref))
+		}
+	})
+}

@@ -181,23 +181,66 @@ func (s *refSched) at(t Time, fn func()) *refEv {
 	return ev
 }
 
-func (s *refSched) run() {
+// next returns the minimum (at, seq) live entry, or nil.
+func (s *refSched) next() *refEv {
+	var best *refEv
+	for _, ev := range s.evs {
+		if ev.dead {
+			continue
+		}
+		if best == nil || ev.at < best.at || (ev.at == best.at && ev.seq < best.seq) {
+			best = ev
+		}
+	}
+	return best
+}
+
+// pending counts the live entries, as Engine.Pending does.
+func (s *refSched) pending() int {
+	n := 0
+	for _, ev := range s.evs {
+		if !ev.dead {
+			n++
+		}
+	}
+	return n
+}
+
+// step fires the earliest live entry and reports whether there was one.
+func (s *refSched) step() bool {
+	best := s.next()
+	if best == nil {
+		return false
+	}
+	best.dead = true
+	s.now = best.at
+	best.fn()
+	return true
+}
+
+// runThrough mirrors Engine.RunThrough: fire everything due by the deadline,
+// leave the clock at the last event fired, report whether any fired.
+func (s *refSched) runThrough(deadline Time) (fired bool) {
 	for {
-		var best *refEv
-		for _, ev := range s.evs {
-			if ev.dead {
-				continue
-			}
-			if best == nil || ev.at < best.at || (ev.at == best.at && ev.seq < best.seq) {
-				best = ev
-			}
+		best := s.next()
+		if best == nil || best.at > deadline {
+			return fired
 		}
-		if best == nil {
-			return
-		}
-		best.dead = true
-		s.now = best.at
-		best.fn()
+		s.step()
+		fired = true
+	}
+}
+
+// runUntil mirrors Engine.RunUntil: runThrough, then park the clock.
+func (s *refSched) runUntil(deadline Time) {
+	s.runThrough(deadline)
+	if s.now < deadline {
+		s.now = deadline
+	}
+}
+
+func (s *refSched) run() {
+	for s.step() {
 	}
 }
 
@@ -303,5 +346,46 @@ func TestStopLeavesQueueIntact(t *testing.T) {
 	e.Run()
 	if fired != 2 {
 		t.Fatalf("resumed run fired %d, want 2", fired)
+	}
+}
+
+// TestDeadOnlySlotKeepsBase: a slot that holds nothing but lazily cancelled
+// nodes must be emptied where it stands — opening it would advance base past
+// now, and the next At below base would be misplaced (here: 4116, landing in
+// level 0 of a wheel based at 4096, would fire before 10, and the clock would
+// run backwards). The pop that cannot tell is the one-pass one, which no
+// longer has NextTime's dead-head stripping in front of it; drained by Run
+// and by Step, checked against the reference scheduler.
+func TestDeadOnlySlotKeepsBase(t *testing.T) {
+	drains := map[string]func(*Engine){
+		"Run":  func(e *Engine) { e.Run() },
+		"Step": func(e *Engine) { e.Step() },
+		"RunThrough": func(e *Engine) {
+			if e.RunThrough(1 << 20) {
+				t.Fatal("RunThrough reports an event fired on an all-cancelled queue")
+			}
+		},
+	}
+	for name, drain := range drains {
+		t.Run(name, func(t *testing.T) {
+			e := NewEngine()
+			ref := &refSched{}
+			var got, want []string
+			e.At(5000, func() { t.Fatal("cancelled timer fired") }).Cancel()
+			drain(e)
+			if e.base > e.Now() {
+				t.Fatalf("draining a dead-only slot moved base to %d, past now %d", e.base, e.Now())
+			}
+			for _, at := range []Time{4116, 10, 5000, 4097} {
+				at := at
+				e.At(at, func() { got = append(got, fmt.Sprint(at, "@", e.Now())) })
+				ref.at(at, func() { want = append(want, fmt.Sprint(at, "@", ref.now)) })
+			}
+			e.Run()
+			ref.run()
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("firing order %v, reference %v", got, want)
+			}
+		})
 	}
 }
