@@ -93,9 +93,10 @@ type Device struct {
 	stats  Stats
 	tracer *trace.Tracer // picked up from the network at New; nil = off
 	down   bool
-	jobs   []*pipeJob   // recycled egress records (per-device)
 	upds   []*updateRec // recycled logged-update records (per-device)
 	args   [][]byte     // decode scratch for the read cache's key extraction
+
+	egressFn func(*netsim.Packet) // what a packet clearing the pipeline does; bound once
 }
 
 // updateRec is one pooled logged update, from handleUpdate until its repair
@@ -134,35 +135,10 @@ func (d *Device) getUpdate() *updateRec {
 
 func (d *Device) putUpdate(u *updateRec) { d.upds = append(d.upds, u) }
 
-// pipeJob is one pooled traversal of the MAT pipeline: a packet waiting out
-// PipelineLatency before hitting the wire. Its callback is bound once at
-// allocation, so forwarding and device-generated sends allocate no closures
-// in steady state.
-type pipeJob struct {
-	d   *Device
-	pkt *netsim.Packet
-	fn  func()
-}
-
-func (d *Device) getJob(pkt *netsim.Packet) *pipeJob {
-	var j *pipeJob
-	if k := len(d.jobs) - 1; k >= 0 {
-		j = d.jobs[k]
-		d.jobs = d.jobs[:k]
-	} else {
-		j = &pipeJob{d: d}
-		j.fn = func() { j.d.egress(j) }
-	}
-	j.pkt = pkt
-	return j
-}
-
-// egress fires when a packet clears the pipeline: recycle the record, then
-// transmit — or drop (and recycle the packet) if the device died meanwhile.
-func (d *Device) egress(j *pipeJob) {
-	pkt := j.pkt
-	j.pkt = nil
-	d.jobs = append(d.jobs, j)
+// egress fires when a packet clears the pipeline: transmit — or recycle the
+// packet if the device died meanwhile (here, not through Transmit's drop
+// path: a packet lost inside a dead device is not a DroppedDead).
+func (d *Device) egress(pkt *netsim.Packet) {
 	if d.down {
 		d.net.FreePacket(pkt)
 		return
@@ -208,6 +184,7 @@ func New(net *netsim.Network, id netsim.NodeID, name string, cfg Config) *Device
 		hashKey: make(map[uint32]string),
 		tracer:  net.Tracer(),
 	}
+	d.egressFn = d.egress
 	if cfg.CacheEntries > 0 {
 		d.cache = NewCache(cfg.CacheEntries)
 	}
@@ -268,17 +245,17 @@ func (d *Device) Down() bool { return d.down }
 // latency.
 func (d *Device) forward(pkt *netsim.Packet) {
 	d.stats.Forwarded++
-	d.eng.After(d.cfg.PipelineLatency, d.getJob(pkt).fn)
+	d.send(pkt)
 }
 
-// send emits a device-generated packet (ACK, cache response, regenerated
-// request) after the pipeline latency.
+// send puts a packet — forwarded or device-generated — through the pipeline:
+// it waits out the pipeline latency, then egresses.
 func (d *Device) send(pkt *netsim.Packet) {
-	d.eng.After(d.cfg.PipelineLatency, d.getJob(pkt).fn)
+	pkt.After(d.eng, d.cfg.PipelineLatency, d.egressFn)
 }
 
-// sendNew builds a device-originated PMNet packet on a pooled allocation and
-// emits it through the pipeline.
+// sendNew builds a device-originated PMNet packet (ACK, cache response,
+// regenerated request) on a pooled allocation and sends it.
 func (d *Device) sendNew(to netsim.NodeID, srcPort, dstPort uint16, msg protocol.Message) {
 	pkt := d.net.AllocPacket()
 	pkt.ID = d.net.NewPacketID()

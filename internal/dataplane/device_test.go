@@ -563,6 +563,40 @@ func TestNonPMNetTrafficForwarded(t *testing.T) {
 	}
 }
 
+// TestFailInsidePipelineRecyclesPacket: a packet waiting out the pipeline
+// latency when the device fails is recycled at egress — lost inside the dead
+// device, not dropped by the network, so DroppedDead does not count it.
+func TestFailInsidePipelineRecyclesPacket(t *testing.T) {
+	rg := newDevRig(t, DefaultConfig())
+	got := 0
+	rg.server.OnReceive(func(*netsim.Packet) { got++ })
+	send := func() {
+		pkt := rg.net.AllocPacket()
+		pkt.To = serverID
+		pkt.Raw = append(pkt.Raw, "plain udp"...)
+		pkt.DstPort = 9999
+		rg.client.Send(pkt)
+	}
+	send()
+	for rg.dev.Stats().Forwarded == 0 {
+		if !rg.eng.Step() {
+			t.Fatal("setup: the packet never reached the device")
+		}
+	}
+	rg.dev.Fail() // forwarded: the packet is in the pipeline, 500 ns from the wire
+	rg.eng.Run()
+	if st := rg.net.Stats(); got != 0 || rg.net.PooledPackets() != 1 || st.DroppedDead != 0 {
+		t.Fatalf("fail inside the pipeline: %d delivered, %d pooled, stats %+v; want 0, 1, no drop",
+			got, rg.net.PooledPackets(), st)
+	}
+	rg.dev.Restart()
+	send()
+	rg.eng.Run()
+	if got != 1 || rg.net.PooledPackets() != 1 {
+		t.Fatalf("after restart: %d delivered, %d pooled; want 1 and 1", got, rg.net.PooledPackets())
+	}
+}
+
 func TestServerAckRacingPMWrite(t *testing.T) {
 	// A server-ACK that arrives while the log write is still queued must
 	// suppress the PMNet-ACK and reclaim the entry once the write lands.

@@ -2,8 +2,9 @@ package netsim
 
 // Allocation pin + micro-benchmark for the packet path. A packet's full
 // journey — Transmit, link serialization, arrival, RX stack crossing, app
-// callback, recycle — runs on pooled packets and pooled event payloads, so
-// steady state must be allocation-free.
+// callback, recycle — runs on pooled packets that are their own event
+// payloads (Packet.At) and the link's pooled txEnd, so steady state must be
+// allocation-free.
 
 import (
 	"testing"
@@ -15,7 +16,7 @@ import (
 )
 
 // transmitRig is a two-host wire with a no-op receiver, the minimal topology
-// that exercises every pooled record type on the packet path.
+// that exercises every wait on the packet path.
 type transmitRig struct {
 	eng *sim.Engine
 	net *Network
@@ -44,8 +45,7 @@ func (rg *transmitRig) round() {
 }
 
 // TestTransmitAllocs pins Network.Transmit plus delivery to zero steady-state
-// allocations once the packet, txEnd, arrival, crossing, and engine-node
-// pools have warmed up.
+// allocations once the packet, txEnd and engine-node pools have warmed up.
 func TestTransmitAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("AllocsPerRun is unreliable under the race detector")

@@ -50,11 +50,11 @@ import (
 // composes with gmin without translation.
 const xnever = sim.Time(math.MaxInt64)
 
-// xev is one queued cross-partition arrival.
+// xev is one queued cross-partition arrival; the packet carries the node it
+// is bound for.
 type xev struct {
 	at  sim.Time
 	pkt *Packet
-	hop NodeID
 }
 
 // xside is one epoch-parity half of a handoff queue: the arrival buffer, the
@@ -78,9 +78,9 @@ type xqueue struct {
 	sides [2]xside
 }
 
-func (q *xqueue) push(parity uint32, at sim.Time, pkt *Packet, hop NodeID) {
+func (q *xqueue) push(parity uint32, at sim.Time, pkt *Packet) {
 	s := &q.sides[parity]
-	s.buf = append(s.buf, xev{at: at, pkt: pkt, hop: hop})
+	s.buf = append(s.buf, xev{at: at, pkt: pkt})
 	if at < s.qmin {
 		s.qmin = at
 	}
@@ -426,7 +426,7 @@ func (f *Fabric) drainInbound(n *Network, parity uint32) {
 		ev := best.buf[best.pos]
 		best.buf[best.pos] = xev{}
 		best.pos++
-		n.eng.At(ev.at, n.getArrival(ev.pkt, ev.hop).fn)
+		ev.pkt.At(n.eng, ev.at, n.arriveFn)
 	}
 	for _, q := range live {
 		s := &q.sides[parity]

@@ -74,6 +74,14 @@ func NewCPU(eng *sim.Engine, workers int) *CPU {
 // Submit schedules fn to run after cost of compute on the earliest-free
 // worker, returning the completion time.
 func (c *CPU) Submit(cost sim.Time, fn func()) sim.Time {
+	done := c.Reserve(cost)
+	c.eng.At(done, fn)
+	return done
+}
+
+// Reserve books cost of compute on the earliest-free worker and returns the
+// completion time, for a caller that waits it out itself (a packet, with At).
+func (c *CPU) Reserve(cost sim.Time) sim.Time {
 	best := 0
 	for i, t := range c.busyAt {
 		if t < c.busyAt[best] {
@@ -88,7 +96,6 @@ func (c *CPU) Submit(cost sim.Time, fn func()) sim.Time {
 	c.busyAt[best] = done
 	c.busySum += cost
 	c.jobs++
-	c.eng.At(done, fn)
 	return done
 }
 
@@ -117,62 +124,39 @@ type Host struct {
 	cpu   *CPU
 	recv  func(pkt *Packet)
 	down  bool
-	gen   uint64      // restart generation: packets in the old stack are dropped
-	xings []*crossing // recycled stack-traversal records (per-host)
+	gen   uint64 // restart generation: packets in the old stack are dropped
+
+	// What a packet does when it emerges from the stack (Packet.After), one
+	// per direction, bound once.
+	txFn, rxFn func(*Packet)
 }
 
-// crossing is one pooled stack traversal (TX or RX). Its callback is bound
-// once at allocation, so Send/HandlePacket schedule no per-packet closures.
-type crossing struct {
-	h   *Host
-	pkt *Packet
-	gen uint64
-	tx  bool
-	fn  func()
-}
-
-func (h *Host) getCrossing(pkt *Packet, tx bool) *crossing {
-	var c *crossing
-	if k := len(h.xings) - 1; k >= 0 {
-		c = h.xings[k]
-		h.xings = h.xings[:k]
-	} else {
-		c = &crossing{h: h}
-		c.fn = func() { c.h.crossed(c) }
-	}
-	c.pkt = pkt
-	c.gen = h.gen
-	c.tx = tx
-	return c
-}
-
-// crossed fires when a packet emerges from the host stack. Packets that die
-// here (host down, restart generation mismatch, no receiver) are recycled;
-// received packets are recycled once the application callback returns —
-// receivers must not retain the *Packet (copying Msg is fine; payload
-// buffers are never pooled).
-func (h *Host) crossed(c *crossing) {
-	pkt, gen, tx := c.pkt, c.gen, c.tx
-	c.pkt = nil
-	h.xings = append(h.xings, c)
-	if h.down || gen != h.gen {
+// txDone fires when a packet clears the TX stack: onto the wire, unless the
+// stack it entered is gone (host down, or restarted since — Stamp is the
+// restart generation it entered under), in which case it is recycled.
+func (h *Host) txDone(pkt *Packet) {
+	if h.down || pkt.Stamp != h.gen {
 		h.net.FreePacket(pkt)
 		return
 	}
-	if tx {
-		if tr := h.net.tracer; tr != nil {
-			// Packet ids are normally minted on first Transmit; mint early so
-			// the TX-stack instant and the wire hops share one id. Ids feed
-			// nothing but the trace, so this does not perturb the simulation.
-			if pkt.ID == 0 {
-				pkt.ID = h.net.NewPacketID()
-			}
-			tr.Emit(trace.EvStackTX, uint64(h.id), pkt.ID, 0)
+	if tr := h.net.tracer; tr != nil {
+		// Packet ids are normally minted on first Transmit; mint early so
+		// the TX-stack instant and the wire hops share one id. Ids feed
+		// nothing but the trace, so this does not perturb the simulation.
+		if pkt.ID == 0 {
+			pkt.ID = h.net.NewPacketID()
 		}
-		h.net.Transmit(pkt, h.id)
-		return
+		tr.Emit(trace.EvStackTX, uint64(h.id), pkt.ID, 0)
 	}
-	if h.recv == nil {
+	h.net.Transmit(pkt, h.id)
+}
+
+// rxDone fires when a packet clears the RX stack. A packet that dies here
+// (stack gone as in txDone, no receiver) is recycled; a received one is
+// recycled once the application callback returns — receivers must not retain
+// the *Packet (copying Msg is fine; payload buffers are never pooled).
+func (h *Host) rxDone(pkt *Packet) {
+	if h.down || pkt.Stamp != h.gen || h.recv == nil {
 		h.net.FreePacket(pkt)
 		return
 	}
@@ -195,6 +179,7 @@ func NewHost(net *Network, id NodeID, name string, stack StackModel, workers int
 		stack: stack,
 		cpu:   NewCPU(net.Engine(), workers),
 	}
+	h.txFn, h.rxFn = h.txDone, h.rxDone
 	net.AddNode(h, name)
 	return h
 }
@@ -227,7 +212,8 @@ func (h *Host) Send(pkt *Packet) {
 	}
 	pkt.From = h.id
 	pkt.SentAt = h.eng.Now()
-	h.eng.After(h.stack.Sample(h.rand), h.getCrossing(pkt, true).fn)
+	pkt.Stamp = h.gen
+	pkt.After(h.eng, h.stack.Sample(h.rand), h.txFn)
 }
 
 // HandlePacket implements Node: RX stack latency then the app callback.
@@ -236,7 +222,8 @@ func (h *Host) HandlePacket(pkt *Packet) {
 		h.net.FreePacket(pkt)
 		return
 	}
-	h.eng.After(h.stack.Sample(h.rand), h.getCrossing(pkt, false).fn)
+	pkt.Stamp = h.gen
+	pkt.After(h.eng, h.stack.Sample(h.rand), h.rxFn)
 }
 
 // Fail takes the host down: all in-flight stack traversals and future

@@ -80,6 +80,10 @@ type Stats struct {
 // returns (so applications must not retain a *Packet past the callback;
 // copying Msg is fine — payload buffers are never pooled), and devices free
 // packets they sink. Packets built with &Packet{} bypass the pool entirely.
+// A holder that must wait — a wire, a switch, a stack, a pipeline, a CPU —
+// hands the packet to its own event with Packet.At and names who takes it
+// next; until that fires the packet has no other owner (a second At or a
+// FreePacket panics), and there is no per-hop record beside it.
 type Network struct {
 	eng   *sim.Engine
 	rand  *sim.Rand
@@ -111,13 +115,16 @@ type Network struct {
 	xlive []*xqueue // drainInbound scratch (non-empty inbound queues)
 
 	// Per-network free lists (single-threaded on the virtual clock, so no
-	// sync.Pool — see DESIGN.md "Hot path & pooling"). txs/arrs/dtxs hold
-	// event-payload records whose callbacks are bound once at allocation, so
-	// a steady-state Transmit schedules no new closures.
+	// sync.Pool — see DESIGN.md "Hot path & pooling"). txs holds the one
+	// event-payload record the packet cannot be — the packet is already on its
+	// way to arrive when serialization ends — with its callback bound once at
+	// allocation, so a steady-state Transmit schedules no new closures.
 	pkts []*Packet
 	txs  []*txEnd
-	arrs []*arrival
-	dtxs []*delayedTx
+
+	// What a packet waiting on this network does next (Packet.At), bound once.
+	arriveFn  func(*Packet)
+	delayedFn func(*Packet)
 }
 
 // txEnd is a pooled "serialization finished" event payload.
@@ -128,26 +135,12 @@ type txEnd struct {
 	fn   func()
 }
 
-// arrival is a pooled "packet reaches next hop" event payload.
-type arrival struct {
-	n   *Network
-	pkt *Packet
-	hop NodeID
-	fn  func()
-}
-
-// delayedTx is a pooled payload for TransmitAfter.
-type delayedTx struct {
-	n    *Network
-	pkt  *Packet
-	from NodeID
-	fn   func()
-}
-
 // New creates an empty network on eng. rand drives random loss; pass any
 // seeded generator.
 func New(eng *sim.Engine, rand *sim.Rand) *Network {
-	return &Network{eng: eng, rand: rand, names: make(map[NodeID]string)}
+	n := &Network{eng: eng, rand: rand, names: make(map[NodeID]string)}
+	n.arriveFn, n.delayedFn = n.arrive, n.delayed
+	return n
 }
 
 // Engine returns the virtual clock driving this network.
@@ -302,12 +295,17 @@ func (n *Network) AllocPacket() *Packet {
 }
 
 // FreePacket recycles a pool-owned packet. Unpooled packets (built with
-// &Packet{}) are ignored; freeing the same packet twice panics. A packet
+// &Packet{}) are ignored; freeing the same packet twice, or one that is
+// waiting (Packet.At), panics — either means two owners. The packet keeps its
+// bound wake, so its next life waits without allocating. A packet
 // whose journey ends in a foreign partition is queued for return to its home
 // pool at the next epoch barrier rather than adopted locally, keeping every
 // pool balanced (and therefore zero-alloc) under asymmetric cross-partition
 // traffic.
 func (n *Network) FreePacket(p *Packet) {
+	if p.then != nil {
+		panic("netsim: freeing a waiting packet")
+	}
 	switch p.pool {
 	case pkUnpooled:
 		return
@@ -316,13 +314,17 @@ func (n *Network) FreePacket(p *Packet) {
 	}
 	raw := p.Raw[:0]
 	home := p.home
-	*p = Packet{Raw: raw, pool: pkFree, home: home}
+	*p = Packet{Raw: raw, pool: pkFree, home: home, wake: p.wake}
 	if n.fab != nil && home != n.pidx {
 		n.ret[n.par][home] = append(n.ret[n.par][home], p)
 		return
 	}
 	n.pkts = append(n.pkts, p)
 }
+
+// PooledPackets reports how many recycled packets wait in the free list: a
+// test's view of whether a packet that died off the wire came back.
+func (n *Network) PooledPackets() int { return len(n.pkts) }
 
 func (n *Network) getTxEnd(l *link, size int) *txEnd {
 	var t *txEnd
@@ -347,51 +349,21 @@ func (n *Network) finishTx(t *txEnd) {
 	n.txs = append(n.txs, t)
 }
 
-func (n *Network) getArrival(pkt *Packet, hop NodeID) *arrival {
-	var a *arrival
-	if k := len(n.arrs) - 1; k >= 0 {
-		a = n.arrs[k]
-		n.arrs = n.arrs[:k]
-	} else {
-		a = &arrival{n: n}
-		a.fn = func() { a.n.arrive(a) }
-	}
-	a.pkt = pkt
-	a.hop = hop
-	return a
-}
-
-func (n *Network) arrive(a *arrival) {
-	pkt, hop := a.pkt, a.hop
-	a.pkt = nil
-	n.arrs = append(n.arrs, a)
+// arrive ends a link traversal: the packet reaches the node it was bound for.
+func (n *Network) arrive(pkt *Packet) {
 	pkt.Hops++
-	n.deliver(pkt, hop)
+	n.deliver(pkt, pkt.hop)
 }
 
 // TransmitAfter transmits pkt from `from` once delay has elapsed, without
-// allocating a closure — the pooled-payload form of
+// allocating a closure — the packet-borne form of
 // eng.After(delay, func() { net.Transmit(pkt, from) }).
 func (n *Network) TransmitAfter(delay sim.Time, pkt *Packet, from NodeID) {
-	var t *delayedTx
-	if k := len(n.dtxs) - 1; k >= 0 {
-		t = n.dtxs[k]
-		n.dtxs = n.dtxs[:k]
-	} else {
-		t = &delayedTx{n: n}
-		t.fn = func() { t.n.fireDelayedTx(t) }
-	}
-	t.pkt = pkt
-	t.from = from
-	n.eng.After(delay, t.fn)
+	pkt.hop = from
+	pkt.After(n.eng, delay, n.delayedFn)
 }
 
-func (n *Network) fireDelayedTx(t *delayedTx) {
-	pkt, from := t.pkt, t.from
-	t.pkt = nil
-	n.dtxs = append(n.dtxs, t)
-	n.Transmit(pkt, from)
-}
+func (n *Network) delayed(pkt *Packet) { n.Transmit(pkt, pkt.hop) }
 
 // Transmit moves pkt one hop from `from` toward pkt.To, modelling the
 // egress link. Delivery invokes the next node's HandlePacket on the virtual
@@ -505,6 +477,7 @@ func (n *Network) sendOnLink(l *link, pkt *Packet) {
 		// now + serialization + PropDelay — the fabric lookahead bound.
 		arriveAt += im.extraDelay()
 	}
+	pkt.hop = l.to
 	if l.x != nil {
 		// The next hop lives in another partition: hand the packet off
 		// through the cross-partition queue (current write parity) instead of
@@ -512,10 +485,10 @@ func (n *Network) sendOnLink(l *link, pkt *Packet) {
 		// at the next epoch — always ≥ lookahead away, because arriveAt ≥ now
 		// + serialization + PropDelay and the fabric lookahead is the minimum
 		// of that sum over cross links.
-		l.x.push(n.par, arriveAt, pkt, l.to)
+		l.x.push(n.par, arriveAt, pkt)
 		return
 	}
-	n.eng.At(arriveAt, n.getArrival(pkt, l.to).fn)
+	pkt.At(n.eng, arriveAt, n.arriveFn)
 }
 
 // dupPacket mints a pool-owned copy of p for link-level duplication with its
@@ -526,10 +499,10 @@ func (n *Network) sendOnLink(l *link, pkt *Packet) {
 func (n *Network) dupPacket(p *Packet) *Packet {
 	q := n.AllocPacket()
 	raw := append(q.Raw[:0], p.Raw...)
-	pool, home := q.pool, q.home
+	pool, home, wake := q.pool, q.home, q.wake
 	*q = *p
 	q.Raw = raw
-	q.pool, q.home = pool, home
+	q.pool, q.home, q.wake = pool, home, wake // p's wake would deliver p
 	q.ID = n.NewPacketID()
 	return q
 }

@@ -22,6 +22,14 @@ const UDPOverhead = 46
 
 // Packet is one datagram in flight. PMNet traffic carries a decoded
 // protocol.Message; other traffic carries only Raw bytes.
+//
+// A packet is in one place at a time — a host stack, a wire, a switch, a
+// device pipeline, a CPU queue — and it is its own event record for the time
+// it spends there: whoever holds it calls At or After with the function that
+// takes it next, and holds it no longer. One wait at a time: only At and
+// After set the continuation, it is cleared before it runs (so it may wait
+// again, or free), and a second At or a FreePacket before then means two
+// owners and panics.
 type Packet struct {
 	ID       uint64 // unique per network, for tracing
 	From, To NodeID // source and final destination hosts
@@ -35,6 +43,15 @@ type Packet struct {
 
 	SentAt sim.Time // when the sending host's app handed it to the stack
 	Hops   int      // number of links traversed so far
+
+	// Stamp is the waiter's to use: the generation it scheduled the wait
+	// under, compared when the wait ends to drop a packet whose holder
+	// restarted meanwhile. FreePacket zeroes it.
+	Stamp uint64
+
+	wake func()        // fires then; bound once for the packet's life, kept across recycles
+	then func(*Packet) // who takes the packet when its wait ends; nil = not waiting
+	hop  NodeID        // the node a network wait delivers to (arrive) or transmits from (TransmitAfter)
 
 	pool poolState // free-list lifecycle; zero for packets built with &Packet{}
 	// home is the fabric partition whose pool owns this packet. A packet
@@ -74,13 +91,44 @@ func (p *Packet) String() string {
 	return fmt.Sprintf("pkt#%d %d->%d raw(%dB)", p.ID, p.From, p.To, len(p.Raw))
 }
 
+// At hands the packet to then at virtual time t on eng: the packet waits as
+// its own event payload, so the wait allocates nothing once wake is bound
+// (at the first wait of the packet's life; recycling keeps it).
+func (p *Packet) At(eng *sim.Engine, t sim.Time, then func(*Packet)) {
+	eng.At(t, p.wait(then))
+}
+
+// After is At, d from now.
+func (p *Packet) After(eng *sim.Engine, d sim.Time, then func(*Packet)) {
+	eng.After(d, p.wait(then))
+}
+
+// wait records then as the packet's one continuation and returns the event
+// callback that delivers it.
+func (p *Packet) wait(then func(*Packet)) func() {
+	if p.then != nil {
+		panic("netsim: packet already waiting")
+	}
+	if p.wake == nil {
+		p.wake = func() {
+			then := p.then
+			p.then = nil
+			then(p)
+		}
+	}
+	p.then = then
+	return p.wake
+}
+
 // Clone returns a shallow copy with a fresh identity, used when a device
 // mirrors or regenerates a packet (e.g. a PMNet retransmission). The copy is
-// never pool-owned, regardless of the original.
+// never pool-owned, regardless of the original, and never waiting: the
+// original's wake would deliver the original.
 func (p *Packet) Clone() *Packet {
 	q := *p
 	q.Hops = 0
 	q.pool = pkUnpooled
+	q.wake, q.then = nil, nil
 	return &q
 }
 

@@ -4,7 +4,8 @@ package server
 // pool-reuse edge case around a crash. An in-order update is queued by
 // reference to its payload, decoded into the session's argument scratch and
 // completed through the session's one pre-bound apply record, so steady
-// state allocates nothing.
+// state allocates nothing; an out-of-order one arms the session's pre-bound
+// gap timer.
 
 import (
 	"testing"
@@ -65,6 +66,11 @@ func newRig(h Handler) *applyRig {
 // send transmits one single-fragment request of the given type and drains
 // the clock.
 func (rg *applyRig) send(typ protocol.Type, seq uint32, payload []byte) {
+	rg.transmit(typ, seq, payload)
+	rg.eng.Run()
+}
+
+func (rg *applyRig) transmit(typ protocol.Type, seq uint32, payload []byte) {
 	h := protocol.Header{Type: typ, SessionID: 1, SeqNum: seq, FragTotal: 1}
 	h.Seal()
 	pkt := rg.net.AllocPacket()
@@ -73,7 +79,6 @@ func (rg *applyRig) send(typ protocol.Type, seq uint32, payload []byte) {
 	pkt.PMNet = true
 	pkt.Msg = protocol.Message{Hdr: h, Payload: payload}
 	rg.net.Transmit(pkt, 1)
-	rg.eng.Run()
 }
 
 func (rg *applyRig) round() {
@@ -97,10 +102,38 @@ func TestServerApplyAllocs(t *testing.T) {
 	}
 }
 
+// TestGapArmAllocs pins an out-of-order arrival — parked in the reorder
+// buffer, the session's gap timer armed, then drained by the update it was
+// waiting for — to zero steady-state allocations: the timer's callback is
+// bound with the session, not per arm.
+func TestGapArmAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("AllocsPerRun is unreliable under the race detector")
+	}
+	rg := newApplyRig()
+	round := func() {
+		parked := rg.server.Stats().Buffered
+		rg.transmit(protocol.TypeUpdateReq, rg.seq+2, rg.payload)
+		for rg.server.Stats().Buffered == parked {
+			rg.eng.Step()
+		}
+		rg.send(protocol.TypeUpdateReq, rg.seq+1, rg.payload) // fills the gap before the timer fires
+		rg.seq += 2
+	}
+	round() // warm the session, its reorder map, the pools and the route tables
+	if got := testing.AllocsPerRun(100, round); got != 0 {
+		t.Errorf("out-of-order arrival allocated %.1f objects per pair, want 0", got)
+	}
+	if st := rg.server.Stats(); st.UpdatesApplied != uint64(rg.seq) || st.Reordered != uint64(rg.seq)/2 ||
+		st.RetransSent != 0 || rg.peer.acks != int(rg.seq) {
+		t.Fatalf("path not exercised: %d sent, %d acked, stats %+v", rg.seq, rg.peer.acks, st)
+	}
+}
+
 // TestReadResponseAllocs pins a served read — decode, Handle, the CPU wait,
 // the response on the wire — to one allocation, the response payload: the
-// handler builds its Args in scratch, the library encodes them at once and a
-// pooled record carries the payload across the CPU time.
+// handler builds its Args in scratch, the library encodes them at once and
+// the pooled response packet carries the payload across the CPU time.
 func TestReadResponseAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("AllocsPerRun is unreliable under the race detector")
@@ -116,7 +149,7 @@ func TestReadResponseAllocs(t *testing.T) {
 		rg.seq++
 		rg.send(protocol.TypeBypassReq, 1<<31|rg.seq, get)
 	}
-	round() // warm the session, the read-record pool and the route tables
+	round() // warm the session, the packet pool and the route tables
 	if got := testing.AllocsPerRun(100, round); got != 1 {
 		t.Errorf("served read allocated %.1f objects, want 1 (the response payload)", got)
 	}
@@ -206,11 +239,12 @@ func TestCrashWithApplyRecordOnCPU(t *testing.T) {
 }
 
 // TestReadRecordsAcrossCrashAndOverlap: two reads of one session overlap on
-// the CPU (bypass requests are not serialized), each on its own record with
-// its own payload, while the handler reuses one Args array and one value
-// buffer for both (the library has encoded a response before the handler can
-// be called again); then a crash strands a third on the CPU — its record must fire inert, return to
-// the pool, and serve the next read after recovery exactly once.
+// the CPU (bypass requests are not serialized), each waiting as its own
+// response packet with its own payload, while the handler reuses one Args
+// array and one value buffer for both (the library has encoded a response
+// before the handler can be called again); then a crash strands a third on
+// the CPU — it must never be answered nor counted, its packet must go back
+// to the pool, and the next read after recovery is served exactly once.
 func TestReadRecordsAcrossCrashAndOverlap(t *testing.T) {
 	var scratch [][]byte
 	var value []byte
@@ -236,23 +270,24 @@ func TestReadRecordsAcrossCrashAndOverlap(t *testing.T) {
 			t.Fatalf("response %d: %q, %v; want key %q", i, resp.Args, err, want)
 		}
 	}
-	if n := len(rig.server.reads); n != 2 {
-		t.Fatalf("%d records pooled after two overlapping reads, want 2", n)
+	// The rig's requests are unpooled, so the pool holds response packets only.
+	if n := rig.net.PooledPackets(); n != 2 {
+		t.Fatalf("%d packets pooled after two overlapping reads, want 2", n)
 	}
 
 	get(3, "c")
 	rig.eng.RunUntil(rig.eng.Now() + 10*sim.Microsecond) // handled, on the CPU
-	if n := len(rig.server.reads); n != 1 {
-		t.Fatalf("setup: %d records pooled with one read on the CPU, want 1", n)
+	if n := rig.net.PooledPackets(); n != 1 {
+		t.Fatalf("setup: %d packets pooled with one response on the CPU, want 1", n)
 	}
 	rig.server.Crash()
 	rig.server.Recover()
-	rig.eng.Run() // the stranded record fires against the new generation
-	if n := len(rig.recv[protocol.TypeReadResp]); n != 2 {
-		t.Fatalf("stale read record answered: %d responses", n)
+	rig.eng.Run() // the stranded response wakes into the new generation
+	if n := len(rig.recv[protocol.TypeReadResp]); n != 2 || rig.server.Stats().ReadsServed != 2 {
+		t.Fatalf("stale read answered: %d responses, stats %+v", n, rig.server.Stats())
 	}
-	if n := len(rig.server.reads); n != 2 {
-		t.Fatalf("stale record not recycled: %d pooled", n)
+	if n := rig.net.PooledPackets(); n != 2 {
+		t.Fatalf("stale response not recycled: %d packets pooled", n)
 	}
 	get(4, "d")
 	rig.eng.Run()

@@ -134,51 +134,31 @@ type sessState struct {
 	args     [][]byte       // DecodeRequestInto scratch: what a Handler sees as req.Args
 
 	// Ordered execution: queries wait in queue[qhead:] and run one at a
-	// time. The one on the CPU is the session's apply record — cur, stamped
-	// with the server generation it was submitted under — and applyFn, its
-	// completion, is bound once when the session is created.
-	queue   []query
-	qhead   int
-	busy    bool
-	cur     query
+	// time. The one on the CPU is the session's apply record, cur.
+	queue []query
+	qhead int
+	busy  bool
+	cur   query
+
+	// gen is the server generation the session was created under. Crash
+	// discards every session, so a state lives in one generation only, and its
+	// two completions — applyFn (cur's CPU time) and gapFn (the gap timer),
+	// bound once at creation — do nothing when they fire into a later one.
 	gen     uint64
 	applyFn func()
+	gapFn   func()
 }
 
-// readRec is one pooled bypass completion, from Handle's return until its CPU
-// time has elapsed: the response, already encoded, and where it goes. fn is
-// bound once at allocation.
-type readRec struct {
-	s       *Server
-	gen     uint64 // server generation the request was handled under
-	sessID  uint16
-	q       query
-	payload []byte // the encoded response
-	fn      func()
-}
-
-func (s *Server) getRead() *readRec {
-	if k := len(s.reads) - 1; k >= 0 {
-		r := s.reads[k]
-		s.reads = s.reads[:k]
-		return r
-	}
-	r := &readRec{s: s}
-	r.fn = func() { r.s.readDone(r) }
-	return r
-}
-
-// readDone fires when a read's CPU time has elapsed: recycle the record, then
-// send the response — unless the server crashed meanwhile.
-func (s *Server) readDone(r *readRec) {
-	gen, sessID, q, payload := r.gen, r.sessID, r.q, r.payload
-	r.payload = nil
-	s.reads = append(s.reads, r)
-	if gen != s.gen {
+// readDone fires when a read's CPU time has elapsed: send the response — or
+// recycle it, if the server crashed since Handle returned (Stamp is the
+// generation the request was handled under).
+func (s *Server) readDone(pkt *netsim.Packet) {
+	if pkt.Stamp != s.gen {
+		s.host.Network().FreePacket(pkt)
 		return
 	}
 	s.stats.ReadsServed++
-	s.respondRead(sessID, q, payload)
+	s.host.Send(pkt)
 }
 
 // push appends a query to the run queue. Before growing it reclaims the
@@ -214,7 +194,8 @@ type Server struct {
 	stats   Stats
 	tracer  *trace.Tracer // picked up from the network at New; nil = off
 	gen     uint64        // bumped on crash; stale CPU completions are dropped
-	reads   []*readRec    // recycled bypass completions
+
+	readFn func(*netsim.Packet) // readDone, bound once: what a response does after its CPU time
 }
 
 // New binds a server library to host with the given handler.
@@ -237,6 +218,7 @@ func New(host *netsim.Host, handler Handler, cfg Config) *Server {
 		sess:    make(map[uint16]*sessState),
 		tracer:  host.Network().Tracer(),
 	}
+	s.readFn = s.readDone
 	host.OnReceive(s.onPacket)
 	return s
 }
@@ -262,8 +244,10 @@ func (s *Server) session(id uint16) *sessState {
 			buffered: make(map[uint32]bufferedFrag),
 			reasm:    make(map[uint32]*protocol.Reassembler),
 			retrans:  make(map[uint32]int),
+			gen:      s.gen,
 		}
 		st.applyFn = func() { s.applied(id, st) }
+		st.gapFn = func() { s.gapCheck(id, st) }
 		s.sess[id] = st
 	}
 	return st
@@ -294,14 +278,23 @@ func (s *Server) setLastApplied(id uint16, seq uint32) {
 	}
 }
 
-func (s *Server) reply(q query, hdr protocol.Header, payload []byte) {
+// packet builds a library-originated PMNet packet on a pooled allocation,
+// sealing its header.
+func (s *Server) packet(to netsim.NodeID, srcPort, dstPort uint16, hdr protocol.Header, payload []byte) *netsim.Packet {
+	hdr.Seal()
 	pkt := s.host.Network().AllocPacket()
-	pkt.To = q.from
-	pkt.SrcPort = q.dstPort // the PMNet port, so devices classify the reply
-	pkt.DstPort = q.srcPort
+	pkt.To = to
+	pkt.SrcPort = srcPort
+	pkt.DstPort = dstPort
 	pkt.PMNet = true
 	pkt.Msg = protocol.Message{Hdr: hdr, Payload: payload}
-	s.host.Send(pkt)
+	return pkt
+}
+
+// reply builds the packet answering q's sender: the ports swap, so the PMNet
+// port is the source and devices classify the reply.
+func (s *Server) reply(q query, hdr protocol.Header, payload []byte) *netsim.Packet {
+	return s.packet(q.from, q.dstPort, q.srcPort, hdr, payload)
 }
 
 func (s *Server) sendServerAck(sessID uint16, q query) {
@@ -316,8 +309,7 @@ func (s *Server) sendServerAck(sessID uint16, q query) {
 			FragIdx:   uint16(seq - q.firstSeq),
 			FragTotal: uint16(q.lastSeq - q.firstSeq + 1),
 		}
-		hdr.Seal()
-		s.reply(q, hdr, nil)
+		s.host.Send(s.reply(q, hdr, nil))
 	}
 }
 
@@ -340,45 +332,51 @@ func (s *Server) onBypass(pkt *netsim.Packet) {
 	hdr := pkt.Msg.Hdr
 	st := s.session(hdr.SessionID)
 	st.client = pkt.From
-	firstSeq := hdr.SeqNum - uint32(hdr.FragIdx)
-	payload := pkt.Msg.Payload
-	if hdr.FragTotal > 1 { // single-fragment queries skip the reassembler
-		r, ok := st.reasm[firstSeq]
-		if !ok {
-			r = protocol.NewReassembler(firstSeq, hdr.FragTotal)
-			st.reasm[firstSeq] = r
-		}
-		var err error
-		payload, err = r.Add(pkt.Msg)
-		if err != nil {
-			return // incomplete (or inconsistent duplicate)
-		}
-		delete(st.reasm, firstSeq)
+	payload, ok := reassemble(st, pkt.Msg)
+	if !ok {
+		return // incomplete (or inconsistent duplicate)
 	}
-	q := query{firstSeq: firstSeq, lastSeq: firstSeq + uint32(hdr.FragTotal) - 1,
-		from: pkt.From, srcPort: pkt.SrcPort, dstPort: pkt.DstPort}
-	req, derr := protocol.DecodeRequestInto(payload, &st.args)
-	if derr != nil {
-		s.respondRead(hdr.SessionID, q, protocol.Response{Status: protocol.StatusError}.Encode())
-		return
-	}
-	// Encode now: the response's Args array is the handler's scratch (see
-	// Handler) and only the payload waits out the CPU time.
-	resp, cost := s.handler.Handle(req)
-	r := s.getRead()
-	r.gen, r.sessID, r.q, r.payload = s.gen, hdr.SessionID, q, resp.Encode()
-	s.host.CPU().Submit(cost, r.fn)
-}
-
-func (s *Server) respondRead(sessID uint16, q query, payload []byte) {
-	hdr := protocol.Header{
+	q := query{from: pkt.From, srcPort: pkt.SrcPort, dstPort: pkt.DstPort}
+	rh := protocol.Header{
 		Type:      protocol.TypeReadResp,
-		SessionID: sessID,
-		SeqNum:    q.firstSeq,
+		SessionID: hdr.SessionID,
+		SeqNum:    hdr.SeqNum - uint32(hdr.FragIdx),
 		FragTotal: 1,
 	}
-	hdr.Seal()
-	s.reply(q, hdr, payload)
+	req, derr := protocol.DecodeRequestInto(payload, &st.args)
+	if derr != nil {
+		s.host.Send(s.reply(q, rh, protocol.Response{Status: protocol.StatusError}.Encode()))
+		return
+	}
+	// Build the response now: its Args array is the handler's scratch (see
+	// Handler), so it is encoded at once and the packet carrying it waits out
+	// the CPU time itself, stamped with the generation it was handled under.
+	resp, cost := s.handler.Handle(req)
+	out := s.reply(q, rh, resp.Encode())
+	out.Stamp = s.gen
+	out.At(s.eng, s.host.CPU().Reserve(cost), s.readFn)
+}
+
+// reassemble feeds one fragment to its query's reassembly and returns the
+// complete payload, or ok=false while fragments are still missing.
+// Single-fragment queries skip the reassembler.
+func reassemble(st *sessState, msg protocol.Message) (payload []byte, ok bool) {
+	hdr := msg.Hdr
+	if hdr.FragTotal <= 1 {
+		return msg.Payload, true
+	}
+	firstSeq := hdr.SeqNum - uint32(hdr.FragIdx)
+	r, ok := st.reasm[firstSeq]
+	if !ok {
+		r = protocol.NewReassembler(firstSeq, hdr.FragTotal)
+		st.reasm[firstSeq] = r
+	}
+	payload, err := r.Add(msg)
+	if err != nil {
+		return nil, false
+	}
+	delete(st.reasm, firstSeq)
+	return payload, true
 }
 
 // onUpdate runs the ordered path: dedupe, reorder, reassemble, then execute
@@ -407,8 +405,7 @@ func (s *Server) onUpdate(pkt *netsim.Packet) {
 				FragIdx:   hdr.FragIdx,
 				FragTotal: hdr.FragTotal,
 			}
-			ack.Seal()
-			s.reply(query{from: pkt.From, srcPort: pkt.SrcPort, dstPort: pkt.DstPort}, ack, nil)
+			s.host.Send(s.reply(query{from: pkt.From, srcPort: pkt.SrcPort, dstPort: pkt.DstPort}, ack, nil))
 		}
 		// Otherwise the duplicate is of an in-flight (queued) query; the
 		// genuine server-ACK follows its application.
@@ -416,18 +413,7 @@ func (s *Server) onUpdate(pkt *netsim.Packet) {
 		delete(st.retrans, seq)
 		st.nextSeq++
 		s.applyInOrder(st, frag)
-		// Drain any buffered successors.
-		for {
-			next, ok := st.buffered[st.nextSeq]
-			if !ok {
-				break
-			}
-			delete(st.buffered, st.nextSeq)
-			delete(st.retrans, st.nextSeq)
-			st.nextSeq++
-			s.stats.Reordered++
-			s.applyInOrder(st, next)
-		}
+		s.drain(st)
 	default: // seq > st.nextSeq: a gap
 		if _, dup := st.buffered[seq]; dup {
 			s.stats.Duplicates++
@@ -435,113 +421,103 @@ func (s *Server) onUpdate(pkt *netsim.Packet) {
 		}
 		st.buffered[seq] = frag
 		s.stats.Buffered++
-		s.armGapCheck(hdr.SessionID, st)
+		s.armGapCheck(st)
+	}
+}
+
+// drain applies the buffered fragments that nextSeq has caught up with.
+func (s *Server) drain(st *sessState) {
+	for {
+		next, ok := st.buffered[st.nextSeq]
+		if !ok {
+			return
+		}
+		delete(st.buffered, st.nextSeq)
+		delete(st.retrans, st.nextSeq)
+		st.nextSeq++
+		s.stats.Reordered++
+		s.applyInOrder(st, next)
 	}
 }
 
 // armGapCheck schedules a retransmission request if the gap persists
 // (Figure 7b).
-func (s *Server) armGapCheck(sessID uint16, st *sessState) {
+func (s *Server) armGapCheck(st *sessState) {
 	if st.gapArmed {
 		return
 	}
 	st.gapArmed = true
-	gen := s.gen
-	s.eng.After(s.cfg.GapTimeout, func() {
-		if gen != s.gen {
-			return
+	s.eng.After(s.cfg.GapTimeout, st.gapFn)
+}
+
+// gapCheck is the session's gap timer: request what is still missing, give up
+// on what has been requested too often, apply what that unblocks, re-arm.
+func (s *Server) gapCheck(sessID uint16, st *sessState) {
+	if st.gen != s.gen {
+		return
+	}
+	st.gapArmed = false
+	if len(st.buffered) == 0 {
+		return
+	}
+	// Request every missing seq between nextSeq and the highest
+	// buffered packet. A seq that stays missing past RetransLimit
+	// attempts is abandoned: its sender is gone for good (the update
+	// was never acknowledged, so no guarantee attaches) and stalling
+	// the session forever would wedge every later update.
+	var maxSeq uint32
+	//pmnetlint:ignore maprange pure max reduction; any iteration order yields the same maxSeq
+	for q := range st.buffered {
+		if q > maxSeq {
+			maxSeq = q
 		}
-		st.gapArmed = false
-		if len(st.buffered) == 0 {
-			return
+	}
+	for seq := st.nextSeq; seq < maxSeq; seq++ {
+		if _, have := st.buffered[seq]; have {
+			continue
 		}
-		// Request every missing seq between nextSeq and the highest
-		// buffered packet. A seq that stays missing past RetransLimit
-		// attempts is abandoned: its sender is gone for good (the update
-		// was never acknowledged, so no guarantee attaches) and stalling
-		// the session forever would wedge every later update.
-		var maxSeq uint32
-		//pmnetlint:ignore maprange pure max reduction; any iteration order yields the same maxSeq
-		for q := range st.buffered {
-			if q > maxSeq {
-				maxSeq = q
-			}
+		st.retrans[seq]++
+		if st.retrans[seq] > s.cfg.RetransLimit {
+			continue // abandoned below once it is the head of line
 		}
-		for seq := st.nextSeq; seq < maxSeq; seq++ {
-			if _, have := st.buffered[seq]; have {
-				continue
-			}
-			st.retrans[seq]++
-			if st.retrans[seq] > s.cfg.RetransLimit {
-				continue // abandoned below once it is the head of line
-			}
-			s.stats.RetransSent++
-			// Fragment geometry of the missing packet is unknown in
-			// general; assume single-fragment (the common case). PMNet
-			// serves the Retrans when the hash matches; otherwise the
-			// client's bySeq lookup resends the right fragment.
-			rh := protocol.Header{
-				Type:      protocol.TypeRetrans,
-				SessionID: sessID,
-				SeqNum:    seq,
-				FragTotal: 1,
-			}
-			rh.Seal()
-			pkt := s.host.Network().AllocPacket()
-			pkt.To = st.client
-			pkt.SrcPort = protocol.PortMin
-			pkt.DstPort = 40000 + sessID
-			pkt.PMNet = true
-			pkt.Msg = protocol.Message{Hdr: rh}
-			s.host.Send(pkt)
+		s.stats.RetransSent++
+		// Fragment geometry of the missing packet is unknown in
+		// general; assume single-fragment (the common case). PMNet
+		// serves the Retrans when the hash matches; otherwise the
+		// client's bySeq lookup resends the right fragment.
+		rh := protocol.Header{
+			Type:      protocol.TypeRetrans,
+			SessionID: sessID,
+			SeqNum:    seq,
+			FragTotal: 1,
 		}
-		// Abandon a head-of-line gap that exhausted its retransmissions.
-		for {
-			if _, have := st.buffered[st.nextSeq]; have {
-				break
-			}
-			if st.nextSeq >= maxSeq || st.retrans[st.nextSeq] <= s.cfg.RetransLimit {
-				break
-			}
-			delete(st.retrans, st.nextSeq)
-			st.nextSeq++
-			s.stats.GapsAbandoned++
+		s.host.Send(s.packet(st.client, protocol.PortMin, 40000+sessID, rh, nil))
+	}
+	// Abandon a head-of-line gap that exhausted its retransmissions.
+	for {
+		if _, have := st.buffered[st.nextSeq]; have {
+			break
 		}
-		// Drain anything the jump unblocked.
-		for {
-			next, ok := st.buffered[st.nextSeq]
-			if !ok {
-				break
-			}
-			delete(st.buffered, st.nextSeq)
-			delete(st.retrans, st.nextSeq)
-			st.nextSeq++
-			s.stats.Reordered++
-			s.applyInOrder(st, next)
+		if st.nextSeq >= maxSeq || st.retrans[st.nextSeq] <= s.cfg.RetransLimit {
+			break
 		}
-		s.armGapCheck(sessID, st)
-	})
+		delete(st.retrans, st.nextSeq)
+		st.nextSeq++
+		s.stats.GapsAbandoned++
+	}
+	s.drain(st) // anything the jump unblocked
+	s.armGapCheck(st)
 }
 
 // applyInOrder feeds one in-order fragment to reassembly and enqueues the
 // completed query for serial per-session execution.
 func (s *Server) applyInOrder(st *sessState, f bufferedFrag) {
+	payload, ok := reassemble(st, f.msg)
+	if !ok {
+		return // more fragments to come
+	}
 	hdr := f.msg.Hdr
 	firstSeq := hdr.SeqNum - uint32(hdr.FragIdx)
-	payload := f.msg.Payload
-	if hdr.FragTotal > 1 { // single-fragment queries skip the reassembler
-		r, ok := st.reasm[firstSeq]
-		if !ok {
-			r = protocol.NewReassembler(firstSeq, hdr.FragTotal)
-			st.reasm[firstSeq] = r
-		}
-		var err error
-		payload, err = r.Add(f.msg)
-		if err != nil {
-			return // more fragments to come
-		}
-		delete(st.reasm, firstSeq)
-	}
 	st.push(query{
 		firstSeq: firstSeq,
 		lastSeq:  firstSeq + uint32(hdr.FragTotal) - 1,
@@ -563,7 +539,7 @@ func (s *Server) runNext(st *sessState) {
 			continue // corrupt query: ignore; client will time out and resend
 		}
 		st.busy = true
-		st.cur, st.gen = q, s.gen
+		st.cur = q
 		// Updates acknowledge with server-ACKs, not a response payload.
 		_, cost := s.handler.Handle(req)
 		s.host.CPU().Submit(cost, st.applyFn)
@@ -614,13 +590,6 @@ func (s *Server) Recover() {
 	}
 	for _, dev := range s.cfg.Devices {
 		hdr := protocol.Header{Type: protocol.TypeRecoverReq, FragTotal: 1}
-		hdr.Seal()
-		pkt := s.host.Network().AllocPacket()
-		pkt.To = dev
-		pkt.SrcPort = protocol.PortMin
-		pkt.DstPort = protocol.PortMin
-		pkt.PMNet = true
-		pkt.Msg = protocol.Message{Hdr: hdr}
-		s.host.Send(pkt)
+		s.host.Send(s.packet(dev, protocol.PortMin, protocol.PortMin, hdr, nil))
 	}
 }
