@@ -1,7 +1,7 @@
 GO ?= go
 
 .PHONY: all build test race vet fmt-check lint lint-sarif ci bench bench-json microbench \
-	bench-baseline benchdiff fuzz
+	bench-baseline benchdiff fuzz loc
 
 all: build test
 
@@ -92,3 +92,16 @@ OLD ?= BENCH_baseline.json
 NEW ?= /tmp/pmnet_bench_new.json
 benchdiff:
 	$(GO) run ./cmd/benchdiff $(OLD) $(NEW)
+
+# The size the quality aim is judged by: non-blank, non-comment lines of
+# non-test Go outside bench/ and testdata/, per package directory with its
+# files beneath, and in total. A report, not part of `make ci`.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' -printf '%h %p\n' \
+		| LC_ALL=C sort | cut -d' ' -f2 | xargs awk ' \
+		FNR == 1 { file[++nf] = FILENAME; d = FILENAME; sub(/\/[^\/]*$$/, "", d); \
+			if (d != dir[nd]) dir[++nd] = d; of[nf] = nd } \
+		!/^[ \t]*($$|\/\/)/ { perfile[nf]++; perdir[nd]++; total++ } \
+		END { for (i = 1; i <= nd; i++) { printf "%6d %s\n", perdir[i], dir[i]; \
+			for (j = 1; j <= nf; j++) if (of[j] == i) printf "%12d %s\n", perfile[j], file[j] } \
+			printf "%6d total\n", total }'

@@ -42,6 +42,11 @@ func runOpenLoop(cfg *RunConfig, bed *pmnet.Testbed, mix workload.Mix) (*RunResu
 	if cfg.Arrival.Rate != 0 {
 		return nil, fmt.Errorf("harness: Arrival.Rate is derived from OfferedLoad; leave it zero")
 	}
+	if cfg.Users < cfg.Clients {
+		// Each transport's driver draws from its own slice of the user
+		// population, and a driver with no users has nothing to play.
+		return nil, fmt.Errorf("harness: Users (%d) must be at least Clients (%d)", cfg.Users, cfg.Clients)
+	}
 	// Trace replay swaps the synthetic per-client processes for strided
 	// views of one recorded file; everything downstream (driver, window,
 	// merge order) is identical.
@@ -62,9 +67,6 @@ func runOpenLoop(cfg *RunConfig, bed *pmnet.Testbed, mix workload.Mix) (*RunResu
 	rootRand := sim.NewRand(cfg.Seed + 177)
 	perRate := cfg.OfferedLoad / float64(cfg.Clients)
 	usersPer := cfg.Users / cfg.Clients
-	if usersPer <= 0 {
-		usersPer = 1
-	}
 	perInFlight := cfg.MaxInFlight / cfg.Clients
 	if perInFlight <= 0 {
 		perInFlight = 1

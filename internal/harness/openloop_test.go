@@ -59,6 +59,19 @@ func TestOpenLoopSmoke(t *testing.T) {
 	}
 }
 
+// TestOpenLoopFewerUsersThanClients: every transport's driver needs a user
+// of its own; a population smaller than the transport count is a
+// configuration error Run reports, not a panic inside a driver.
+func TestOpenLoopFewerUsersThanClients(t *testing.T) {
+	cfg := openCfg(7)
+	cfg.Users, cfg.Clients = 4, 16
+	res, err := Run(cfg)
+	const want = "harness: Users (4) must be at least Clients (16)"
+	if err == nil || err.Error() != want {
+		t.Fatalf("Run = %v, %v; want the error %q", res, err, want)
+	}
+}
+
 // TestOpenLoopDeterminism: identical configs must produce identical results —
 // including the exact reservoir contents — on the classic path.
 func TestOpenLoopDeterminism(t *testing.T) {

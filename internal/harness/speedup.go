@@ -57,6 +57,7 @@ func speedupCells(seed uint64) []Cell {
 				if err != nil {
 					panic(fmt.Sprintf("speedup shards=%d: %v", sh, err))
 				}
+				defer res.Release()
 				return speedupCell{
 					Shards: sh,
 					Events: res.Bed.EventsRun(),

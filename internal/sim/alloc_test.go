@@ -7,9 +7,19 @@ package sim
 
 import (
 	"testing"
+	"unsafe"
 
 	"pmnet/internal/raceflag"
 )
+
+// TestNodeSize pins the pooled node to the 64-byte size class: one more word
+// moves every pending event to 80 bytes, which the standing timer population
+// of a saturated run shows as retained heap.
+func TestNodeSize(t *testing.T) {
+	if got := unsafe.Sizeof(node{}); got > 64 {
+		t.Errorf("sizeof(node) = %d, want ≤ 64", got)
+	}
+}
 
 // TestScheduleRunAllocs pins Engine.After + Run to zero steady-state
 // allocations. The first round warms the node pool (and the heap backing
@@ -51,14 +61,14 @@ func BenchmarkEngineSchedule(b *testing.B) {
 }
 
 // BenchmarkEngineScheduleWheel is BenchmarkEngineSchedule with the delay
-// distribution spread across every wheel level and into the overflow list —
-// near-future events dominate (matching network workloads) but each
-// iteration also touches high levels, so cascade and promotion costs are in
-// the measured loop, not hidden behind an L0-only fast path.
+// distribution spread across wheel levels 0 to 6 — near-future events
+// dominate (matching network workloads) but each iteration also touches high
+// levels, so cascade costs are in the measured loop, not hidden behind an
+// L0-only fast path.
 func BenchmarkEngineScheduleWheel(b *testing.B) {
 	e := NewEngine()
 	fn := func() {}
-	delays := [8]Time{1, 3, 17, 63, 1 << 9, 1 << 14, 1 << 20, (Time(1) << topShift) + 5}
+	delays := [8]Time{1, 3, 17, 63, 1 << 9, 1 << 14, 1 << 20, wheelSpan + 5}
 	for i := 0; i < 256; i++ {
 		e.After(delays[i%len(delays)], fn)
 	}
@@ -72,9 +82,8 @@ func BenchmarkEngineScheduleWheel(b *testing.B) {
 
 // BenchmarkCancel measures the schedule→cancel cycle that client retry
 // timers pay on nearly every response: each iteration arms one timer a full
-// timeout ahead and cancels it. Lazy deletion makes the cancel itself O(1);
-// the sweep and compaction costs show up here too, because the standing
-// population forces periodic dead-node reclamation.
+// timeout ahead and cancels it: an unlink from a doubly-linked slot list
+// over a standing population, and the node straight back to the pool.
 func BenchmarkCancel(b *testing.B) {
 	e := NewEngine()
 	fn := func() {}

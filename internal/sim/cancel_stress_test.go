@@ -1,11 +1,11 @@
 package sim
 
-// Cancel-heavy stress of the engine's node pool and heap under epoch-style
+// Cancel-heavy stress of the engine's node pool and wheel under epoch-style
 // bounded execution: the conservative-PDES runner (internal/sim/pdes) drives
 // engines through many short RunUntil windows, so Event handles routinely
 // survive across window boundaries — scheduled in one window, cancelled or
 // fired in a later one. The generation-tagged pool must never let a recycled
-// node leak a stale callback through an old handle, and the heap must stay
+// node leak a stale callback through an old handle, and the wheel must stay
 // consistent through arbitrary interleavings of schedule, cancel, and fire.
 
 import (
@@ -106,11 +106,11 @@ func TestCancelStormAcrossWindows(t *testing.T) {
 
 // TestCancelStormBoundaries repeats the windowed-vs-unwindowed storm with
 // delays aimed at the timer wheel's hazardous edges: level-rollover
-// boundaries (where a pop cascades a whole slot down a level) and the
-// overflow horizon (where far-future events sit in the sorted overflow list
-// until the wheel turns into their segment and promotes them). Cancelled
-// nodes parked exactly on those edges exercise lazy deletion during cascade
-// and during overflow promotion; runs under -race via `make race`/CI.
+// boundaries (where a pop cascades a whole slot down a level) and the 2³⁶
+// horizon (where far-future events wait at level 6 and above until the wheel
+// turns into their segment and cascades them down five levels). Timers
+// cancelled exactly on those edges are unlinked from lists a cascade is
+// about to re-place; runs under -race via `make race`/CI.
 func TestCancelStormBoundaries(t *testing.T) {
 	// One delay generator per hazard zone; each is stormed separately so a
 	// failure names the boundary it broke on.
@@ -126,12 +126,12 @@ func TestCancelStormBoundaries(t *testing.T) {
 			return edge - 4 + Time(r.Intn(8))
 		}},
 		{"overflow-promotion", func(r *Rand) Time {
-			// Half land just inside the wheel span, half just beyond it in
-			// the overflow list; promotion interleaves them back.
+			// Half land just below 2³⁶ at level 5, half just beyond it at
+			// level 6; the cascade interleaves them back.
 			return wheelSpan - 50 + Time(r.Intn(100))
 		}},
 		{"deep-overflow", func(r *Rand) Time {
-			return wheelSpan * Time(1+r.Intn(3)) // multiple whole-wheel turns
+			return wheelSpan * Time(1+r.Intn(3)) // several level-6 slots out
 		}},
 	}
 	for _, zone := range zones {
@@ -191,7 +191,7 @@ func TestCancelStormBoundaries(t *testing.T) {
 					// one window ending just before it (forcing a peek and a
 					// partial cascade toward it) and one just past it. This
 					// lands RunUntil boundaries on cascade/promotion points
-					// without striding the whole overflow horizon.
+					// without striding the whole 2³⁶ horizon.
 					for {
 						nt, ok := eng.NextTime()
 						if !ok {
@@ -259,34 +259,27 @@ func TestCancelStormAllocs(t *testing.T) {
 	}
 }
 
-// TestCancelZombieBound pins the compaction trigger: over a standing
-// population of long timers (the device's EntryTTL timers at saturation),
-// a stream of schedule-then-cancel pairs (client retransmission timers) may
-// park at most as many dead nodes as there are live ones, and a sweep may
-// come no more often than once per live-population's worth of cancels.
-func TestCancelZombieBound(t *testing.T) {
+// TestCancelLeavesNoZombie: over a standing population of long timers (the
+// device's EntryTTL timers at saturation), a stream of schedule-then-cancel
+// pairs (client retransmission timers) reuses one pooled node: a cancelled
+// node is back in the pool before Cancel returns, never parked in the wheel.
+func TestCancelLeavesNoZombie(t *testing.T) {
 	eng := NewEngine()
 	nop := func() {}
 	const standing = 1000
 	for i := 0; i < standing; i++ {
 		eng.After(Time(5_000_000+i), nop)
 	}
-	sweeps := 0
 	for i := 0; i < 20*standing; i++ {
-		ev := eng.After(1_000_000, nop)
-		before := eng.dead
-		ev.Cancel()
-		if eng.dead <= before {
-			sweeps++
+		eng.After(1_000_000, nop).Cancel()
+		if len(eng.free) != 1 {
+			t.Fatalf("cancel %d: %d nodes in the pool, want the one just cancelled", i, len(eng.free))
 		}
-		if eng.dead > max(compactMin, eng.live) {
-			t.Fatalf("cancel %d: %d dead nodes parked over %d live", i, eng.dead, eng.live)
+		if eng.Pending() != standing {
+			t.Fatalf("cancel %d: Pending() = %d, want the %d standing timers", i, eng.Pending(), standing)
 		}
 	}
-	if sweeps == 0 || sweeps > 20 {
-		t.Fatalf("%d sweeps over %d cancels on %d live timers, want 1..20", sweeps, 20*standing, standing)
-	}
-	if eng.Pending() != standing {
-		t.Fatalf("Pending() = %d, want the %d standing timers", eng.Pending(), standing)
+	if err := checkWheel(eng, standing+1); err != nil {
+		t.Fatal(err)
 	}
 }

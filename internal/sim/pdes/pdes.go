@@ -403,7 +403,8 @@ func (r *Runner) runShards(st *workerState, w int, wp, rp uint32, runTo sim.Time
 
 // publish writes shard s's next-event time (folded with its outbound pending
 // minimum) and cumulative event count into the given parity slot. Only the
-// worker driving s calls it.
+// worker driving s calls it. Engine.NextTime reads the wheel and moves
+// nothing, so the peek leaves the shard exactly as RunThrough left it.
 func (r *Runner) publish(s int, parity uint32) {
 	m := &r.mins[s]
 	sh := &r.shards[s]

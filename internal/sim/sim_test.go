@@ -62,9 +62,6 @@ func TestEngineCancel(t *testing.T) {
 	if ran {
 		t.Fatal("cancelled event still ran")
 	}
-	if !ev.Cancelled() {
-		t.Fatal("Cancelled() false after Cancel")
-	}
 }
 
 func TestEngineRunUntil(t *testing.T) {

@@ -6,7 +6,8 @@ package sim
 // that schedule and cancel in their turn — and compares what fired, in which
 // order and at what time, Now, Pending and NextTime after every call, and the
 // wheel's own invariants (base ≤ now, every node in the slot its time and
-// base assign it, the live/dead counters). `go test` replays the seeds; `make
+// base assign it and its lvl/slot bytes name, both directions of every list
+// link, no node lost or pooled twice). `go test` replays the seeds; `make
 // fuzz` searches past them.
 
 import (
@@ -29,15 +30,27 @@ const (
 	fzNextTime
 )
 
-// fzSpan decodes a duration from two bytes: a mantissa at one of the six
-// wheel levels or beyond the wheel (overflow list), plus up to 31 ns so times
-// are not all multiples of a slot width.
+// fzSpan decodes a duration from two bytes: a's low three bits name a wheel
+// level 0–6 and b is the mantissa there; level code 7 reads the level, 7–10,
+// from b's top two bits and keeps three bits of mantissa (a fourth would
+// overflow Time at level 10). a's high bits add up to 31 ns so times are not
+// all multiples of a slot width.
 func fzSpan(a, b byte) Time {
-	lvl := uint(a & 7)
-	if lvl > wheelLevels {
-		lvl = wheelLevels
+	lvl, m := uint(a&7), Time(b)
+	if lvl == 7 {
+		lvl, m = 7+uint(b>>6), Time(b&7)
 	}
-	return Time(b)<<(wheelBits*lvl) | Time(a>>3)
+	return m<<(wheelBits*lvl) | Time(a>>3)
+}
+
+// fzLater is now + d, saturating one short of math.MaxInt64 — the deadline
+// RunUntil reads as "forever" and does not park the clock at, which the
+// reference scheduler does not model.
+func fzLater(now, d Time) Time {
+	if d > math.MaxInt64-1-now {
+		return math.MaxInt64 - 1
+	}
+	return now + d
 }
 
 // fzSched is what a schedule needs of a scheduler.
@@ -70,7 +83,7 @@ func fzPlay(t *testing.T, data []byte, s fzSched) []string {
 			if spawn == 0 {
 				return
 			}
-			cancels = append(cancels, s.at(s.now()+fzSpan(spawn, spawn*37), arm(spawn>>1)))
+			cancels = append(cancels, s.at(fzLater(s.now(), fzSpan(spawn, spawn*37)), arm(spawn>>1)))
 			if spawn&1 != 0 {
 				cancels[(id*7)%len(cancels)]()
 			}
@@ -89,9 +102,9 @@ func fzPlay(t *testing.T, data []byte, s fzSched) []string {
 		switch op & 7 {
 		case fzAt, fzAtAgain:
 			a, b := arg(), arg()
-			cancels = append(cancels, s.at(s.now()+fzSpan(a, b), arm(arg())))
+			cancels = append(cancels, s.at(fzLater(s.now(), fzSpan(a, b)), arm(arg())))
 		case fzAfter:
-			d := fzSpan(arg(), arg())
+			d := fzLater(s.now(), fzSpan(arg(), arg())) - s.now()
 			if op&8 != 0 {
 				d = -d
 			}
@@ -101,16 +114,15 @@ func fzPlay(t *testing.T, data []byte, s fzSched) []string {
 				cancels[k%len(cancels)]()
 			}
 		case fzRunThrough:
-			fired := s.runThrough(s.now() + fzSpan(arg(), arg()))
+			fired := s.runThrough(fzLater(s.now(), fzSpan(arg(), arg())))
 			log = append(log, fmt.Sprintf("runThrough fired=%v", fired))
 		case fzRunUntil:
-			s.runUntil(s.now() + fzSpan(arg(), arg()))
+			s.runUntil(fzLater(s.now(), fzSpan(arg(), arg())))
 		case fzStep:
 			log = append(log, fmt.Sprintf("step ran=%v", s.step()))
 		case fzNextTime:
-			// Only on request: the wheel's peek frees the cancelled nodes it
-			// walks over, and a peek after every op would hide what a pop
-			// does when it meets them first.
+			// On request, and logged: the peek must agree with the reference
+			// and, being pure, leave every later entry of the log as it was.
 			at, ok := s.nextTime()
 			log = append(log, fmt.Sprintf("next=%d,%v", at, ok))
 		}
@@ -127,29 +139,33 @@ func fzPlay(t *testing.T, data []byte, s fzSched) []string {
 	return log
 }
 
-// checkWheel verifies the engine's structural invariants: base ≤ now, the
-// live and dead counters, and every queued node sitting in the slot that its
-// time and the current base assign it (at ≥ base follows).
-func checkWheel(e *Engine) error {
+// checkWheel verifies the engine's structural invariants: base ≤ now; every
+// slot list well formed in both directions (head.prev nil, n.next.prev == n,
+// tail the last node) with its occupancy bit set exactly when it is not
+// empty; every node in the slot that its time and the current base assign it
+// (at ≥ base follows) and that its lvl/slot bytes name; the pending counter;
+// and, of the allocated nodes the engine has ever made, each either in the
+// wheel or in the pool, once.
+func checkWheel(e *Engine, allocated int) error {
 	if e.base > e.now {
 		return fmt.Errorf("base %d passed now %d", e.base, e.now)
 	}
-	live, dead := 0, 0
-	count := func(n *node) {
-		if n.dead {
-			dead++
-		} else {
-			live++
-		}
-	}
+	queued := 0
 	for lvl := 0; lvl < wheelLevels; lvl++ {
 		for slot := 0; slot < wheelSlots; slot++ {
 			l := &e.slots[lvl][slot]
 			if (l.head != nil) != (e.occ[lvl]&(1<<uint(slot)) != 0) {
 				return fmt.Errorf("level %d slot %d: occupancy bit disagrees with the list", lvl, slot)
 			}
-			for n := l.head; n != nil; n = n.next {
-				count(n)
+			var prev *node
+			for n := l.head; n != nil; prev, n = n, n.next {
+				queued++
+				if n.prev != prev {
+					return fmt.Errorf("level %d slot %d: node at %d has a prev that is not its predecessor", lvl, slot, n.at)
+				}
+				if int(n.lvl) != lvl || int(n.slot) != slot {
+					return fmt.Errorf("node at %d in level %d slot %d says it is in level %d slot %d", n.at, lvl, slot, n.lvl, n.slot)
+				}
 				if n.at < e.base {
 					return fmt.Errorf("level %d slot %d: node at %d below base %d", lvl, slot, n.at, e.base)
 				}
@@ -163,33 +179,39 @@ func checkWheel(e *Engine) error {
 						n.at, e.base, lvl, slot, wantLvl, wantSlot)
 				}
 			}
-		}
-	}
-	for i, n := range e.ov[e.ovOff:] {
-		count(n)
-		if i > 0 {
-			if p := e.ov[e.ovOff+i-1]; p.at > n.at || (p.at == n.at && p.seq > n.seq) {
-				return fmt.Errorf("overflow list out of order at %d", i)
+			if l.tail != prev {
+				return fmt.Errorf("level %d slot %d: tail is not the list's last node", lvl, slot)
 			}
 		}
 	}
-	if live != e.live || dead != e.dead {
-		return fmt.Errorf("queued live/dead = %d/%d, counters say %d/%d", live, dead, e.live, e.dead)
+	if queued != e.pending {
+		return fmt.Errorf("%d nodes queued, the counter says %d", queued, e.pending)
+	}
+	if queued+len(e.free) != allocated {
+		return fmt.Errorf("%d nodes queued + %d pooled, %d allocated", queued, len(e.free), allocated)
 	}
 	return nil
 }
 
 func wheelFzSched(e *Engine) fzSched {
+	// An At that finds the pool empty allocates: counted here, not in the
+	// engine, for checkWheel's no-node-lost check.
+	allocated := 0
+	get := func() {
+		if len(e.free) == 0 {
+			allocated++
+		}
+	}
 	return fzSched{
 		now:        e.Now,
-		at:         func(t Time, fn func()) func() { return e.At(t, fn).Cancel },
-		after:      func(d Time, fn func()) func() { return e.After(d, fn).Cancel },
+		at:         func(t Time, fn func()) func() { get(); return e.At(t, fn).Cancel },
+		after:      func(d Time, fn func()) func() { get(); return e.After(d, fn).Cancel },
 		runThrough: e.RunThrough,
 		runUntil:   e.RunUntil,
 		step:       e.Step,
 		nextTime:   e.NextTime,
 		pending:    e.Pending,
-		check:      func() error { return checkWheel(e) },
+		check:      func() error { return checkWheel(e, allocated) },
 	}
 }
 
@@ -224,16 +246,16 @@ func refFzSched(s *refSched) fzSched {
 // jit packs a level and a low-bits offset into a span's first byte.
 func jit(lvl, low byte) byte { return lvl | low<<3 }
 
-// fzSeeds are the schedules `go test` replays. The first is the invariant a
-// one-pass pop can break: a slot holding only cancelled nodes must not pull
-// base past now, or the next At below base is misplaced (the event at 4116
-// would fire before the one at 10).
+// fzSeeds are the schedules `go test` replays. The first is an invariant a
+// pop can break: draining a queue whose only timer was cancelled must not
+// pull base past now, or the next At below base is misplaced (the event at
+// 4116 would fire before the one at 10).
 var fzSeeds = [][]byte{
 	{ // a far timer, cancelled; drain; then schedule inside and below its slot
 		fzAt, jit(2, 8), 1, 0, // id 0 at 4104: level 2, slot 1
 		fzCancel, 0,
-		fzRunThrough, 6, 255, // drains: nothing is live
-		fzAt, jit(2, 20), 1, 0, // id 1 at 4116, the dead node's slot
+		fzRunThrough, 6, 255, // drains: nothing is pending
+		fzAt, jit(2, 20), 1, 0, // id 1 at 4116, the cancelled timer's slot
 		fzAt, 0, 10, 0, // id 2 at 10
 		fzStep, fzStep, fzStep,
 	},
@@ -255,7 +277,7 @@ var fzSeeds = [][]byte{
 		fzRunUntil, 0, 10,
 		fzRunThrough, 1, 2,
 	},
-	{ // the only node due inside the slot is a cancelled one behind a live head
+	{ // the only node due inside the slot was cancelled from behind the head
 		fzAt, 0, 100, 0, // id 0 at 100, the head of level 1 slot 1
 		fzAt, jit(1, 6), 1, 0, // id 1 at 70, behind it
 		fzCancel, 1,
@@ -274,7 +296,7 @@ var fzSeeds = [][]byte{
 		fzAt, 0, 1, 0,
 		fzRunUntil, 2, 1,
 	},
-	{ // overflow list: a deadline short of the segment, then into it
+	{ // level 6 (2³⁶): a deadline short of the slot, then into it
 		fzAt, 6, 1, 0,
 		fzAt, 6, 1, 3,
 		fzAt, 6, 2, 0,
@@ -284,7 +306,7 @@ var fzSeeds = [][]byte{
 		fzRunThrough, 6, 1,
 		fzStep,
 	},
-	{ // a cancel storm large enough to trigger compaction mid-schedule
+	{ // a cancel storm over several levels, mid-schedule
 		fzAt, 1, 1, 255, fzAt, 1, 2, 255, fzAt, 1, 3, 255, fzAt, 1, 4, 255,
 		fzAt, 2, 1, 255, fzAt, 2, 2, 255, fzAt, 3, 1, 255, fzAt, 0, 9, 255,
 		fzRunThrough, 3, 2,
@@ -292,6 +314,55 @@ var fzSeeds = [][]byte{
 		fzCancel, 7, fzCancel, 8, fzCancel, 9, fzCancel, 10, fzCancel, 11, fzCancel, 12,
 		fzCancel, 13, fzCancel, 14, fzCancel, 15, fzCancel, 16, fzCancel, 17, fzCancel, 18,
 		fzRunUntil, 4, 1,
+	},
+	{ // times at 2³⁶ − 1, 2³⁶ and 2³⁶ + 1: the level-5/6 boundary from below
+		fzRunUntil, 5, 63, fzRunUntil, 4, 63, fzRunUntil, 3, 63, fzRunUntil, 2, 63,
+		fzRunUntil, 1, 63, // now = 2³⁶ − 64, base still 0
+		fzAt, 0, 65, 0, // 2³⁶ + 1: level 6
+		fzAt, 0, 63, 1, // 2³⁶ − 1: level 5, spawning
+		fzAt, 0, 64, 0, // 2³⁶
+		fzAt, 0, 65, 0, // 2³⁶ + 1 again, behind the first
+		fzNextTime,
+		fzStep,
+		fzCancel, 0, // the head of the level-6 slot, before its cascade
+		fzNextTime,
+		fzRunThrough, 0, 1,
+		fzAt, 0, 1, 0,
+		fzStep, fzStep, fzStep,
+	},
+	{ // levels 7 to 10, 2⁶⁰, and times saturating at math.MaxInt64 − 1
+		fzAt, 7, 0x01, 0, // 2⁴²: level 7
+		fzAt, 7, 0x42, 3, // 2·2⁴⁸: level 8, spawning and cancelling
+		fzAt, 7, 0x83, 0, // 3·2⁵⁴: level 9
+		fzAt, 7, 0xC1, 0, // 2⁶⁰: level 10
+		fzAt, jit(7, 5), 0xC1, 0, // 2⁶⁰ + 5
+		fzAt, 7, 0xC7, 0, // 7·2⁶⁰, level 10's last slot
+		fzNextTime,
+		fzCancel, 2,
+		fzRunThrough, 7, 0xC1, // through 2⁶⁰ exactly
+		fzNextTime,
+		fzRunUntil, 7, 0xC6, // to 7·2⁶⁰
+		fzAt, 7, 0xC7, 1, // saturates: math.MaxInt64 − 1
+		fzAt, jit(7, 31), 0xC1, 0, // and so does this, behind it
+		fzAfter, 7, 0xC7, // and this: three timers at one time, level 10
+		fzCancel, 9, // the middle one
+		fzStep,
+		fzAt, 0, 1, 0,
+		fzRunUntil, 7, 0xC7,
+	},
+	{ // every timer of one slot cancelled one by one: middle, head, tail, only
+		fzAt, 0, 70, 0, fzAt, 0, 80, 0, fzAt, 0, 90, 0, fzAt, 0, 100, 0, // level 1, slot 1
+		fzAt, jit(2, 9), 1, 0, // 4105, so the queue is not empty after
+		fzCancel, 1,
+		fzCancel, 0,
+		fzCancel, 3,
+		fzNextTime,
+		fzCancel, 2, // the slot's occupancy bit goes with it
+		fzNextTime,
+		fzAt, 0, 75, 0, // into the emptied slot
+		fzCancel, 2, // a spent handle: inert
+		fzStep,
+		fzRunThrough, 2, 2,
 	},
 }
 

@@ -1,24 +1,24 @@
 package sim
 
-// Tests specific to the hierarchical timer wheel: live-only Pending/NextTime
-// under lazy cancellation, FIFO exactness across cascade (rollover)
-// boundaries, overflow-level promotion, and a randomized equivalence check
-// against a trivially-correct reference scheduler.
+// Tests specific to the hierarchical timer wheel: Pending/NextTime after a
+// cancel, FIFO exactness across cascade (rollover) boundaries, times past
+// 2³⁶ (levels 6 and up), and a randomized equivalence check against a
+// trivially-correct reference scheduler. Cancel's unlinking has its own file,
+// cancel_test.go.
 
 import (
 	"fmt"
 	"testing"
 )
 
-// wheelSpan is the virtual width of the whole wheel: events scheduled
-// farther than this from base land in the sorted overflow list.
-const wheelSpan = Time(1) << topShift
+// wheelSpan is the level-5/6 boundary, 2³⁶ ns ≈ 68.7 s: where a six-level
+// wheel ended and its overflow list began. The tests that aimed at that edge
+// keep aiming at it — it is still a level rollover, five cascades deep.
+const wheelSpan = Time(1) << 36
 
-// TestPendingSkipsCancelledHead is the lazy-cancellation regression test:
-// a cancelled node stays linked in the wheel until the sweeper or the wheel
-// itself reaches it, but it must stop counting toward Pending and must be
-// invisible to NextTime immediately — even (especially) when it is the head
-// node the old eager implementation would have removed.
+// TestPendingSkipsCancelledHead: a cancelled event stops counting toward
+// Pending and is invisible to NextTime immediately — even (especially) when
+// it was the head of the earliest slot, at every depth of the wheel.
 func TestPendingSkipsCancelledHead(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -63,8 +63,8 @@ func TestPendingSkipsCancelledHead(t *testing.T) {
 	}
 }
 
-// TestNextTimeAllCancelled: when every queued node is dead the engine must
-// report empty, and RunUntil must advance the clock exactly as it does for a
+// TestNextTimeAllCancelled: when every event has been cancelled the engine
+// must report empty, and RunUntil must advance the clock exactly as it does for a
 // genuinely empty queue.
 func TestNextTimeAllCancelled(t *testing.T) {
 	e := NewEngine()
@@ -109,10 +109,10 @@ func TestWheelFIFOAcrossCascade(t *testing.T) {
 	}
 }
 
-// TestOverflowPromotion drives events through the overflow list: far-future
-// times beyond the wheel span must be held, promoted when the wheel turns
-// into their segment, and interleave correctly with near events and with
-// equal-time events scheduled directly after promotion.
+// TestOverflowPromotion drives events through level 6: far-future times
+// beyond 2³⁶ must be held, cascaded down when the wheel turns into their
+// segment, and interleave correctly with near events and with equal-time
+// events scheduled directly after.
 func TestOverflowPromotion(t *testing.T) {
 	e := NewEngine()
 	var got []string
@@ -328,8 +328,8 @@ func TestWheelMatchesReference(t *testing.T) {
 	}
 }
 
-// TestStopLeavesQueueIntact: Stop during a run must leave live events
-// queued and resumable — including events parked in the overflow list.
+// TestStopLeavesQueueIntact: Stop during a run must leave pending events
+// queued and resumable — including one parked at level 6.
 func TestStopLeavesQueueIntact(t *testing.T) {
 	e := NewEngine()
 	fired := 0
@@ -349,14 +349,13 @@ func TestStopLeavesQueueIntact(t *testing.T) {
 	}
 }
 
-// TestDeadOnlySlotKeepsBase: a slot that holds nothing but lazily cancelled
-// nodes must be emptied where it stands — opening it would advance base past
-// now, and the next At below base would be misplaced (here: 4116, landing in
-// level 0 of a wheel based at 4096, would fire before 10, and the clock would
-// run backwards). The pop that cannot tell is the one-pass one, which no
-// longer has NextTime's dead-head stripping in front of it; drained by Run
-// and by Step, checked against the reference scheduler.
-func TestDeadOnlySlotKeepsBase(t *testing.T) {
+// TestDrainAllCancelledKeepsBase: draining a queue whose every timer was
+// cancelled fires nothing and leaves base ≤ now, so later schedules — inside
+// the cancelled timer's old slot, below it, and at its very time — fire in
+// reference order. (Were base to move to that slot's start, 4096, the At at
+// 10 would be misplaced and the clock would run backwards.) Drained by Run,
+// by Step and by RunThrough.
+func TestDrainAllCancelledKeepsBase(t *testing.T) {
 	drains := map[string]func(*Engine){
 		"Run":  func(e *Engine) { e.Run() },
 		"Step": func(e *Engine) { e.Step() },
@@ -374,7 +373,7 @@ func TestDeadOnlySlotKeepsBase(t *testing.T) {
 			e.At(5000, func() { t.Fatal("cancelled timer fired") }).Cancel()
 			drain(e)
 			if e.base > e.Now() {
-				t.Fatalf("draining a dead-only slot moved base to %d, past now %d", e.base, e.Now())
+				t.Fatalf("draining an all-cancelled queue moved base to %d, past now %d", e.base, e.Now())
 			}
 			for _, at := range []Time{4116, 10, 5000, 4097} {
 				at := at
