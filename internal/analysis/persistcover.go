@@ -13,7 +13,9 @@ import (
 //
 // The check is intraprocedural and conservative: a function that calls
 // Device.WriteAt must also call Device.Persist or Device.PersistAll
-// somewhere in its own body. Helpers that intentionally delegate the
+// somewhere in its own body. Device.WriteThrough and WriteThroughGroup are a
+// write and the persist of exactly its range in one call: nothing to cover,
+// and no barrier for any other write. Helpers that intentionally delegate the
 // barrier to their caller (write-many-then-persist-once batching) must say
 // so with `//pmnetlint:ignore persistcover <reason>` on the write, which
 // doubles as documentation of the durability contract.
@@ -40,6 +42,8 @@ var PersistcoverAnalyzer = &Analyzer{
 						writes = append(writes, call)
 					case "Persist", "PersistAll":
 						persisted = true
+					case "WriteThrough", "WriteThroughGroup":
+						// Persisted by itself; covers nothing else.
 					}
 					return true
 				})

@@ -14,7 +14,8 @@ import (
 // *before* the acknowledgement leaves the device (PAPER §IV-B, Figure 3
 // step 6') — as a static property of server/dataplane handler code: on every
 // control-flow path from a pmem write (pmem.Device.WriteAt, or a buffered
-// pmobj transaction write) to an ACK/response send (netsim.Host.Send,
+// pmobj transaction write; a Device.WriteThrough is written and persisted in
+// one call, so it is neither a write nor a barrier) to an ACK/response send (netsim.Host.Send,
 // netsim.Network.Transmit), a persist barrier (Device.Persist/PersistAll, or
 // pmobj Tx.Commit) must intervene.
 //
@@ -297,6 +298,10 @@ func (pa *poAnalysis) classify(call *ast.CallExpr) (poEffect, *types.Func) {
 				return poWrite, nil
 			case "Persist", "PersistAll":
 				return poBarrier, nil
+			case "WriteThrough", "WriteThroughGroup":
+				// A write and the persist of exactly its range: it leaves
+				// nothing pending and clears nothing pending before it.
+				return poNone, nil
 			}
 		case pkgBase == "pmobj" && recv == "Tx":
 			switch fn.Name() {

@@ -51,3 +51,15 @@ func okDelegated(d *pmem.Device, p []byte) error {
 	//pmnetlint:ignore persistcover fixture: barrier delegated to caller for write batching
 	return d.WriteAt(p, 128)
 }
+
+// okWriteThrough: a write-through is a write and the persist of its range.
+func okWriteThrough(d *pmem.Device, p []byte) error {
+	return d.WriteThrough(p, 0)
+}
+
+// badWriteBesideWriteThrough: a write-through persists its own range only,
+// so it is no barrier for a bare WriteAt beside it.
+func badWriteBesideWriteThrough(d *pmem.Device, p []byte) {
+	_ = d.WriteThroughGroup(p, 0, 2)
+	_ = d.WriteAt(p, 64) // want "never persisted"
+}

@@ -25,6 +25,20 @@ func badSendBeforePersist(d *pmem.Device, h *netsim.Host, p []byte, pkt *netsim.
 	_ = d.Persist(0, len(p))
 }
 
+// okWriteThroughSend: a write-through is durable when it returns.
+func okWriteThroughSend(d *pmem.Device, h *netsim.Host, p []byte, pkt *netsim.Packet) {
+	_ = d.WriteThrough(p, 0)
+	h.Send(pkt)
+}
+
+// badWriteThroughIsNoBarrier: the write-through persists its own range, not
+// the bare write before it.
+func badWriteThroughIsNoBarrier(d *pmem.Device, h *netsim.Host, p []byte, pkt *netsim.Packet) {
+	_ = d.WriteAt(p, 0)
+	_ = d.WriteThroughGroup(p, 64, 2)
+	h.Send(pkt) // want "not yet persisted"
+}
+
 // --- path sensitivity: the acceptance-criteria case ----------------------
 
 // badBranchLosesPersist is the seeded bug from the issue: the persist exists

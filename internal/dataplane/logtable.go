@@ -213,17 +213,14 @@ func (t *LogTable) Insert(msg protocol.Message, dst int, stats *LogStats, onPers
 	return insertAccepted
 }
 
-// reclaim writes the tombstone and clears the mirror. Invalidation uses a
-// dedicated single-byte PM write that does not contend for log-queue space
-// (the paper's separate read/write log queues; a 1-byte tombstone is far
-// below the queue's granularity).
+// reclaim writes the tombstone through (written and persisted) and clears
+// the mirror. Invalidation uses a dedicated single-byte PM write that does
+// not contend for log-queue space (the paper's separate read/write log
+// queues; a 1-byte tombstone is far below the queue's granularity).
 func (t *LogTable) reclaim(idx int, stats *LogStats) {
 	off := t.slotOffset(idx)
-	if err := t.dev.WriteAt([]byte{0}, off); err != nil {
+	if err := t.dev.WriteThrough([]byte{0}, off); err != nil {
 		panic("dataplane: tombstone write failed: " + err.Error())
-	}
-	if err := t.dev.Persist(off, 1); err != nil {
-		panic("dataplane: tombstone persist failed: " + err.Error())
 	}
 	if t.slots[idx].state == slotValid {
 		t.live--

@@ -210,9 +210,10 @@ type OpenLoopResult struct {
 
 // workloadDef is one row of the workload table: everything that differs
 // between workloads. server builds the application handler on its arena (nil
-// when it keeps no store) plus the prefill run before measurement; gen is one
-// closed-loop client's request stream; mix is the open loop's action source,
-// shared by every client's driver.
+// when it keeps no store) plus the prefill run before measurement; gen builds
+// what a run's closed-loop request streams share and returns the maker of one
+// client's stream; mix is the open loop's action source, shared by every
+// client's driver.
 type workloadDef struct {
 	server serverFunc
 	gen    genFunc
@@ -221,7 +222,8 @@ type workloadDef struct {
 
 type (
 	serverFunc func(cfg *RunConfig) (handler pmnet.Handler, arena *pmobj.Arena, prefill func(), err error)
-	genFunc    func(cfg *RunConfig, clientID int, r *sim.Rand) workload.Generator
+	genFunc    func(cfg *RunConfig) clientGen
+	clientGen  func(clientID int, r *sim.Rand) workload.Generator
 )
 
 var workloads = map[Workload]workloadDef{
@@ -314,13 +316,16 @@ func prefillTimelines(_ *RunConfig, store *rediskv.Store) {
 	}
 }
 
-func ycsbGen(cfg *RunConfig, _ int, r *sim.Rand) workload.Generator {
-	return workload.NewYCSB(r, workload.YCSBConfig{
+// ycsbGen builds one YCSB factory per run: a zipfian table is an n-term sum,
+// and every client of the run draws from the same keyspace.
+func ycsbGen(cfg *RunConfig) clientGen {
+	f := workload.NewYCSBFactory(workload.YCSBConfig{
 		Keys:        cfg.Keys,
 		UpdateRatio: cfg.UpdateRatio,
 		ValueSize:   cfg.ValueSize,
 		Zipfian:     cfg.Zipfian,
 	})
+	return func(_ int, r *sim.Rand) workload.Generator { return f.New(r) }
 }
 
 func kvMix(cfg *RunConfig) workload.Mix {
@@ -329,9 +334,9 @@ func kvMix(cfg *RunConfig) workload.Mix {
 
 // A closed-loop Twitter run has 1000 users, the population prefillTimelines
 // seeds; an open-loop one has the run's logical users.
-func twitterGen(cfg *RunConfig, clientID int, r *sim.Rand) workload.Generator {
-	return workload.NewTwitter(r, clientID, workload.TwitterConfig{
-		Users: 1000, UpdateRatio: cfg.UpdateRatio, PostLen: cfg.ValueSize})
+func twitterGen(cfg *RunConfig) clientGen {
+	tc := workload.TwitterConfig{Users: 1000, UpdateRatio: cfg.UpdateRatio, PostLen: cfg.ValueSize}
+	return func(clientID int, r *sim.Rand) workload.Generator { return workload.NewTwitter(r, clientID, tc) }
 }
 
 func twitterMix(cfg *RunConfig) workload.Mix {
@@ -339,8 +344,9 @@ func twitterMix(cfg *RunConfig) workload.Mix {
 		Users: cfg.Users, UpdateRatio: cfg.UpdateRatio, PostLen: cfg.ValueSize})
 }
 
-func tpccGen(cfg *RunConfig, clientID int, r *sim.Rand) workload.Generator {
-	return workload.NewTPCC(r, clientID, workload.TPCCConfig{UpdateRatio: cfg.UpdateRatio})
+func tpccGen(cfg *RunConfig) clientGen {
+	tc := workload.TPCCConfig{UpdateRatio: cfg.UpdateRatio}
+	return func(clientID int, r *sim.Rand) workload.Generator { return workload.NewTPCC(r, clientID, tc) }
 }
 
 func tpccMix(cfg *RunConfig) workload.Mix {
@@ -389,7 +395,7 @@ func Run(cfg RunConfig) (*RunResult, error) {
 	if cfg.OfferedLoad > 0 || cfg.ArrivalTrace != "" {
 		res, err = runOpenLoop(&cfg, bed, wl.mix(&cfg))
 	} else {
-		res, err = runClosedLoop(&cfg, bed, wl.gen)
+		res, err = runClosedLoop(&cfg, bed, wl.gen(&cfg))
 	}
 	if err != nil {
 		return nil, err
@@ -453,7 +459,7 @@ func (c *partCountdown) unfinished() int {
 // on how partitions interleave across engines. Slots merge in partition
 // order after bed.Run() returns. With one partition (the default) that is
 // one histogram recorded in global event order.
-func runClosedLoop(cfg *RunConfig, bed *pmnet.Testbed, gen genFunc) (*RunResult, error) {
+func runClosedLoop(cfg *RunConfig, bed *pmnet.Testbed, gen clientGen) (*RunResult, error) {
 	rootRand := sim.NewRand(cfg.Seed + 77)
 	slots := make([]partSlot, bed.Partitions())
 	clients := newPartCountdown(bed)
@@ -467,7 +473,7 @@ func runClosedLoop(cfg *RunConfig, bed *pmnet.Testbed, gen genFunc) (*RunResult,
 		seen := 0
 		d := &workload.Driver{
 			Sess: bed.Session(i),
-			Gen:  gen(cfg, i, rootRand.Fork()),
+			Gen:  gen(i, rootRand.Fork()),
 			Record: func(lat sim.Time, op workload.Op) {
 				seen++
 				if seen <= cfg.Warmup {

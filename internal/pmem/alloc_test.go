@@ -64,7 +64,7 @@ func TestPersistAllocs(t *testing.T) {
 }
 
 // TestQueueWriteAllocs pins a queued log write, TryWrite through its
-// completion's writeThrough, to zero allocations.
+// completion's WriteThrough, to zero allocations.
 func TestQueueWriteAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("AllocsPerRun is unreliable under the race detector")
@@ -84,8 +84,9 @@ func TestQueueWriteAllocs(t *testing.T) {
 	if got := testing.AllocsPerRun(100, round); got != 0 {
 		t.Errorf("queued write allocated %.1f objects per round, want 0", got)
 	}
-	if len(d.pre) != 0 {
-		t.Errorf("queued writes saved %d bytes of pre-images, want none", len(d.pre))
+	if len(d.pre) != 0 || d.slot != nil {
+		t.Errorf("queued writes saved %d bytes of pre-images (slot index allocated: %v), want none",
+			len(d.pre), d.slot != nil)
 	}
 }
 

@@ -8,8 +8,10 @@ package pmem
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 	"testing"
 
 	"pmnet/internal/sim"
@@ -204,6 +206,11 @@ func (p *pair) agree(step string) {
 	if !bytes.Equal(durable, ref.durable) {
 		p.t.Fatalf("%s: durable state differs from the model's persistent image", step)
 	}
+	// The per-line slot index exists exactly when a pre-image was ever
+	// saved: a device only written through has none.
+	if (d.slot == nil) != (len(d.pre) == 0) {
+		p.t.Fatalf("%s: slot index allocated %v with %d bytes of pre-images", step, d.slot != nil, len(d.pre))
+	}
 	// A line is dirty exactly when it owns a slot, and the store never
 	// outgrows the most lines that were dirty at once.
 	if d.dirtyLines > p.peak {
@@ -227,6 +234,10 @@ const (
 	opPowerFail
 	opRead
 	opView
+	opWriteThrough
+	opWriteThroughGroup // fill%4 + 1 pieces
+	opReadU64
+	opReadU64s // n%9 words
 	nOps
 )
 
@@ -265,6 +276,57 @@ func (p *prog) persistAll() *prog                 { return p.step(opPersistAll, 
 func (p *prog) powerFail() *prog                  { return p.step(opPowerFail, 0, 0, 0) }
 func (p *prog) read(off, n int) *prog             { return p.step(opRead, off, n, 0) }
 func (p *prog) view(off, n int) *prog             { return p.step(opView, off, n, 0) }
+func (p *prog) writeThrough(off, n int, fill byte) *prog {
+	return p.step(opWriteThrough, off, n, fill)
+}
+func (p *prog) writeThroughGroup(off, n, pieces int) *prog {
+	return p.step(opWriteThroughGroup, off, n, byte(pieces-1))
+}
+func (p *prog) readU64(off int) *prog     { return p.step(opReadU64, off, 0, 0) }
+func (p *prog) readU64s(off, k int) *prog { return p.step(opReadU64s, off, k, 0) }
+
+// writeThroughGroup is what WriteThroughGroup must leave: the range
+// checked whole, then WriteAt of each piece — p cut into pieces parts, the
+// last taking the remainder, so short inputs make empty pieces — and one
+// Persist of the union.
+func (d *refDevice) writeThroughGroup(p []byte, off, pieces int) error {
+	if err := d.check(off, len(p)); err != nil {
+		return err
+	}
+	at := 0
+	for i := 0; i < pieces; i++ {
+		n := len(p) / pieces
+		if i == pieces-1 {
+			n = len(p) - at
+		}
+		if err := d.WriteAt(p[at:at+n], off+at); err != nil {
+			return err
+		}
+		at += n
+	}
+	return d.Persist(off, len(p))
+}
+
+// readU64s is ReadU64s on the model: ReadAt of each word until one fails.
+func (d *refDevice) readU64s(dst []uint64, off int) error {
+	var w [8]byte
+	for i := range dst {
+		if err := d.ReadAt(w[:], off+8*i); err != nil {
+			return err
+		}
+		dst[i] = binary.BigEndian.Uint64(w[:])
+	}
+	return nil
+}
+
+// sameRangeErr fails unless both sides failed or neither did, a failure
+// being ErrOutOfRange: ReadU64 returns it bare, the model's ReadAt wraps it.
+func (p *pair) sameRangeErr(step string, got, want error) {
+	p.t.Helper()
+	if (got == nil) != (want == nil) || (got != nil && (!errors.Is(got, ErrOutOfRange) || !errors.Is(want, ErrOutOfRange))) {
+		p.t.Fatalf("%s: error %v, model %v", step, got, want)
+	}
+}
 
 func FuzzDeviceMatchesTwoImageModel(f *testing.F) {
 	// A capacity that is not a multiple of the line size: the last line is
@@ -288,6 +350,20 @@ func FuzzDeviceMatchesTwoImageModel(f *testing.F) {
 	// ends inside words.
 	f.Add(newProg(4096, 8).write(0, 1000, 1).write(3000, 1000, 2).persist(500, 3000).
 		powerFail().persistAll().b)
+	// Write-throughs that straddle a line boundary over a dirty neighbour and
+	// end in the short last line, a group whose pieces are uneven, empty and
+	// out of range, and a power failure after them: what survives is what
+	// WriteAt + Persist of each range would have left.
+	f.Add(newProg(1000, 64).write(100, 40, 1).writeThrough(120, 20, 2).writeThrough(940, 60, 3).
+		writeThroughGroup(500, 50, 3).writeThroughGroup(990, 10, 4).writeThroughGroup(2, 2, 4).
+		writeThroughGroup(995, 6, 2).writeThrough(1000, 0, 5).write(960, 8, 6).powerFail().b)
+	// Word reads across a line boundary and in the short last line, one that
+	// ends exactly at the capacity, one a byte past it, and batches that run
+	// off either end: a batch counts every word it read before the one that
+	// failed.
+	f.Add(newProg(1000, 24).writeThrough(0, 1000, 7).readU64(20).readU64(992).readU64(993).
+		readU64(-1).readU64s(40, 4).readU64s(976, 3).readU64s(984, 4).readU64s(-8, 2).
+		readU64s(1000, 0).b)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
@@ -341,13 +417,49 @@ func FuzzDeviceMatchesTwoImageModel(f *testing.F) {
 				if !bytes.Equal(got, want) || cap(got) != cap(want) {
 					t.Fatalf("%s: view %x cap %d, model %x cap %d", step, got, cap(got), want, cap(want))
 				}
+			case opWriteThrough, opWriteThroughGroup:
+				if n < 0 {
+					n = 0
+				}
+				buf := make([]byte, n)
+				for j := range buf {
+					buf[j] = steps[5] + byte(j)*7
+				}
+				pieces := 1
+				if steps[0]%nOps == opWriteThroughGroup {
+					pieces += int(steps[5]) % 4
+				}
+				step += fmt.Sprintf(" WriteThroughGroup(%d bytes, %d, %d pieces)", n, off, pieces)
+				var err error
+				if pieces == 1 {
+					err = p.d.WriteThrough(buf, off)
+				} else {
+					err = p.d.WriteThroughGroup(buf, off, pieces)
+				}
+				p.errs(step, err, p.ref.writeThroughGroup(buf, off, pieces))
+			case opReadU64:
+				step += fmt.Sprintf(" ReadU64(%d)", off)
+				got, err := p.d.ReadU64(off)
+				want := make([]uint64, 1)
+				p.sameRangeErr(step, err, p.ref.readU64s(want, off))
+				if got != want[0] {
+					t.Fatalf("%s: read %#x, model %#x", step, got, want[0])
+				}
+			case opReadU64s:
+				k := max(n, 0) % 9
+				step += fmt.Sprintf(" ReadU64s(%d words, %d)", k, off)
+				got, want := make([]uint64, k), make([]uint64, k)
+				p.sameRangeErr(step, p.d.ReadU64s(got, off), p.ref.readU64s(want, off))
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s: read %#x, model %#x", step, got, want)
+				}
 			}
 			p.agree(step)
 		}
 	})
 }
 
-// TestQueueWriteMatchesWriteThenPersist pins writeThrough: every queued write
+// TestQueueWriteMatchesWriteThenPersist pins WriteThrough: every queued write
 // that retires must leave the device as the model's WriteAt followed by
 // Persist of the same range leaves it — also when the range covers lines a
 // plain WriteAt left dirty, when the write is empty, and when the queue and

@@ -15,6 +15,7 @@
 package pmem
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -66,7 +67,9 @@ type Stats struct {
 // since it was last persisted. The invariants:
 //
 //   - a line is dirty exactly when it owns one saved pre-image (slot[line]
-//     names it; the entry is meaningless for a clean line);
+//     names it; the entry is meaningless for a clean line, and the index is
+//     allocated by the first save, so a device that is only ever written
+//     through has none);
 //   - the image with each dirty line replaced by its pre-image is the durable
 //     state, so PowerFail is that substitution and Persist only forgets
 //     pre-images: neither copies a clean line.
@@ -83,7 +86,7 @@ type Device struct {
 	image      []byte
 	dirty      []uint64 // bitset, one bit per line
 	dirtyLines int      // population count of dirty, kept incrementally
-	slot       []uint32 // per line: index of its pre-image in pre, valid while dirty
+	slot       []uint32 // per line: index of its pre-image in pre, valid while dirty; nil until the first save
 	pre        []byte   // pre-image slots, LineSize bytes each
 	freeSlots  []uint32 // slots of pre not owned by a dirty line
 	touched    []uint64 // bitset, one bit per chunk of the image ever written
@@ -119,6 +122,9 @@ func newImage(capacity int) []byte {
 	return make([]byte, capacity)
 }
 
+// lines is the number of lines of the capacity, the last one possibly short.
+func (c Config) lines() int { return (c.Capacity + c.LineSize - 1) / c.LineSize }
+
 // NewDevice creates a zeroed device. It panics on a non-positive capacity or
 // line size: those are construction-time programming errors.
 func NewDevice(cfg Config) *Device {
@@ -128,12 +134,10 @@ func NewDevice(cfg Config) *Device {
 	if cfg.LineSize <= 0 {
 		cfg.LineSize = 256
 	}
-	lines := (cfg.Capacity + cfg.LineSize - 1) / cfg.LineSize
 	return &Device{
 		cfg:     cfg,
 		image:   newImage(cfg.Capacity),
-		dirty:   make([]uint64, (lines+63)/64),
-		slot:    make([]uint32, lines),
+		dirty:   make([]uint64, (cfg.lines()+63)/64),
 		touched: make([]uint64, (cfg.Capacity>>chunkShift)/64+1),
 	}
 }
@@ -229,6 +233,9 @@ func (d *Device) WriteAt(p []byte, off int) error {
 // save copies a line that is about to become dirty into a free pre-image
 // slot, growing the store when every slot is owned.
 func (d *Device) save(line int) {
+	if d.slot == nil {
+		d.slot = make([]uint32, d.cfg.lines())
+	}
 	var s uint32
 	if k := len(d.freeSlots) - 1; k >= 0 {
 		s = d.freeSlots[k]
@@ -252,8 +259,12 @@ func (d *Device) clean(w int, mask uint64) {
 	}
 }
 
-// cleanRange is clean over the lines of the non-empty range [off, off+n).
+// cleanRange is clean over the lines of the non-empty range [off, off+n). A
+// device with no dirty line has nothing to clean, and skips the bitset.
 func (d *Device) cleanRange(off, n int) {
+	if d.dirtyLines == 0 {
+		return
+	}
 	first := off / d.cfg.LineSize
 	last := (off + n - 1) / d.cfg.LineSize
 	for w := first >> 6; w <= last>>6; w++ {
@@ -261,17 +272,25 @@ func (d *Device) cleanRange(off, n int) {
 	}
 }
 
-// writeThrough is WriteAt followed by Persist of the same range, for the log
-// queue's write completion: nothing can fail between the two on the
-// single-threaded virtual clock, so the bytes go straight into the image, no
-// pre-image is saved, and the lines the range touches end clean exactly as
-// the pair leaves them. It counts what the pair counts; like the pair, an
-// empty write counts no persist.
-func (d *Device) writeThrough(p []byte, off int) error {
+// WriteThrough is WriteAt followed by Persist of the same range, for a write
+// that no crash point separates from its barrier (the log queue's write
+// completion, every write of a pmobj commit): nothing can fail between the
+// two on the single-threaded virtual clock, so the bytes go straight into the
+// image, no pre-image is saved, and the lines the range touches end clean
+// exactly as the pair leaves them. It counts what the pair counts; like the
+// pair, an empty write counts no persist.
+func (d *Device) WriteThrough(p []byte, off int) error { return d.WriteThroughGroup(p, off, 1) }
+
+// WriteThroughGroup is WriteThrough of a write made of pieces back to back:
+// p is their concatenation, so it leaves what WriteAt of each piece followed
+// by one Persist of their union leaves, and counts pieces writes, len(p)
+// bytes and — for a non-empty p — one persist. An out-of-range p fails whole
+// and counts nothing.
+func (d *Device) WriteThroughGroup(p []byte, off, pieces int) error {
 	if err := d.check(off, len(p)); err != nil {
 		return err
 	}
-	d.stats.Writes++
+	d.stats.Writes += uint64(pieces)
 	d.stats.BytesWritten += uint64(len(p))
 	if len(p) > 0 {
 		d.touch(off, len(p))
@@ -290,6 +309,41 @@ func (d *Device) ReadAt(p []byte, off int) error {
 	copy(p, d.image[off:])
 	d.stats.Reads++
 	d.stats.BytesRead += uint64(len(p))
+	return nil
+}
+
+// ReadU64 is ReadAt of the big-endian word at off without the slice: one
+// bounds check, one read of 8 bytes counted, and ErrOutOfRange itself on a
+// word outside the device.
+func (d *Device) ReadU64(off int) (uint64, error) {
+	if off < 0 || off > len(d.image)-8 {
+		return 0, ErrOutOfRange
+	}
+	d.stats.Reads++
+	d.stats.BytesRead += 8
+	return binary.BigEndian.Uint64(d.image[off:]), nil
+}
+
+// ReadU64s is ReadU64 of the len(dst) consecutive words from off into dst,
+// counted as that many reads. A range that leaves the device reads word by
+// word up to the first word outside it, counting each word read, and returns
+// that word's error.
+func (d *Device) ReadU64s(dst []uint64, off int) error {
+	if off < 0 || off > len(d.image)-8*len(dst) {
+		for i := range dst {
+			v, err := d.ReadU64(off + 8*i)
+			if err != nil {
+				return err
+			}
+			dst[i] = v
+		}
+		return nil
+	}
+	for i := range dst {
+		dst[i] = binary.BigEndian.Uint64(d.image[off+8*i:])
+	}
+	d.stats.Reads += uint64(len(dst))
+	d.stats.BytesRead += 8 * uint64(len(dst))
 	return nil
 }
 

@@ -71,7 +71,7 @@ func (q *Queue) complete(op *pmOp) {
 	q.used -= op.n
 	q.flight--
 	if op.write {
-		if err := q.dev.writeThrough(op.buf[:op.n], op.off); err != nil {
+		if err := q.dev.WriteThrough(op.buf[:op.n], op.off); err != nil {
 			panic("pmem: queued write out of range: " + err.Error())
 		}
 		done := op.done

@@ -78,8 +78,8 @@ func TestRecycledDeviceIsZero(t *testing.T) {
 	if err := old.Persist(0, 1); !errors.Is(err, ErrOutOfRange) {
 		t.Errorf("Persist on a released device: %v", err)
 	}
-	if err := old.writeThrough(buf[:1], 0); !errors.Is(err, ErrOutOfRange) {
-		t.Errorf("writeThrough on a released device: %v", err)
+	if err := old.WriteThrough(buf[:1], 0); !errors.Is(err, ErrOutOfRange) {
+		t.Errorf("WriteThrough on a released device: %v", err)
 	}
 	old.PowerFail()
 	old.Release() // a second release must not put the image on the list twice

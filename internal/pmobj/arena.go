@@ -105,15 +105,12 @@ func Open(dev *pmem.Device, redoBytes int) (*Arena, error) {
 		}
 		return a, nil
 	}
-	// Format.
-	a.writeU64(offMagic, magic)
-	a.writeU64(offBump, uint64(a.dataBase))
-	a.writeU64(offRoot, 0)
-	for c := 0; c < nClasses; c++ {
-		a.writeU64(uint64(offFreeBase+8*c), 0)
-	}
-	a.writeU64(uint64(headerSize), 0) // empty redo: committed flag zero
-	a.persist(0, headerSize+16)
+	// Format: the header words and the empty redo log's committed flag, the
+	// 17 words Open always wrote, in one write-through group.
+	var hdr [headerSize + 8]byte
+	binary.BigEndian.PutUint64(hdr[offMagic:], magic)
+	binary.BigEndian.PutUint64(hdr[offBump:], uint64(a.dataBase))
+	a.writeThrough(hdr[:], 0, len(hdr)/8)
 	return a, nil
 }
 
@@ -125,23 +122,21 @@ func (a *Arena) Stats() ArenaStats { return a.stats }
 
 // low-level helpers -------------------------------------------------------
 
-func (a *Arena) readU64(off uint64) uint64 { return binary.BigEndian.Uint64(a.View(off, 8)) }
-
-// writeU64 stores a big-endian u64 without persisting it. Durability is the
-// caller's contract: callers batch several header words and cover them with
-// one a.persist barrier (see Open, recover, Commit).
-func (a *Arena) writeU64(off, v uint64) {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], v)
-	//pmnetlint:ignore persistcover barrier delegated to caller: header words are batched under one a.persist
-	if err := a.dev.WriteAt(b[:], int(off)); err != nil {
-		panic("pmobj: write: " + err.Error())
+func (a *Arena) readU64(off uint64) uint64 {
+	v, err := a.dev.ReadU64(int(off))
+	if err != nil {
+		panic("pmobj: read: " + err.Error())
 	}
+	return v
 }
 
-func (a *Arena) persist(off, n int) {
-	if err := a.dev.Persist(off, n); err != nil {
-		panic("pmobj: persist: " + err.Error())
+// writeThrough writes p at off and persists it (pmem.Device.WriteThroughGroup):
+// every write of the arena is one with its barrier, no crash point between
+// them, so none leaves a line dirty. pieces is how many device writes p
+// stands for.
+func (a *Arena) writeThrough(p []byte, off uint64, pieces int) {
+	if err := a.dev.WriteThroughGroup(p, int(off), pieces); err != nil {
+		panic("pmobj: write: " + err.Error())
 	}
 }
 
@@ -158,6 +153,22 @@ func (a *Arena) TxReadU64(off uint64) uint64 {
 		return a.tx.ReadU64(off)
 	}
 	return a.readU64(off)
+}
+
+// TxReadU64s fills dst with the words at off, off+8, …, each as TxReadU64
+// reads it and counted as one device read: in one device call when no
+// buffered store of the open transaction overlaps the range, word by word
+// through the overlay when one does.
+func (a *Arena) TxReadU64s(off uint64, dst []uint64) {
+	if a.tx.open && a.tx.overlaps(off, 8*uint64(len(dst))) {
+		for i := range dst {
+			dst[i] = a.tx.ReadU64(off + 8*uint64(i))
+		}
+		return
+	}
+	if err := a.dev.ReadU64s(dst, int(off)); err != nil {
+		panic("pmobj: read: " + err.Error())
+	}
 }
 
 // ReadBytes reads n bytes at off into a slice the caller owns.
@@ -200,6 +211,13 @@ const (
 
 func (a *Arena) redoBase() uint64 { return uint64(headerSize) }
 
+// setRedoFlag writes the committed flag through.
+func (a *Arena) setRedoFlag(v uint64) {
+	var b [8]byte
+	binary.BigEndian.PutUint64(b[:], v)
+	a.writeThrough(b[:], a.redoBase()+redoFlag, 1)
+}
+
 // recover replays a committed redo log left by a crash mid-commit.
 func (a *Arena) recover() error {
 	base := a.redoBase()
@@ -212,15 +230,12 @@ func (a *Arena) recover() error {
 		off := a.readU64(pos)
 		n := binary.BigEndian.Uint32(a.View(pos+8, 4))
 		data := a.ReadBytes(pos+12, int(n))
-		//pmnetlint:ignore persistcover a.persist (Device.Persist wrapper) covers this write two lines below
-		if err := a.dev.WriteAt(data, int(off)); err != nil {
+		if err := a.dev.WriteThrough(data, int(off)); err != nil {
 			return fmt.Errorf("pmobj: recover replay: %w", err)
 		}
-		a.persist(int(off), int(n))
 		pos += 12 + uint64(n)
 	}
-	a.writeU64(base+redoFlag, 0)
-	a.persist(int(base), 8)
+	a.setRedoFlag(0)
 	a.stats.Recoveries++
 	return nil
 }

@@ -21,7 +21,9 @@ import (
 type Tx struct {
 	a *Arena
 	// Buffered stores, in program order: op i writes buf[start:start+n] at
-	// off. Ops hold indexes into buf, not sub-slices, so buf may grow.
+	// off. Ops hold indexes into buf, not sub-slices, so buf may grow. buf is
+	// the redo record Commit writes from redoCount on: the 8-byte count and
+	// total header, then each store's offset (8), length (4) and data.
 	ops     []txOp
 	buf     []byte
 	bump    uint64           // pending bump pointer
@@ -44,7 +46,7 @@ func (a *Arena) Begin() *Tx {
 	if tx.open {
 		panic(ErrTxActive)
 	}
-	tx.ops, tx.buf = tx.ops[:0], tx.buf[:0]
+	tx.ops, tx.buf = tx.ops[:0], append(tx.buf[:0], make([]byte, redoOps-redoCount)...)
 	tx.bump = a.readU64(offBump)
 	tx.headSet = 0
 	tx.allocs, tx.frees = 0, 0
@@ -75,11 +77,14 @@ func (tx *Tx) WriteBytes(off uint64, data []byte) {
 	tx.buf = append(tx.buf, data...)
 }
 
-// record notes a store at off of the n bytes its caller appends to buf next.
+// record notes a store at off of the n bytes its caller appends to buf next,
+// appending the store's redo offset and length first.
 func (tx *Tx) record(off uint64, n int) {
 	if !tx.open {
 		panic("pmobj: write on closed tx")
 	}
+	tx.buf = binary.BigEndian.AppendUint64(tx.buf, off)
+	tx.buf = binary.BigEndian.AppendUint32(tx.buf, uint32(n))
 	tx.ops = append(tx.ops, txOp{off: off, start: len(tx.buf), n: n})
 }
 
@@ -96,6 +101,16 @@ func (tx *Tx) ReadU64(off uint64) uint64 {
 		}
 	}
 	return tx.a.readU64(off)
+}
+
+// overlaps reports whether a buffered store touches [off, off+n).
+func (tx *Tx) overlaps(off, n uint64) bool {
+	for _, op := range tx.ops {
+		if op.off < off+n && off < op.off+uint64(op.n) {
+			return true
+		}
+	}
+	return false
 }
 
 // SetRoot stores the application root offset.
@@ -164,13 +179,15 @@ func (tx *Tx) Abort() { tx.open = false }
 // Commit makes every buffered write (and the allocator state) durable
 // atomically:
 //
-//  1. Serialize all ops into the redo region and persist.
-//  2. Persist the committed flag (the linearization point).
-//  3. Apply ops to their home locations and persist.
+//  1. Write the redo record through (one group: the header and each op's
+//     offset, length and data, persisted together).
+//  2. Write the committed flag through (the linearization point).
+//  3. Write each op through to its home location.
 //  4. Clear the flag.
 //
 // A crash before (2) discards the transaction; after (2), Open/Reopen
-// replays it.
+// replays it. Every write is persisted before the next one is made, so no
+// line is left dirty and none needs a pre-image.
 func (tx *Tx) Commit() {
 	if !tx.open {
 		panic("pmobj: double commit")
@@ -186,65 +203,39 @@ func (tx *Tx) Commit() {
 		}
 	}
 
-	base := a.redoBase()
-	var total int
-	for _, op := range tx.ops {
-		total += 12 + op.n
-	}
+	total := len(tx.buf) - (redoOps - redoCount)
 	if redoOps+total > a.redoBytes {
 		panic(fmt.Sprintf("pmobj: transaction too large for redo region (%d > %d)",
 			total, a.redoBytes-redoOps))
 	}
-	// (1) write ops into the redo region.
-	pos := base + redoOps
-	var hdr [8]byte
-	for _, op := range tx.ops {
-		var meta [12]byte
-		binary.BigEndian.PutUint64(meta[:8], op.off)
-		binary.BigEndian.PutUint32(meta[8:], uint32(op.n))
-		mustWrite(a, pos, meta[:])
-		mustWrite(a, pos+12, tx.data(op))
-		pos += 12 + uint64(op.n)
-	}
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(tx.ops)))
-	binary.BigEndian.PutUint32(hdr[4:], uint32(total))
-	mustWrite(a, base+redoCount, hdr[:])
-	a.persist(int(base+redoCount), 8+total)
+	// (1) the redo record, counted as the 1 + 2n device writes it is made
+	// of: the header, and per op its offset/length and its data.
+	binary.BigEndian.PutUint32(tx.buf[0:], uint32(len(tx.ops)))
+	binary.BigEndian.PutUint32(tx.buf[4:], uint32(total))
+	a.writeThrough(tx.buf, a.redoBase()+redoCount, 1+2*len(tx.ops))
 	if a.CrashHook != nil && a.CrashHook(1) {
 		tx.open = false
 		return
 	}
 	// (2) committed flag: linearization point.
-	a.writeU64(base+redoFlag, magic)
-	a.persist(int(base+redoFlag), 8)
+	a.setRedoFlag(magic)
 	if a.CrashHook != nil && a.CrashHook(2) {
 		tx.open = false
 		return
 	}
 	// (3) apply home-location writes.
 	for i, op := range tx.ops {
-		mustWrite(a, op.off, tx.data(op))
-		a.persist(int(op.off), op.n)
+		a.writeThrough(tx.data(op), op.off, 1)
 		if i == len(tx.ops)/2 && a.CrashHook != nil && a.CrashHook(3) {
 			tx.open = false
 			return
 		}
 	}
 	// (4) clear the flag.
-	a.writeU64(base+redoFlag, 0)
-	a.persist(int(base+redoFlag), 8)
+	a.setRedoFlag(0)
 
 	a.stats.Commits++
 	a.stats.Allocs += uint64(tx.allocs)
 	a.stats.Frees += uint64(tx.frees)
 	tx.open = false
-}
-
-// mustWrite stores bytes without persisting them; Commit batches redo-region
-// writes and covers each group with one a.persist barrier.
-func mustWrite(a *Arena, off uint64, data []byte) {
-	//pmnetlint:ignore persistcover barrier delegated to caller: Commit persists each write group explicitly
-	if err := a.dev.WriteAt(data, int(off)); err != nil {
-		panic("pmobj: commit write: " + err.Error())
-	}
 }

@@ -262,19 +262,17 @@ func (s *Server) lastApplied(id uint16) uint32 {
 	return binary.BigEndian.Uint32(b[:])
 }
 
-// setLastApplied persists the watermark. The application's own state must be
-// durable before this is called; the pair gives standard redo semantics
+// setLastApplied writes the watermark through: it is durable on return. The
+// application's own state must be durable before this is called; the pair
+// gives standard redo semantics
 // (re-applying an update whose watermark write was lost is safe for the
 // idempotent KV operations PMNet targets).
 func (s *Server) setLastApplied(id uint16, seq uint32) {
 	var b [4]byte
 	binary.BigEndian.PutUint32(b[:], seq)
 	off := int(id) * 4
-	if err := s.meta.WriteAt(b[:], off); err != nil {
+	if err := s.meta.WriteThrough(b[:], off); err != nil {
 		panic("server: meta write: " + err.Error())
-	}
-	if err := s.meta.Persist(off, 4); err != nil {
-		panic("server: meta persist: " + err.Error())
 	}
 }
 

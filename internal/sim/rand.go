@@ -73,31 +73,42 @@ func (r *Rand) Fork() *Rand {
 // Zipf generates values in [0, n) following a Zipfian distribution with
 // exponent theta, the standard YCSB request-popularity model.
 type Zipf struct {
-	r     *Rand
+	r *Rand
+	t ZipfTable
+}
+
+// ZipfTable is what a Zipf generator derives from (n, theta) alone. zeta(n)
+// is an n-term sum of powers, so a run whose clients draw from one keyspace
+// builds one table and a generator per client from it. A table is never
+// written after NewZipfTable returns.
+type ZipfTable struct {
 	n     int
 	theta float64
 	alpha float64
 	zetan float64
 	eta   float64
-	half  float64 // zeta(2, theta)
 }
 
-// NewZipf constructs a Zipfian generator over [0, n) with exponent theta
-// (YCSB uses 0.99). It panics if n <= 0 or theta is not in (0, 1).
-func NewZipf(r *Rand, n int, theta float64) *Zipf {
+// NewZipfTable computes the table for [0, n) with exponent theta (YCSB uses
+// 0.99). It panics if n <= 0 or theta is not in (0, 1).
+func NewZipfTable(n int, theta float64) *ZipfTable {
 	if n <= 0 {
 		panic("sim: Zipf with non-positive n")
 	}
 	if theta <= 0 || theta >= 1 {
 		panic("sim: Zipf theta must be in (0,1)")
 	}
-	z := &Zipf{r: r, n: n, theta: theta}
-	z.zetan = zeta(n, theta)
-	z.half = zeta(2, theta)
-	z.alpha = 1.0 / (1.0 - theta)
-	z.eta = (1 - math.Pow(2.0/float64(n), 1-theta)) / (1 - z.half/z.zetan)
-	return z
+	t := &ZipfTable{n: n, theta: theta, alpha: 1.0 / (1.0 - theta), zetan: zeta(n, theta)}
+	t.eta = (1 - math.Pow(2.0/float64(n), 1-theta)) / (1 - zeta(2, theta)/t.zetan)
+	return t
 }
+
+// New returns a generator over the table drawing from r.
+func (t *ZipfTable) New(r *Rand) *Zipf { return &Zipf{r: r, t: *t} }
+
+// NewZipf constructs a Zipfian generator over [0, n) with exponent theta:
+// NewZipfTable(n, theta).New(r).
+func NewZipf(r *Rand, n int, theta float64) *Zipf { return NewZipfTable(n, theta).New(r) }
 
 func zeta(n int, theta float64) float64 {
 	var sum float64
@@ -109,17 +120,18 @@ func zeta(n int, theta float64) float64 {
 
 // Next returns the next sample in [0, n). Rank 0 is the most popular item.
 func (z *Zipf) Next() int {
+	t := &z.t
 	u := z.r.Float64()
-	uz := u * z.zetan
+	uz := u * t.zetan
 	if uz < 1.0 {
 		return 0
 	}
-	if uz < 1.0+math.Pow(0.5, z.theta) {
+	if uz < 1.0+math.Pow(0.5, t.theta) {
 		return 1
 	}
-	v := int(float64(z.n) * math.Pow(z.eta*u-z.eta+1, z.alpha))
-	if v >= z.n {
-		v = z.n - 1
+	v := int(float64(t.n) * math.Pow(t.eta*u-t.eta+1, t.alpha))
+	if v >= t.n {
+		v = t.n - 1
 	}
 	return v
 }

@@ -29,8 +29,19 @@ type YCSB struct {
 	seq   uint64
 }
 
-// NewYCSB builds a generator with its own RNG stream.
-func NewYCSB(rand *sim.Rand, cfg YCSBConfig) *YCSB {
+// YCSBFactory makes the generators of one run. Everything a generator
+// derives from the config alone — the defaults, the update value, the zipf
+// table — is computed once, when the factory is built, and shared read-only
+// by every generator it makes.
+type YCSBFactory struct {
+	cfg   YCSBConfig
+	zipf  *sim.ZipfTable
+	value []byte
+}
+
+// NewYCSBFactory completes cfg with the defaults and builds what its
+// generators share.
+func NewYCSBFactory(cfg YCSBConfig) *YCSBFactory {
 	if cfg.Keys <= 0 {
 		cfg.Keys = 10000
 	}
@@ -40,14 +51,29 @@ func NewYCSB(rand *sim.Rand, cfg YCSBConfig) *YCSB {
 	if cfg.Theta == 0 {
 		cfg.Theta = 0.99
 	}
-	y := &YCSB{cfg: cfg, rand: rand, value: ycsbValue(cfg.ValueSize)}
+	f := &YCSBFactory{cfg: cfg, value: ycsbValue(cfg.ValueSize)}
 	if cfg.Zipfian {
-		y.zipf = sim.NewZipf(rand.Fork(), cfg.Keys, cfg.Theta)
+		f.zipf = sim.NewZipfTable(cfg.Keys, cfg.Theta)
+	}
+	return f
+}
+
+// New builds a generator with its own RNG stream; a zipfian one forks its
+// sampler's stream from rand first.
+func (f *YCSBFactory) New(rand *sim.Rand) *YCSB {
+	y := &YCSB{cfg: f.cfg, rand: rand, value: f.value}
+	if f.zipf != nil {
+		y.zipf = f.zipf.New(rand.Fork())
 	}
 	return y
 }
 
-// ycsbValue is the n-byte payload every update of one generator shares.
+// NewYCSB builds a generator with its own RNG stream: NewYCSBFactory(cfg)
+// applied to one stream.
+func NewYCSB(rand *sim.Rand, cfg YCSBConfig) *YCSB { return NewYCSBFactory(cfg).New(rand) }
+
+// ycsbValue is the n-byte payload every update of one factory's generators
+// shares.
 func ycsbValue(n int) []byte {
 	v := make([]byte, n)
 	for i := range v {
