@@ -44,12 +44,13 @@ ci: build test race vet fmt-check lint
 # BenchmarkClientRoundtrip; 2 and 3 for BenchmarkEnginePut/Get, whose loops
 # format their own key: the engines add 0 and 1, the returned value; see the
 # pins in the matching alloc_test.go files; BenchmarkTransmit also selects
-# BenchmarkTransmitECMP). BenchmarkCommit is one Put-sized pmobj transaction
+# BenchmarkTransmitECMP; BenchmarkTimerAt is BenchmarkEngineSchedule on
+# caller-owned sim.Timers). BenchmarkCommit is one Put-sized pmobj transaction
 # and BenchmarkBTreePrefill the kv_mixed prefill (100 000 keys into a fresh
 # 128 MB arena), the set-up path. Override BENCHTIME=1x for a CI smoke run.
 BENCHTIME ?= 1s
 microbench:
-	$(GO) test -run '^$$' -bench 'BenchmarkEngineSchedule|BenchmarkRunThroughWindowed|BenchmarkCancel|BenchmarkTransmit|BenchmarkPersistAll|BenchmarkPowerFail|BenchmarkNewDeviceRecycled|BenchmarkCommit|BenchmarkBTreePrefill|BenchmarkEpochOverhead|BenchmarkBarrier|BenchmarkRedisLPush|BenchmarkTwitterAction|BenchmarkUpdateHop|BenchmarkServerApply|BenchmarkClientRoundtrip|BenchmarkEnginePut|BenchmarkEngineGet' \
+	$(GO) test -run '^$$' -bench 'BenchmarkEngineSchedule|BenchmarkTimerAt|BenchmarkRunThroughWindowed|BenchmarkCancel|BenchmarkTransmit|BenchmarkPersistAll|BenchmarkPowerFail|BenchmarkNewDeviceRecycled|BenchmarkCommit|BenchmarkBTreePrefill|BenchmarkEpochOverhead|BenchmarkBarrier|BenchmarkRedisLPush|BenchmarkTwitterAction|BenchmarkUpdateHop|BenchmarkServerApply|BenchmarkClientRoundtrip|BenchmarkEnginePut|BenchmarkEngineGet' \
 		-benchtime $(BENCHTIME) -benchmem ./internal/sim ./internal/netsim ./internal/pmem ./internal/pmobj ./internal/kv \
 		./internal/sim/pdes ./internal/rediskv ./internal/workload ./internal/dataplane ./internal/server ./internal/client .
 

@@ -82,10 +82,12 @@ type fragState struct {
 	done      bool
 }
 
-// pending records are pooled per session (see getPending/putPending); timerFn
-// is bound once at allocation so re-arming the retransmission timer allocates
-// no closure.
+// pending records are pooled per session (see getPending/putPending); the
+// retransmission timer waits on the record's own wheel node (tm), and timerFn
+// is bound once at allocation, so re-arming it allocates no closure and takes
+// no pooled node.
 type pending struct {
+	tm        sim.Timer
 	firstSeq  uint32
 	frags     []fragState
 	isUpdate  bool
@@ -137,11 +139,12 @@ func (s *Session) getPending() *pending {
 	return p
 }
 
-// putPending recycles a finished record, keeping its fragment slice capacity
-// and bound timer callback.
+// putPending recycles a finished record, keeping its fragment slice capacity,
+// its bound timer callback and its timer: the timer's generation carries on,
+// so the Event of an earlier life stays inert.
 func (s *Session) putPending(p *pending) {
 	frags := p.frags[:0]
-	*p = pending{frags: frags, timerFn: p.timerFn}
+	*p = pending{tm: p.tm, frags: frags, timerFn: p.timerFn}
 	s.freeP = append(s.freeP, p)
 }
 
@@ -288,7 +291,7 @@ func (s *Session) sendFrag(msg protocol.Message) {
 }
 
 func (s *Session) armTimer(p *pending) {
-	p.timer = s.eng.After(s.timeoutFor(p.retries), p.timerFn)
+	p.timer = p.tm.After(s.eng, s.timeoutFor(p.retries), p.timerFn)
 }
 
 // timeoutFor returns the retransmission timeout for the given retry count:

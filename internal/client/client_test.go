@@ -397,3 +397,42 @@ func TestRecycledPendingTimerNeverZombies(t *testing.T) {
 		t.Fatalf("engine still reports %d live events after drain", got)
 	}
 }
+
+// TestRecycledPendingEventIsInert: the Event of a finished request's
+// retransmission timer, kept past the recycle of its pending record, cannot
+// cancel the timer of the request that reuses the record — the record keeps
+// its Timer across the recycle, so the generation that Event names is gone.
+func TestRecycledPendingEventIsInert(t *testing.T) {
+	rig := newEchoRig(t)
+	rig.sendPMNetAck = true
+	s := rig.session(Config{Mode: ModePMNet, Timeout: 50 * sim.Microsecond, MaxRetries: 3})
+	only := func() *pending {
+		if len(s.requests) != 1 {
+			t.Fatalf("%d requests outstanding, want 1", len(s.requests))
+		}
+		for _, p := range s.requests {
+			return p
+		}
+		return nil
+	}
+	put := protocol.PutReq([]byte("k"), []byte("v"))
+	s.SendUpdate(put, nil)
+	first := only()
+	stale := first.timer
+	rig.eng.Run()
+
+	rig.dropAll = true
+	var res Result
+	s.SendUpdate(put, func(r Result) { res = r })
+	if only() != first {
+		t.Fatal("the second request did not reuse the first one's record")
+	}
+	stale.Cancel()
+	if !first.tm.Pending() {
+		t.Fatal("a stale Event cancelled the recycled record's retransmission timer")
+	}
+	rig.eng.Run()
+	if st := s.Stats(); st.Resends != 3 || st.Failed != 1 || res.Err == nil {
+		t.Fatalf("stats %+v, result %+v: want 3 resends and a failure", st, res)
+	}
+}

@@ -103,10 +103,13 @@ type Device struct {
 // timer fires for the last time: what the PMNet-ACK needs once the entry is
 // durable, and what the TTL check needs EntryTTL later. The record waits for
 // one thing at a time — the PM write, then the timer — so one callback,
-// bound once at allocation, serves both (durable says which). A record whose
+// bound once at allocation, serves both (durable says which). The repair
+// timer is the record's own wheel node (tm): a standing timer takes no
+// pooled node beside the record that already holds its state. A record whose
 // persist never comes (the write lost a race with the server-ACK, or the
 // queue lost power) is not returned: the pool refills on a miss.
 type updateRec struct {
+	tm               sim.Timer
 	d                *Device
 	hdr              protocol.Header
 	client           netsim.NodeID
@@ -384,7 +387,7 @@ func (d *Device) cacheUpdate(msg protocol.Message, logged bool) {
 func (d *Device) onPersist(u *updateRec) {
 	u.durable = true
 	if d.cfg.EntryTTL >= 0 {
-		d.eng.After(d.cfg.EntryTTL, u.fn)
+		u.tm.After(d.eng, d.cfg.EntryTTL, u.fn)
 	}
 	if d.tracer != nil {
 		span := trace.SpanID(u.hdr.SessionID, u.hdr.SeqNum)
@@ -392,14 +395,10 @@ func (d *Device) onPersist(u *updateRec) {
 		d.tracer.Emit(trace.EvPMNetAck, uint64(d.id), 0, span)
 		d.emitGauges()
 	}
-	ack := protocol.Header{
-		Type:      protocol.TypePMNetACK,
-		SessionID: u.hdr.SessionID,
-		SeqNum:    u.hdr.SeqNum,
-		FragIdx:   u.hdr.FragIdx,
-		FragTotal: u.hdr.FragTotal,
-	}
-	ack.Seal()
+	// The ACK is the logged request's header retyped: HashVal leaves Type
+	// out, so the request's hash is already the ACK's.
+	ack := u.hdr
+	ack.Type = protocol.TypePMNetACK
 	d.stats.AcksSent++
 	d.sendNew(u.client, u.dstPort, u.srcPort, protocol.Message{Hdr: ack})
 	if d.cfg.EntryTTL < 0 {
@@ -518,7 +517,7 @@ func (d *Device) onEntryTTL(u *updateRec) {
 		d.sendNew(dst, 0, protocol.PortMin, msg)
 	})
 	_ = served // queue momentarily full: the rescheduled timer retries
-	d.eng.After(d.cfg.EntryTTL, u.fn)
+	u.tm.After(d.eng, d.cfg.EntryTTL, u.fn)
 }
 
 // startRecovery replays every logged request destined for the recovering

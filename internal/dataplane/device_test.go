@@ -132,7 +132,7 @@ func (rg *rig) sendGet(session uint16, seq uint32, key string) {
 
 func TestUpdateLoggedAckedAndInvalidated(t *testing.T) {
 	rg := newDevRig(t, DefaultConfig())
-	rg.sendUpdate(1, 1, "k", "v")
+	req := rg.sendUpdate(1, 1, "k", "v")
 	rg.eng.Run()
 
 	if len(rg.serverGot) != 1 {
@@ -141,6 +141,13 @@ func TestUpdateLoggedAckedAndInvalidated(t *testing.T) {
 	acks := rg.clientGot[protocol.TypePMNetACK]
 	if len(acks) != 1 {
 		t.Fatalf("client received %d PMNet-ACKs, want 1", len(acks))
+	}
+	// The ACK is the request's header retyped, its hash the request's — and
+	// a valid seal of the ACK itself.
+	ack, want := acks[0].Msg.Hdr, req.Hdr
+	want.Type = protocol.TypePMNetACK
+	if ack != want || ack.HashVal != ack.ComputeHash() {
+		t.Fatalf("PMNet-ACK header %v (hash of itself %08x), want %v", ack, ack.ComputeHash(), want)
 	}
 	sacks := rg.clientGot[protocol.TypeServerACK]
 	if len(sacks) != 1 {

@@ -19,9 +19,23 @@ type StackModel struct {
 
 // Sample draws one stack traversal latency.
 func (m StackModel) Sample(r *sim.Rand) sim.Time {
+	return m.sample(r, m.logMedian())
+}
+
+// logMedian is the lognormal's mu, log(JitterMedian); 0 where sample draws
+// no jitter.
+func (m StackModel) logMedian() float64 {
+	if m.JitterMedian > 0 && m.JitterSigma > 0 {
+		return math.Log(float64(m.JitterMedian))
+	}
+	return 0
+}
+
+// sample is Sample with mu = m.logMedian() taken once by the caller.
+func (m StackModel) sample(r *sim.Rand, mu float64) sim.Time {
 	lat := m.Base
 	if m.JitterMedian > 0 && m.JitterSigma > 0 {
-		lat += sim.Time(r.LogNormal(math.Log(float64(m.JitterMedian)), m.JitterSigma))
+		lat += sim.Time(r.LogNormal(mu, m.JitterSigma))
 	} else {
 		lat += m.JitterMedian
 	}
@@ -121,6 +135,7 @@ type Host struct {
 	eng   *sim.Engine
 	rand  *sim.Rand
 	stack StackModel
+	mu    float64 // stack.logMedian(), taken once
 	cpu   *CPU
 	recv  func(pkt *Packet)
 	down  bool
@@ -177,6 +192,7 @@ func NewHost(net *Network, id NodeID, name string, stack StackModel, workers int
 		eng:   net.Engine(),
 		rand:  rand,
 		stack: stack,
+		mu:    stack.logMedian(),
 		cpu:   NewCPU(net.Engine(), workers),
 	}
 	h.txFn, h.rxFn = h.txDone, h.rxDone
@@ -203,6 +219,9 @@ func (h *Host) Network() *Network { return h.net }
 // to this host, after RX stack latency.
 func (h *Host) OnReceive(fn func(pkt *Packet)) { h.recv = fn }
 
+// stackDelay draws one traversal of the host's stack.
+func (h *Host) stackDelay() sim.Time { return h.stack.sample(h.rand, h.mu) }
+
 // Send pushes pkt through the TX stack and onto the wire. SentAt is stamped
 // with the time the application called Send.
 func (h *Host) Send(pkt *Packet) {
@@ -213,7 +232,7 @@ func (h *Host) Send(pkt *Packet) {
 	pkt.From = h.id
 	pkt.SentAt = h.eng.Now()
 	pkt.Stamp = h.gen
-	pkt.After(h.eng, h.stack.Sample(h.rand), h.txFn)
+	pkt.After(h.eng, h.stackDelay(), h.txFn)
 }
 
 // HandlePacket implements Node: RX stack latency then the app callback.
@@ -223,7 +242,7 @@ func (h *Host) HandlePacket(pkt *Packet) {
 		return
 	}
 	pkt.Stamp = h.gen
-	pkt.After(h.eng, h.stack.Sample(h.rand), h.rxFn)
+	pkt.After(h.eng, h.stackDelay(), h.rxFn)
 }
 
 // Fail takes the host down: all in-flight stack traversals and future

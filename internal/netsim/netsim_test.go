@@ -247,6 +247,24 @@ func TestStackModelSampling(t *testing.T) {
 	}
 }
 
+// TestHostDrawsAsSample: a host, which takes its stack's log median once,
+// draws exactly what StackModel.Sample draws from the same stream — for the
+// canonical stacks and for the jitterless and sigma-less shapes.
+func TestHostDrawsAsSample(t *testing.T) {
+	for _, m := range []StackModel{
+		ClientKernelStack, ServerKernelStack, BypassStack,
+		{Base: 2000, JitterMedian: 100}, {Base: 2000, JitterSigma: 0.5},
+	} {
+		h := NewHost(New(sim.NewEngine(), sim.NewRand(1)), 1, "h", m, 1, sim.NewRand(9))
+		r := sim.NewRand(9)
+		for i := 0; i < 1000; i++ {
+			if got, want := h.stackDelay(), m.Sample(r); got != want {
+				t.Fatalf("%+v draw %d: host %v, Sample %v", m, i, got, want)
+			}
+		}
+	}
+}
+
 func TestCPUSerializesOnOneWorker(t *testing.T) {
 	eng := sim.NewEngine()
 	cpu := NewCPU(eng, 1)

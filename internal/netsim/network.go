@@ -116,9 +116,10 @@ type Network struct {
 
 	// Per-network free lists (single-threaded on the virtual clock, so no
 	// sync.Pool — see DESIGN.md "Hot path & pooling"). txs holds the one
-	// event-payload record the packet cannot be — the packet is already on its
-	// way to arrive when serialization ends — with its callback bound once at
-	// allocation, so a steady-state Transmit schedules no new closures.
+	// event record the packet cannot be — the packet is already on its way
+	// to arrive when serialization ends — with its wheel node and its
+	// callback bound once at allocation, so a steady-state Transmit
+	// schedules no new closures and takes no pooled node.
 	pkts []*Packet
 	txs  []*txEnd
 
@@ -127,8 +128,9 @@ type Network struct {
 	delayedFn func(*Packet)
 }
 
-// txEnd is a pooled "serialization finished" event payload.
+// txEnd is a pooled "serialization finished" event record.
 type txEnd struct {
+	tm   sim.Timer
 	n    *Network
 	l    *link
 	size int
@@ -297,11 +299,11 @@ func (n *Network) AllocPacket() *Packet {
 // FreePacket recycles a pool-owned packet. Unpooled packets (built with
 // &Packet{}) are ignored; freeing the same packet twice, or one that is
 // waiting (Packet.At), panics — either means two owners. The packet keeps its
-// bound wake, so its next life waits without allocating. A packet
-// whose journey ends in a foreign partition is queued for return to its home
-// pool at the next epoch barrier rather than adopted locally, keeping every
-// pool balanced (and therefore zero-alloc) under asymmetric cross-partition
-// traffic.
+// bound wake and its wheel node, so its next life waits without allocating
+// and its timer's generation never restarts. A packet whose journey ends in
+// a foreign partition is queued for return to its home pool at the next
+// epoch barrier rather than adopted locally, keeping every pool balanced (and
+// therefore zero-alloc) under asymmetric cross-partition traffic.
 func (n *Network) FreePacket(p *Packet) {
 	if p.then != nil {
 		panic("netsim: freeing a waiting packet")
@@ -314,7 +316,7 @@ func (n *Network) FreePacket(p *Packet) {
 	}
 	raw := p.Raw[:0]
 	home := p.home
-	*p = Packet{Raw: raw, pool: pkFree, home: home, wake: p.wake}
+	*p = Packet{Raw: raw, pool: pkFree, home: home, tm: p.tm, wake: p.wake}
 	if n.fab != nil && home != n.pidx {
 		n.ret[n.par][home] = append(n.ret[n.par][home], p)
 		return
@@ -470,7 +472,8 @@ func (n *Network) sendOnLink(l *link, pkt *Packet) {
 	if n.tracer != nil {
 		n.tracer.Emit(trace.GaugeLinkQueue, trace.LinkID(uint64(l.from), uint64(l.to)), uint64(l.queued), 0)
 	}
-	n.eng.At(txDone, n.getTxEnd(l, size).fn)
+	tx := n.getTxEnd(l, size)
+	tx.tm.At(n.eng, txDone, tx.fn)
 	arriveAt := txDone + l.cfg.PropDelay
 	if im := l.imp; im != nil {
 		// Jitter/reorder hold-back is strictly additive, so arriveAt stays ≥
@@ -499,10 +502,12 @@ func (n *Network) sendOnLink(l *link, pkt *Packet) {
 func (n *Network) dupPacket(p *Packet) *Packet {
 	q := n.AllocPacket()
 	raw := append(q.Raw[:0], p.Raw...)
-	pool, home, wake := q.pool, q.home, q.wake
+	pool, home, tm, wake := q.pool, q.home, q.tm, q.wake
 	*q = *p
 	q.Raw = raw
-	q.pool, q.home, q.wake = pool, home, wake // p's wake would deliver p
+	// p's wake would deliver p, and p's wheel node (if p waits) is linked
+	// where p is: q keeps its own and starts out not waiting.
+	q.pool, q.home, q.tm, q.wake, q.then = pool, home, tm, wake, nil
 	q.ID = n.NewPacketID()
 	return q
 }

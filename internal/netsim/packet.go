@@ -25,21 +25,22 @@ const UDPOverhead = 46
 //
 // A packet is in one place at a time — a host stack, a wire, a switch, a
 // device pipeline, a CPU queue — and it is its own event record for the time
-// it spends there: whoever holds it calls At or After with the function that
-// takes it next, and holds it no longer. One wait at a time: only At and
-// After set the continuation, it is cleared before it runs (so it may wait
-// again, or free), and a second At or a FreePacket before then means two
-// owners and panics.
+// it spends there, linked into the engine's wheel by the node it carries
+// (tm): whoever holds it calls At or After with the function that takes it
+// next, and holds it no longer. One wait at a time: only At and After set
+// the continuation, it is cleared before it runs (so it may wait again, or
+// free), and a second At or a FreePacket before then means two owners and
+// panics.
 type Packet struct {
 	ID       uint64 // unique per network, for tracing
 	From, To NodeID // source and final destination hosts
 	SrcPort  uint16
 	DstPort  uint16
+	Tenant   uint16 // background-traffic tag (0 = workload traffic)
+	PMNet    bool   // PMNet header present (dst port in reserved range)
 
-	Msg    protocol.Message // valid when PMNet is true
-	PMNet  bool             // PMNet header present (dst port in reserved range)
-	Raw    []byte           // non-PMNet payload
-	Tenant uint16           // background-traffic tag (0 = workload traffic)
+	Msg protocol.Message // valid when PMNet is true
+	Raw []byte           // non-PMNet payload
 
 	SentAt sim.Time // when the sending host's app handed it to the stack
 	Hops   int      // number of links traversed so far
@@ -49,6 +50,7 @@ type Packet struct {
 	// restarted meanwhile. FreePacket zeroes it.
 	Stamp uint64
 
+	tm   sim.Timer     // the wheel node the packet waits on; kept across recycles
 	wake func()        // fires then; bound once for the packet's life, kept across recycles
 	then func(*Packet) // who takes the packet when its wait ends; nil = not waiting
 	hop  NodeID        // the node a network wait delivers to (arrive) or transmits from (TransmitAfter)
@@ -91,16 +93,16 @@ func (p *Packet) String() string {
 	return fmt.Sprintf("pkt#%d %d->%d raw(%dB)", p.ID, p.From, p.To, len(p.Raw))
 }
 
-// At hands the packet to then at virtual time t on eng: the packet waits as
-// its own event payload, so the wait allocates nothing once wake is bound
-// (at the first wait of the packet's life; recycling keeps it).
+// At hands the packet to then at virtual time t on eng: the packet waits on
+// its own wheel node, so the wait allocates nothing once wake is bound (at
+// the first wait of the packet's life; recycling keeps it).
 func (p *Packet) At(eng *sim.Engine, t sim.Time, then func(*Packet)) {
-	eng.At(t, p.wait(then))
+	p.tm.At(eng, t, p.wait(then))
 }
 
 // After is At, d from now.
 func (p *Packet) After(eng *sim.Engine, d sim.Time, then func(*Packet)) {
-	eng.After(d, p.wait(then))
+	p.tm.After(eng, d, p.wait(then))
 }
 
 // wait records then as the packet's one continuation and returns the event
@@ -123,12 +125,13 @@ func (p *Packet) wait(then func(*Packet)) func() {
 // Clone returns a shallow copy with a fresh identity, used when a device
 // mirrors or regenerates a packet (e.g. a PMNet retransmission). The copy is
 // never pool-owned, regardless of the original, and never waiting: the
-// original's wake would deliver the original.
+// original's wake would deliver the original, and its wheel node is linked
+// where the original's is.
 func (p *Packet) Clone() *Packet {
 	q := *p
 	q.Hops = 0
 	q.pool = pkUnpooled
-	q.wake, q.then = nil, nil
+	q.tm, q.wake, q.then = sim.Timer{}, nil, nil
 	return &q
 }
 

@@ -7,10 +7,19 @@ package netsim
 
 import (
 	"testing"
+	"unsafe"
 
 	"pmnet/internal/raceflag"
 	"pmnet/internal/sim"
 )
+
+// TestPacketSize pins the packet, wheel node included, to the 224-byte size
+// class: every packet in flight, and every one in a pool, is one of these.
+func TestPacketSize(t *testing.T) {
+	if got := unsafe.Sizeof(Packet{}); got > 224 {
+		t.Errorf("sizeof(Packet) = %d, want ≤ 224", got)
+	}
+}
 
 func mustPanic(t *testing.T, want string, fn func()) {
 	t.Helper()
@@ -96,6 +105,47 @@ func TestCopiesDoNotShareTheWait(t *testing.T) {
 	}
 }
 
+// TestCopiesOfAWaitingPacket: a Clone or a link-level duplicate made while
+// the original waits comes out not waiting, its wheel node its own and
+// unlinked — it waits, and is freed, on its own — while the original still
+// has one owner: a second wait or a free of it panics, and its own wait ends
+// where it was going to.
+func TestCopiesOfAWaitingPacket(t *testing.T) {
+	eng := sim.NewEngine()
+	n := New(eng, sim.NewRand(1))
+	var got []*Packet
+	then := func(p *Packet) { got = append(got, p) }
+
+	orig := n.AllocPacket()
+	orig.Raw = append(orig.Raw, "payload"...)
+	orig.After(eng, 3, then)
+	clone, dup := orig.Clone(), n.dupPacket(orig)
+	for _, c := range []struct {
+		name string
+		pkt  *Packet
+	}{{"Clone", clone}, {"dupPacket", dup}} {
+		if c.pkt.then != nil || c.pkt.tm.Pending() {
+			t.Fatalf("%s of a waiting packet: waiting %v, timer pending %v", c.name, c.pkt.then != nil, c.pkt.tm.Pending())
+		}
+	}
+	mustPanic(t, "netsim: packet already waiting", func() { orig.At(eng, 9, then) })
+	mustPanic(t, "netsim: freeing a waiting packet", func() { n.FreePacket(orig) })
+	clone.After(eng, 1, then)
+	dup.After(eng, 2, then)
+	if eng.Pending() != 3 {
+		t.Fatalf("%d events pending, want 3: the original's and each copy's", eng.Pending())
+	}
+	eng.Run()
+	if len(got) != 3 || got[0] != clone || got[1] != dup || got[2] != orig {
+		t.Fatalf("waits delivered %p, want clone %p, duplicate %p, original %p", got, clone, dup, orig)
+	}
+	n.FreePacket(dup)
+	n.FreePacket(orig)
+	if n.PooledPackets() != 2 || eng.PooledNodes() != 0 {
+		t.Fatalf("%d packets pooled, want 2; %d pooled engine nodes, want 0", n.PooledPackets(), eng.PooledNodes())
+	}
+}
+
 // TestWaitAllocs: a packet binds its wake once — a pooled packet in its first
 // life, a &Packet{} at its first wait — and waits for nothing after that.
 func TestWaitAllocs(t *testing.T) {
@@ -109,7 +159,7 @@ func TestWaitAllocs(t *testing.T) {
 		n.AllocPacket().After(eng, 1, free)
 		eng.Run()
 	}
-	life() // first life: the packet, its wake and the engine's node
+	life() // first life: the packet and its wake
 	if got := testing.AllocsPerRun(100, life); got != 0 {
 		t.Errorf("a recycled packet's wait allocated %.1f objects, want 0", got)
 	}

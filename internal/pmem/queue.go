@@ -25,13 +25,15 @@ type Queue struct {
 	stats QueueStats
 }
 
-// pmOp is one pooled in-flight queue operation. Its completion callback fn
+// pmOp is one pooled in-flight queue operation, and the event record of its
+// completion: it waits on its own wheel node, and its completion callback fn
 // is bound once at allocation and reused for the record's whole life, so
 // retiring an operation schedules no new closure. The write staging buffer
 // travels with the record; read result buffers are NOT pooled — they are
 // handed to the caller, which may alias them indefinitely (DecodeMessage
 // keeps payload slices).
 type pmOp struct {
+	tm    sim.Timer
 	q     *Queue
 	write bool
 	off   int
@@ -169,7 +171,7 @@ func (q *Queue) TryWrite(off int, data []byte, done func()) bool {
 	}
 	copy(op.buf[:n], data)
 	doneAt := q.reserve(q.serTime(n), q.dev.Config().WriteLatency)
-	q.eng.At(doneAt, op.fn)
+	op.tm.At(q.eng, doneAt, op.fn)
 	return true
 }
 
@@ -193,7 +195,7 @@ func (q *Queue) TryRead(off, n int, done func(data []byte)) bool {
 	op.gen = q.gen
 	op.doneR = done
 	doneAt := q.reserve(q.serTime(n), q.dev.Config().ReadLatency)
-	q.eng.At(doneAt, op.fn)
+	op.tm.At(q.eng, doneAt, op.fn)
 	return true
 }
 

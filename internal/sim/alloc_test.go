@@ -12,9 +12,10 @@ import (
 	"pmnet/internal/raceflag"
 )
 
-// TestNodeSize pins the pooled node to the 64-byte size class: one more word
-// moves every pending event to 80 bytes, which the standing timer population
-// of a saturated run shows as retained heap.
+// TestNodeSize pins the node to the 64-byte size class: one more word moves
+// every pooled event to 80 bytes and grows every record that embeds a Timer,
+// which the standing timer population of a saturated run shows as retained
+// heap.
 func TestNodeSize(t *testing.T) {
 	if got := unsafe.Sizeof(node{}); got > 64 {
 		t.Errorf("sizeof(node) = %d, want ≤ 64", got)
@@ -56,6 +57,48 @@ func BenchmarkEngineSchedule(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.After(256, fn)
+		e.Step()
+	}
+}
+
+// TestTimerAllocs pins Timer.After + Run to zero allocations from the first
+// round: a Timer is its own node, so there is no pool to warm.
+func TestTimerAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("AllocsPerRun is unreliable under the race detector")
+	}
+	e := NewEngine()
+	fn := func() {}
+	var tms [64]Timer
+	round := func() {
+		base := e.Now()
+		for i := range tms {
+			tms[i].After(e, Time(i%8), fn)
+		}
+		e.RunUntil(base + 8)
+	}
+	if got := testing.AllocsPerRun(100, round); got != 0 {
+		t.Errorf("Timer.After+RunUntil allocated %.1f objects per 64-event round, want 0", got)
+	}
+	if e.PooledNodes() != 0 {
+		t.Errorf("Timers took %d pooled nodes, want 0", e.PooledNodes())
+	}
+}
+
+// BenchmarkTimerAt is BenchmarkEngineSchedule on caller-owned Timers: the
+// same standing population and the same schedule→pop→fire cycle, with no
+// trip through the node pool.
+func BenchmarkTimerAt(b *testing.B) {
+	e := NewEngine()
+	fn := func() {}
+	var tms [257]Timer // 256 standing, and the one each iteration arms
+	for i := 0; i < 256; i++ {
+		tms[i].After(e, Time(i), fn)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tms[(i+256)%len(tms)].After(e, 256, fn)
 		e.Step()
 	}
 }

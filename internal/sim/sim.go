@@ -7,11 +7,14 @@
 // the property that makes a faithful data-plane reproduction possible in Go.
 //
 // The engine is built for zero steady-state allocation: pending events live
-// in a hierarchical timer wheel of pooled nodes recycled through a per-engine
-// free list, so At/After/Run allocate nothing once the pool has warmed up.
-// The pool is owned by exactly one engine and touched only from its (single)
-// driving goroutine — never a sync.Pool, whose cross-goroutine stealing would
-// make object identity depend on host scheduling.
+// in a hierarchical timer wheel of intrusive nodes. A record that waits over
+// and over — a packet, a PM operation, a repair timer — embeds its own node
+// (Timer) and is itself what the wheel links; a closure scheduled with
+// Engine.At takes a pooled node recycled through a per-engine free list. So
+// At/After/Run allocate nothing once the pool has warmed up. The pool is
+// owned by exactly one engine and touched only from its (single) driving
+// goroutine — never a sync.Pool, whose cross-goroutine stealing would make
+// object identity depend on host scheduling.
 package sim
 
 import (
@@ -54,10 +57,11 @@ const (
 	wheelLevels = 11
 )
 
-// node is one pooled event record, linked intrusively into a wheel slot's
-// doubly-linked FIFO list. A node is either in exactly one slot list (pending)
-// or in the engine's free list; it moves to the free list the moment it is
-// popped to fire or cancelled.
+// node is one event record, linked intrusively into a wheel slot's
+// doubly-linked FIFO list. A pooled node is either in exactly one slot list
+// (pending) or in the engine's free list; it moves to the free list the moment
+// it is popped to fire or cancelled. An owned node (the one inside a Timer)
+// is either in a slot list or in its owner, and never pooled.
 type node struct {
 	at         Time
 	seq        uint64
@@ -73,7 +77,46 @@ type node struct {
 	// the list's head, tail and occupancy bit without recomputing placement
 	// against a base that may have moved since.
 	lvl, slot uint8
+	// owned marks a Timer's node: release leaves it to its owner.
+	owned bool
 }
+
+// Timer is a wheel node for a record to embed, so the record that waits is
+// itself what the wheel links and no pooled node is taken beside it. It
+// holds one wait at a time: scheduling a pending Timer panics, and a Timer
+// is free again the moment its callback starts or its wait is cancelled. The
+// zero value is ready to use. A Timer must stay where it is while pending (it
+// is linked by address), and an owner that recycles its record keeps the
+// Timer rather than zeroing it: the generation it carries is what keeps an
+// Event issued for an earlier wait inert.
+type Timer struct{ n node }
+
+// At schedules fn to run at absolute virtual time t on e, as Engine.At does
+// — the same (at, seq) order, interleaved with pooled events — with the
+// Timer's own node. A nil fn panics: it would leave the Timer looking free
+// while it is linked.
+func (tm *Timer) At(e *Engine, t Time, fn func()) Event {
+	n := &tm.n
+	if n.fn != nil {
+		panic("sim: timer already pending")
+	}
+	if fn == nil {
+		panic("sim: nil timer callback")
+	}
+	n.eng, n.owned = e, true
+	return e.schedule(n, t, fn)
+}
+
+// After is At, d from now, with Engine.After's clamping of negative delays.
+func (tm *Timer) After(e *Engine, d Time, fn func()) Event {
+	if d < 0 {
+		d = 0
+	}
+	return tm.At(e, e.now+d, fn)
+}
+
+// Pending reports whether the Timer is waiting in a wheel.
+func (tm *Timer) Pending() bool { return tm.n.fn != nil }
 
 // Event is a handle to a scheduled callback. Events with equal times run in
 // the order they were scheduled (FIFO tie-break via sequence numbers) so the
@@ -87,7 +130,8 @@ type Event struct {
 
 // Cancel prevents a pending event from running. It is eager and O(1): the
 // node is unlinked from its slot list (clearing the slot's occupancy bit if
-// it was the last one there) and returned to the pool at once, so Pending
+// it was the last one there) and returned to the pool (or, a Timer's, left
+// free in its owner) at once, so Pending
 // and NextTime never see it again and no pop or cascade ever meets a
 // cancelled node. Cancelling an event that has already fired or been
 // cancelled — even if its pooled node has since been reused, even from
@@ -142,6 +186,7 @@ type Engine struct {
 	slots   [wheelLevels][wheelSlots]slotList
 	occ     [wheelLevels]uint64 // per-level occupancy bitmaps
 	free    []*node             // recycled nodes
+	nodes   int                 // pooled nodes ever allocated
 }
 
 // NewEngine returns an engine with the clock at zero and no pending events.
@@ -192,24 +237,36 @@ func (e *Engine) get() *node {
 		e.free = e.free[:k]
 		return n
 	}
+	e.nodes++
 	return &node{eng: e}
 }
 
-// release returns an unlinked node to the free list. Bumping gen first makes
-// every outstanding handle to it inert.
+// release ends an unlinked node's wait and returns a pooled one to the free
+// list. Bumping gen first makes every outstanding handle to it inert.
 func (e *Engine) release(n *node) {
 	n.gen++
 	n.fn = nil
-	e.free = append(e.free, n)
+	if !n.owned {
+		e.free = append(e.free, n)
+	}
 }
 
-// At schedules fn to run at absolute virtual time t. Scheduling in the past
-// panics: it indicates a model bug, not a recoverable condition.
+// PooledNodes returns how many pooled nodes the engine has allocated: the
+// high-water mark of closures scheduled with At at once. Timers take none.
+func (e *Engine) PooledNodes() int { return e.nodes }
+
+// At schedules fn to run at absolute virtual time t, on a pooled node.
+// Scheduling in the past panics: it indicates a model bug, not a recoverable
+// condition.
 func (e *Engine) At(t Time, fn func()) Event {
+	return e.schedule(e.get(), t, fn)
+}
+
+// schedule links n into the wheel to run fn at t.
+func (e *Engine) schedule(n *node, t Time, fn func()) Event {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
-	n := e.get()
 	n.at = t
 	n.seq = e.seq
 	n.fn = fn

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"testing"
@@ -139,6 +140,59 @@ func TestSchedulingInPastPanics(t *testing.T) {
 		e.At(50, func() {})
 	})
 	e.Run()
+}
+
+// TestTimerHoldsOneWait: a pending Timer cannot be armed again; it is free
+// from inside its own callback and after a Cancel; an Event of an earlier
+// wait stays inert against the next; and no wait takes a pooled node.
+func TestTimerHoldsOneWait(t *testing.T) {
+	mustPanic := func(want string, fn func()) {
+		t.Helper()
+		defer func() {
+			if got := recover(); got != want {
+				t.Fatalf("panic %v, want %q", got, want)
+			}
+		}()
+		fn()
+	}
+	e := NewEngine()
+	var tm Timer
+	var fired []Time
+	var fn func()
+	fn = func() {
+		fired = append(fired, e.Now())
+		if tm.Pending() {
+			t.Error("a timer reads pending inside its own callback")
+		}
+		if len(fired) == 1 {
+			tm.After(e, 5, fn)
+		}
+	}
+	first := tm.At(e, 10, fn)
+	if !tm.Pending() {
+		t.Fatal("an armed timer reads free")
+	}
+	mustPanic("sim: timer already pending", func() { tm.At(e, 20, fn) })
+	e.Run()
+	first.Cancel() // spent
+	ev := tm.At(e, 30, fn)
+	first.Cancel() // still spent: the timer's generation moved on
+	if !tm.Pending() || e.Pending() != 1 {
+		t.Fatalf("a stale handle cancelled the next wait: pending %v, engine %d", tm.Pending(), e.Pending())
+	}
+	ev.Cancel()
+	if tm.Pending() || e.Pending() != 0 {
+		t.Fatalf("after Cancel: pending %v, engine %d", tm.Pending(), e.Pending())
+	}
+	tm.At(e, 40, fn)
+	e.Run()
+	if fmt.Sprint(fired) != "[10ns 15ns 40ns]" {
+		t.Fatalf("fired at %v, want [10ns 15ns 40ns]", fired)
+	}
+	if e.PooledNodes() != 0 {
+		t.Fatalf("timer waits took %d pooled nodes, want 0", e.PooledNodes())
+	}
+	mustPanic("sim: nil timer callback", func() { tm.At(e, 50, nil) })
 }
 
 func TestAfterNegativeClamps(t *testing.T) {

@@ -1,14 +1,16 @@
 package sim
 
 // FuzzWheelMatchesReference drives the timer wheel and the O(n²) reference
-// scheduler of wheel_test.go with the same byte-coded schedule — At, After,
-// Cancel, RunThrough over a window, RunUntil, Step, NextTime, with callbacks
-// that schedule and cancel in their turn — and compares what fired, in which
-// order and at what time, Now, Pending and NextTime after every call, and the
-// wheel's own invariants (base ≤ now, every node in the slot its time and
-// base assign it and its lvl/slot bytes name, both directions of every list
-// link, no node lost or pooled twice). `go test` replays the seeds; `make
-// fuzz` searches past them.
+// scheduler of wheel_test.go with the same byte-coded schedule — At on a
+// pooled node or on one of a few caller-owned Timers, After, Cancel,
+// RunThrough over a window, RunUntil, Step, NextTime, with callbacks that
+// schedule (pooled or owned) and cancel in their turn — and compares what
+// fired, in which order and at what time, Now, Pending and NextTime after
+// every call, and the wheel's own invariants (base ≤ now, every node in the
+// slot its time and base assign it and its lvl/slot bytes name, both
+// directions of every list link, no node lost or pooled twice, no Timer's
+// node pooled or linked while its Timer reads free). `go test` replays the
+// seeds; `make fuzz` searches past them.
 
 import (
 	"fmt"
@@ -18,7 +20,8 @@ import (
 )
 
 // The schedule's opcodes (an op byte's low three bits; bit 3 of an After op
-// makes its delay negative).
+// makes its delay negative, bit 3 of an At op puts the event on Timer
+// op>>4&3 instead of a pooled node).
 const (
 	fzAt = iota
 	fzAtAgain
@@ -53,10 +56,15 @@ func fzLater(now, d Time) Time {
 	return now + d
 }
 
-// fzSched is what a schedule needs of a scheduler.
+// fzTimers is how many caller-owned Timers a schedule plays with.
+const fzTimers = 4
+
+// fzSched is what a schedule needs of a scheduler. atTimer schedules on
+// Timer k, first cancelling the wait it holds, if any: a Timer holds one.
 type fzSched struct {
 	now        func() Time
 	at         func(t Time, fn func()) (cancel func())
+	atTimer    func(k int, t Time, fn func()) (cancel func())
 	after      func(d Time, fn func()) (cancel func())
 	runThrough func(deadline Time) bool
 	runUntil   func(deadline Time)
@@ -73,7 +81,9 @@ func fzPlay(t *testing.T, data []byte, s fzSched) []string {
 	var cancels []func()
 	nextID := 0
 	// arm returns the callback of a new event: it logs itself and, while its
-	// spawn byte lasts, schedules a child and cancels some earlier event.
+	// spawn byte lasts, schedules a child — on Timer id%fzTimers when bit 1
+	// is set, which may be the Timer this event fired from — and cancels
+	// some earlier event.
 	var arm func(spawn byte) func()
 	arm = func(spawn byte) func() {
 		id := nextID
@@ -83,7 +93,12 @@ func fzPlay(t *testing.T, data []byte, s fzSched) []string {
 			if spawn == 0 {
 				return
 			}
-			cancels = append(cancels, s.at(fzLater(s.now(), fzSpan(spawn, spawn*37)), arm(spawn>>1)))
+			t := fzLater(s.now(), fzSpan(spawn, spawn*37))
+			if spawn&2 != 0 {
+				cancels = append(cancels, s.atTimer(id%fzTimers, t, arm(spawn>>1)))
+			} else {
+				cancels = append(cancels, s.at(t, arm(spawn>>1)))
+			}
 			if spawn&1 != 0 {
 				cancels[(id*7)%len(cancels)]()
 			}
@@ -102,7 +117,12 @@ func fzPlay(t *testing.T, data []byte, s fzSched) []string {
 		switch op & 7 {
 		case fzAt, fzAtAgain:
 			a, b := arg(), arg()
-			cancels = append(cancels, s.at(fzLater(s.now(), fzSpan(a, b)), arm(arg())))
+			t := fzLater(s.now(), fzSpan(a, b))
+			if op&8 != 0 {
+				cancels = append(cancels, s.atTimer(int(op>>4)%fzTimers, t, arm(arg())))
+			} else {
+				cancels = append(cancels, s.at(t, arm(arg())))
+			}
 		case fzAfter:
 			d := fzLater(s.now(), fzSpan(arg(), arg())) - s.now()
 			if op&8 != 0 {
@@ -144,13 +164,15 @@ func fzPlay(t *testing.T, data []byte, s fzSched) []string {
 // tail the last node) with its occupancy bit set exactly when it is not
 // empty; every node in the slot that its time and the current base assign it
 // (at ≥ base follows) and that its lvl/slot bytes name; the pending counter;
-// and, of the allocated nodes the engine has ever made, each either in the
-// wheel or in the pool, once.
-func checkWheel(e *Engine, allocated int) error {
+// of the allocated pooled nodes — the engine's count agreeing — each either
+// in the wheel or in the pool, once; and every owned node in the wheel one
+// of timers', linked exactly when its Timer reads pending, never pooled.
+func checkWheel(e *Engine, allocated int, timers ...Timer) error {
 	if e.base > e.now {
 		return fmt.Errorf("base %d passed now %d", e.base, e.now)
 	}
-	queued := 0
+	linked := make(map[*node]bool)
+	queued, owned := 0, 0
 	for lvl := 0; lvl < wheelLevels; lvl++ {
 		for slot := 0; slot < wheelSlots; slot++ {
 			l := &e.slots[lvl][slot]
@@ -160,6 +182,13 @@ func checkWheel(e *Engine, allocated int) error {
 			var prev *node
 			for n := l.head; n != nil; prev, n = n, n.next {
 				queued++
+				if n.owned {
+					owned++
+				}
+				if linked[n] {
+					return fmt.Errorf("node at %d is linked twice", n.at)
+				}
+				linked[n] = true
 				if n.prev != prev {
 					return fmt.Errorf("level %d slot %d: node at %d has a prev that is not its predecessor", lvl, slot, n.at)
 				}
@@ -187,31 +216,55 @@ func checkWheel(e *Engine, allocated int) error {
 	if queued != e.pending {
 		return fmt.Errorf("%d nodes queued, the counter says %d", queued, e.pending)
 	}
-	if queued+len(e.free) != allocated {
-		return fmt.Errorf("%d nodes queued + %d pooled, %d allocated", queued, len(e.free), allocated)
+	if queued-owned+len(e.free) != allocated || e.nodes != allocated {
+		return fmt.Errorf("%d pooled nodes queued + %d in the pool, %d allocated, the engine counts %d",
+			queued-owned, len(e.free), allocated, e.nodes)
+	}
+	for _, n := range e.free {
+		if n.owned {
+			return fmt.Errorf("a Timer's node (at %d) is in the pool", n.at)
+		}
+	}
+	for k := range timers {
+		if tm := &timers[k]; tm.Pending() != linked[&tm.n] {
+			return fmt.Errorf("timer %d reads pending=%v, linked=%v", k, tm.Pending(), linked[&tm.n])
+		}
+		if linked[&timers[k].n] {
+			owned--
+		}
+	}
+	if owned != 0 {
+		return fmt.Errorf("%d owned nodes in the wheel belong to no timer", owned)
 	}
 	return nil
 }
 
 func wheelFzSched(e *Engine) fzSched {
-	// An At that finds the pool empty allocates: counted here, not in the
-	// engine, for checkWheel's no-node-lost check.
+	// An At that finds the pool empty allocates: counted here, as well as in
+	// the engine, for checkWheel's no-node-lost check.
 	allocated := 0
 	get := func() {
 		if len(e.free) == 0 {
 			allocated++
 		}
 	}
+	var timers [fzTimers]Timer
+	var waits [fzTimers]Event
 	return fzSched{
-		now:        e.Now,
-		at:         func(t Time, fn func()) func() { get(); return e.At(t, fn).Cancel },
+		now: e.Now,
+		at:  func(t Time, fn func()) func() { get(); return e.At(t, fn).Cancel },
+		atTimer: func(k int, t Time, fn func()) func() {
+			waits[k].Cancel()
+			waits[k] = timers[k].At(e, t, fn)
+			return waits[k].Cancel
+		},
 		after:      func(d Time, fn func()) func() { get(); return e.After(d, fn).Cancel },
 		runThrough: e.RunThrough,
 		runUntil:   e.RunUntil,
 		step:       e.Step,
 		nextTime:   e.NextTime,
 		pending:    e.Pending,
-		check:      func() error { return checkWheel(e, allocated) },
+		check:      func() error { return checkWheel(e, allocated, timers[:]...) },
 	}
 }
 
@@ -220,9 +273,18 @@ func refFzSched(s *refSched) fzSched {
 		ev := s.at(t, fn)
 		return func() { ev.dead = true }
 	}
+	var waits [fzTimers]*refEv
 	return fzSched{
 		now: func() Time { return s.now },
 		at:  at,
+		atTimer: func(k int, t Time, fn func()) func() {
+			if ev := waits[k]; ev != nil {
+				ev.dead = true // fired already, or cancelled here
+			}
+			ev := s.at(t, fn)
+			waits[k] = ev
+			return func() { ev.dead = true }
+		},
 		after: func(d Time, fn func()) func() {
 			if d < 0 {
 				d = 0
@@ -363,6 +425,30 @@ var fzSeeds = [][]byte{
 		fzCancel, 2, // a spent handle: inert
 		fzStep,
 		fzRunThrough, 2, 2,
+	},
+	{ // Timers beside pooled nodes at one time; one re-armed while pending, one from its own callback
+		fzAt | 8 | 0<<4, 0, 10, 0, // id 0 at 10 on timer 0
+		fzAt, 0, 10, 0, // id 1 at 10, pooled, behind it
+		fzAt | 8 | 2<<4, 0, 10, 6, // id 2 at 10 on timer 2: its child goes back on timer 2
+		fzAt | 8 | 0<<4, jit(2, 8), 1, 0, // id 3 at 4104 on timer 0, which drops id 0
+		fzCancel, 0, // id 0's handle: inert now
+		fzNextTime,
+		fzStep, fzStep,
+		fzRunThrough, 3, 1,
+		fzCancel, 3, // timer 0's wait
+		fzAt | 8 | 0<<4, 0, 1, 0, // and timer 0 is free to wait again
+		fzStep,
+	},
+	{ // Timers cascading from level 6; the slot's owned head cancelled
+		fzAt | 8 | 1<<4, 6, 1, 0, // id 0 at 2³⁶ on timer 1
+		fzAt, 6, 1, 0, // id 1 at 2³⁶, pooled
+		fzAt | 8 | 3<<4, 6, 1, 2, // id 2 at 2³⁶ on timer 3, its child on timer 2
+		fzCancel, 0, // the slot's head
+		fzNextTime,
+		fzAt | 8 | 1<<4, 0, 1, 0, // timer 1 again, at 1
+		fzRunThrough, 6, 2,
+		fzAfter, 0, 5,
+		fzStep, fzStep,
 	},
 }
 
