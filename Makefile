@@ -59,8 +59,10 @@ microbench:
 # (internal/pmem/model_test.go), the Redis-like store against the
 # whole-value encoder it replaced (internal/rediskv/model_test.go), the
 # Redis handler on arbitrary requests against an in-memory model
-# (internal/apps/model_test.go), and the timer wheel on arbitrary schedules
-# against the O(n²) reference scheduler (internal/sim/wheel_test.go). Not
+# (internal/apps/model_test.go), the timer wheel on arbitrary schedules
+# against the O(n²) reference scheduler (internal/sim/wheel_test.go), and the
+# read cache against the string-keyed map and LRU list it replaced
+# (internal/dataplane/cache_model_test.go). Not
 # part of `make ci`: `go test ./...`
 # already replays the seeds; this searches past them. Minimizing each new
 # input gets 2 s, not the default minute, so each target's 30 s go to fuzzing.
@@ -74,6 +76,8 @@ fuzz:
 		-fuzzminimizetime 2s ./internal/apps
 	$(GO) test -run '^$$' -fuzz FuzzWheelMatchesReference -fuzztime $(FUZZTIME) \
 		-fuzzminimizetime 2s ./internal/sim
+	$(GO) test -run '^$$' -fuzz FuzzCacheMatchesModel -fuzztime $(FUZZTIME) \
+		-fuzzminimizetime 2s ./internal/dataplane
 
 # Full experiment suite, cells on a GOMAXPROCS-sized worker pool.
 bench:

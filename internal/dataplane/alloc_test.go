@@ -40,8 +40,9 @@ type hopRig struct {
 	dev     *Device
 	payload []byte
 	seq     uint32
-	acks    int // PMNet-ACKs the client saw
-	hits    int // cache responses the client saw
+	acks    int                      // PMNet-ACKs the client saw
+	hits    int                      // cache responses the client saw
+	seen    func(pkt *netsim.Packet) // sees each cache response; may be nil
 }
 
 func newHopRig() *hopRig { return newHopRigWith(DefaultConfig()) }
@@ -58,6 +59,9 @@ func newHopRigWith(cfg Config) *hopRig {
 			rg.acks++
 		case protocol.TypeCacheResp:
 			rg.hits++
+			if rg.seen != nil {
+				rg.seen(pkt)
+			}
 		}
 	}
 	net.AddNode(client, "client")
@@ -117,10 +121,42 @@ func TestUpdateHopAllocs(t *testing.T) {
 	}
 }
 
-// TestReadResponseAllocs pins a GET answered by the device's cache to one
-// allocation, the response payload: the key is looked up as the bytes in the
-// packet, the request decodes into the device's scratch, and the response's
-// two-element Args never leaves the stack.
+// get sends a pre-encoded GET from the client toward the server and drains
+// the clock.
+func (rg *hopRig) get(payload []byte) {
+	rg.seq++
+	h := protocol.Header{Type: protocol.TypeBypassReq, SessionID: 2, SeqNum: rg.seq, FragTotal: 1}
+	h.Seal()
+	pkt := rg.net.AllocPacket()
+	pkt.From, pkt.To = clientID, serverID
+	pkt.SrcPort, pkt.DstPort = 40001, protocol.PortMin
+	pkt.PMNet = true
+	pkt.Msg = protocol.Message{Hdr: h, Payload: payload}
+	rg.net.Transmit(pkt, clientID)
+	rg.eng.Run()
+}
+
+// readResp sends a server read response back through the device toward the
+// client and drains the clock.
+func (rg *hopRig) readResp(payload []byte) {
+	rg.seq++
+	h := protocol.Header{Type: protocol.TypeReadResp, SessionID: 2, SeqNum: rg.seq, FragTotal: 1}
+	h.Seal()
+	pkt := rg.net.AllocPacket()
+	pkt.From, pkt.To = serverID, clientID
+	pkt.SrcPort, pkt.DstPort = protocol.PortMin, 40001
+	pkt.PMNet = true
+	pkt.Msg = protocol.Message{Hdr: h, Payload: payload}
+	rg.net.Transmit(pkt, serverID)
+	rg.eng.Run()
+}
+
+// TestReadResponseAllocs pins a GET answered by the device's cache: the key
+// is looked up as the bytes in the packet and the request decodes into the
+// device's scratch, so the only allocation left is the response payload — on
+// the first hit on a value an update installed, which encodes it once. A
+// repeat hit sends the same bytes again, and a value filled from a server
+// read response is answered with that response's own payload.
 func TestReadResponseAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("AllocsPerRun is unreliable under the race detector")
@@ -128,34 +164,56 @@ func TestReadResponseAllocs(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.CacheEntries = 64
 	rg := newHopRigWith(cfg)
-	rg.round() // the update leaves user00000001 Persisted in the cache
 	get := protocol.GetReq([]byte("user00000001")).Encode()
-	seq := uint32(1 << 31)
-	round := func() {
-		seq++
-		h := protocol.Header{Type: protocol.TypeBypassReq, SessionID: 1, SeqNum: seq, FragTotal: 1}
-		h.Seal()
-		pkt := rg.net.AllocPacket()
-		pkt.From, pkt.To = clientID, serverID
-		pkt.SrcPort, pkt.DstPort = 40001, protocol.PortMin
-		pkt.PMNet = true
-		pkt.Msg = protocol.Message{Hdr: h, Payload: get}
-		rg.net.Transmit(pkt, clientID)
-		rg.eng.Run()
+	rg.round() // the update leaves user00000001 Persisted in the cache
+	rg.get(get)
+	if got := testing.AllocsPerRun(100, func() {
+		rg.round() // a new value, installed by an update
+		rg.get(get)
+		rg.get(get)
+	}); got != 1 {
+		t.Errorf("first and repeat hit on an updated value allocated %.1f objects, want 1 (the response payload)", got)
 	}
-	round()
-	if got := testing.AllocsPerRun(100, round); got != 1 {
-		t.Errorf("cache hit allocated %.1f objects, want 1 (the response payload)", got)
+	if got := testing.AllocsPerRun(100, func() { rg.get(get) }); got != 0 {
+		t.Errorf("repeat hit allocated %.1f objects, want 0", got)
 	}
 	if st := rg.dev.Stats(); rg.hits == 0 || uint64(rg.hits) != st.CacheResponses || st.Cache.Misses != 0 {
 		t.Fatalf("path not exercised: %d cache responses seen, stats %+v", rg.hits, st)
 	}
+
+	// Fills: with one entry, each response evicts the other key's value.
+	cfg.CacheEntries = 1
+	rg = newHopRigWith(cfg)
+	var gets, resps [2][]byte
+	for i := range gets {
+		key := []byte{'k', byte('0' + i)}
+		gets[i] = protocol.GetReq(key).Encode()
+		resps[i] = protocol.Response{Status: protocol.StatusOK, Args: [][]byte{key, []byte("value")}}.Encode()
+	}
+	var served []byte
+	rg.seen = func(pkt *netsim.Packet) { served = pkt.Msg.Payload }
+	i := 0
+	fill := func() {
+		i++
+		rg.readResp(resps[i%2])
+		rg.get(gets[i%2])
+	}
+	fill()
+	if got := testing.AllocsPerRun(100, fill); got != 0 {
+		t.Errorf("fill and first hit allocated %.1f objects, want 0", got)
+	}
+	if st := rg.dev.Stats(); st.Cache.Fills < 100 || st.Cache.Evictions < 100 || st.Cache.Misses != 0 {
+		t.Fatalf("fills not exercised: stats %+v", st.Cache)
+	}
+	if &served[0] != &resps[i%2][0] {
+		t.Error("a hit on a filled value did not send the server's payload")
+	}
 }
 
-// TestCacheSteadyStateAllocs pins every cache operation on resident keys —
-// the device's byte-keyed forms and the string-keyed ones — to zero
-// allocations, and an eviction's replacement to one: the new key's string,
-// its entry being the evicted one.
+// TestCacheSteadyStateAllocs pins every cache operation — the device's
+// byte-keyed forms and the string-keyed ones, on resident keys and on new
+// keys that replace evicted ones — to zero allocations: a new key is copied
+// into the evicted entry's own buffer.
 func TestCacheSteadyStateAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("AllocsPerRun is unreliable under the race detector")
@@ -171,18 +229,19 @@ func TestCacheSteadyStateAllocs(t *testing.T) {
 	if got := testing.AllocsPerRun(200, func() {
 		k := keys[i%len(keys)]
 		i++
-		held := c.onUpdate(k, value) // Persisted → Pending
-		if _, hit := c.lookup(k); !hit {
+		c.onLoggedUpdate(1, k, value) // Persisted → Pending
+		if c.lookup(k) == nil {
 			t.Fatal("pending entry did not serve")
 		}
-		c.onUpdate(k, value) // Pending → Stale
-		c.OnServerAck(held)  // Stale → Invalid
-		c.onReadResponse(k, value)
-		if v, hit := c.Lookup(held); !hit || &v[0] != &value[0] {
+		c.onLoggedUpdate(2, k, value) // Pending → Stale
+		c.onServerAck(1)              // Stale → Invalid
+		c.onServerAck(2)
+		c.onReadResponse(k, value, nil)
+		if v, hit := c.Lookup(string(k)); !hit || &v[0] != &value[0] {
 			t.Fatal("filled entry did not serve")
 		}
-		c.OnUpdate(held, value)
-		c.OnServerAck(held)
+		c.OnUpdate(string(k), value)
+		c.OnServerAck(string(k))
 	}); got != 0 {
 		t.Errorf("resident-key operations allocated %.1f objects, want 0", got)
 	}
@@ -191,11 +250,15 @@ func TestCacheSteadyStateAllocs(t *testing.T) {
 	if got := testing.AllocsPerRun(200, func() {
 		n++
 		fresh = append(fresh[:0], 'n', byte(n), byte(n>>8))
-		c.onReadResponse(fresh, value)
-	}); got != 1 {
-		t.Errorf("replacing an evicted key allocated %.1f objects, want 1 (its key string)", got)
+		c.onReadResponse(fresh, value, nil)
+		n++
+		fresh = append(fresh[:0], 'n', byte(n), byte(n>>8))
+		c.onLoggedUpdate(uint32(n), fresh, value)
+		c.onServerAck(uint32(n))
+	}); got != 0 {
+		t.Errorf("replacing evicted keys allocated %.1f objects, want 0", got)
 	}
-	if st := c.Stats(); c.Len() != 8 || st.Evictions < 200 {
+	if st := c.Stats(); c.Len() != 8 || st.Evictions < 400 {
 		t.Fatalf("evictions not exercised: len %d, stats %+v", c.Len(), st)
 	}
 }

@@ -84,12 +84,6 @@ type Device struct {
 	log   *LogTable
 	cache *Cache
 
-	// hashKey maps a logged update's HashVal to its application key so the
-	// read cache can apply server-ACK transitions (SRAM metadata; rebuilt
-	// empty after a device restart, which only costs cache warmth). The string
-	// is the cache entry's own key, not a copy per update.
-	hashKey map[uint32]string
-
 	stats  Stats
 	tracer *trace.Tracer // picked up from the network at New; nil = off
 	down   bool
@@ -177,15 +171,14 @@ func New(net *netsim.Network, id netsim.NodeID, name string, cfg Config) *Device
 	dev := pmem.NewDevice(pmCfg)
 	queue := pmem.NewQueue(net.Engine(), dev, cfg.QueueBytes)
 	d := &Device{
-		id:      id,
-		net:     net,
-		eng:     net.Engine(),
-		cfg:     cfg,
-		pm:      dev,
-		queue:   queue,
-		log:     NewLogTable(dev, queue, cfg.SlotBytes),
-		hashKey: make(map[uint32]string),
-		tracer:  net.Tracer(),
+		id:     id,
+		net:    net,
+		eng:    net.Engine(),
+		cfg:    cfg,
+		pm:     dev,
+		queue:  queue,
+		log:    NewLogTable(dev, queue, cfg.SlotBytes),
+		tracer: net.Tracer(),
 	}
 	d.egressFn = d.egress
 	if cfg.CacheEntries > 0 {
@@ -221,7 +214,7 @@ func (d *Device) PM() *pmem.Device { return d.pm }
 func (d *Device) Queue() *pmem.Queue { return d.queue }
 
 // Fail crashes the device. Its battery-backed PM retains every persisted
-// log entry; SRAM contents (log queues, cache, hash→key map) are lost.
+// log entry; SRAM contents (log queues, cache and its server-ACK map) are lost.
 func (d *Device) Fail() {
 	d.down = true
 	d.net.SetNodeDown(d.id, true)
@@ -234,7 +227,6 @@ func (d *Device) Fail() {
 func (d *Device) Restart() {
 	d.down = false
 	d.log.RebuildIndex()
-	d.hashKey = make(map[uint32]string)
 	if d.cache != nil {
 		d.cache = NewCache(d.cfg.CacheEntries)
 	}
@@ -370,7 +362,7 @@ func (d *Device) handleUpdate(pkt *netsim.Packet) {
 func (d *Device) cacheUpdate(msg protocol.Message, logged bool) {
 	if logged {
 		if key, value, ok := d.cacheKeyValue(msg); ok {
-			d.hashKey[msg.Hdr.HashVal] = d.cache.onUpdate(key, value)
+			d.cache.onLoggedUpdate(msg.Hdr.HashVal, key, value)
 			return
 		}
 	}
@@ -411,9 +403,7 @@ func (d *Device) onPersist(u *updateRec) {
 func (d *Device) handleBypass(pkt *netsim.Packet) {
 	if d.cache != nil && pkt.Msg.Hdr.FragTotal <= 1 {
 		if req, err := protocol.DecodeRequestInto(pkt.Msg.Payload, &d.args); err == nil && req.Op == protocol.OpGet && len(req.Args) >= 1 {
-			key := req.Args[0]
-			if value, hit := d.cache.Lookup(string(key)); hit {
-				resp := protocol.Response{Status: protocol.StatusOK, Args: [][]byte{key, value}}
+			if e := d.cache.lookup(req.Args[0]); e != nil {
 				hdr := protocol.Header{
 					Type:      protocol.TypeCacheResp,
 					SessionID: pkt.Msg.Hdr.SessionID,
@@ -423,7 +413,7 @@ func (d *Device) handleBypass(pkt *netsim.Packet) {
 				hdr.Seal()
 				d.stats.CacheResponses++
 				d.sendNew(pkt.From, pkt.DstPort, pkt.SrcPort,
-					protocol.Message{Hdr: hdr, Payload: resp.Encode()})
+					protocol.Message{Hdr: hdr, Payload: e.response()})
 				d.net.FreePacket(pkt)
 				return // served: drop the request
 			}
@@ -442,10 +432,7 @@ func (d *Device) handleServerAck(pkt *netsim.Packet) {
 		d.emitGauges()
 	}
 	if d.cache != nil {
-		if key, ok := d.hashKey[hash]; ok {
-			delete(d.hashKey, hash)
-			d.cache.OnServerAck(key)
-		}
+		d.cache.onServerAck(hash)
 	}
 	if pkt.To != d.id {
 		d.forward(pkt)
@@ -476,7 +463,7 @@ func (d *Device) handleReadResp(pkt *netsim.Packet) {
 	if d.cache != nil && pkt.Msg.Hdr.FragTotal <= 1 {
 		if resp, err := protocol.DecodeResponseInto(pkt.Msg.Payload, &d.args); err == nil &&
 			resp.Status == protocol.StatusOK && len(resp.Args) >= 2 {
-			d.cache.onReadResponse(resp.Args[0], resp.Args[1])
+			d.cache.onReadResponse(resp.Args[0], resp.Args[1], pkt.Msg.Payload)
 		}
 	}
 	if pkt.To != d.id {

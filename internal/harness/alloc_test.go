@@ -51,9 +51,10 @@ func TestUpdatePathAllocsPerRequest(t *testing.T) {
 // bench/'s kv_mixed shape at small size: 16 clients, zipfian reads beside
 // writes on a B-tree behind the read cache. Prefill and warm-up are the same
 // at N and 2N; what is left per request is its payload, a read's response
-// payload and the copy of the value Engine.Get hands out, and a key string
-// per key the cache has not seen — the engine's descent, its transaction, the
-// response's argument arrays and the cache's entries are all reused.
+// payload and the copy of the value Engine.Get hands out, and the response a
+// cache hit sends, encoded once per value an update installed — the engine's
+// descent, its transaction, the response's argument arrays and the cache's
+// entries and their key buffers are all reused (1.377 measured).
 func TestReadPathAllocsPerRequest(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("malloc counts are unreliable under the race detector")
@@ -81,8 +82,8 @@ func TestReadPathAllocsPerRequest(t *testing.T) {
 	n := float64(clients * perClient)
 	got := (float64(mallocs(2*perClient)) - float64(mallocs(perClient))) / n
 	t.Logf("%.4f objects per request", got)
-	if got > 3.0 {
-		t.Errorf("store and read path allocates %.3f objects per request in steady state, want <= 3.0", got)
+	if got > 1.48 {
+		t.Errorf("store and read path allocates %.3f objects per request in steady state, want <= 1.48", got)
 	}
 }
 
