@@ -1,7 +1,7 @@
-// Command pmnetlint enforces pmnet's determinism and persistence
-// invariants. It walks the module's packages, runs the analyzers in
-// internal/analysis, and prints findings as file:line:col diagnostics or a
-// SARIF 2.1.0 log.
+// Command pmnetlint enforces pmnet's determinism invariants and bounds the
+// data plane's per-packet work. It walks the module's packages, runs the
+// analyzers in internal/analysis, and prints findings as file:line:col
+// diagnostics or a SARIF 2.1.0 log.
 //
 // Usage:
 //
@@ -24,8 +24,6 @@
 //   - wallclock:    no time.Now/Sleep/After/... in model code
 //   - randsource:   no math/rand or crypto/rand imports in model code
 //   - maprange:     no order-sensitive map iteration in event-ordering packages
-//   - persistcover: no pmem write without a persist barrier
-//   - persistorder: a persist barrier on every CFG path from pmem write to ACK send
 //   - boundedwork:  dataplane loop bounds are constants, parameter lengths, or table sizes
 //   - syncpool:     buffer pools in model code go through the deterministic pool
 //   - sharedstate:  no cross-cell shared mutable state in the sharded simulator

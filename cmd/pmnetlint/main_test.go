@@ -115,8 +115,8 @@ func TestSARIFOutput(t *testing.T) {
 		t.Fatalf("want exactly one run driven by pmnetlint, got %+v", log.Runs)
 	}
 	run := log.Runs[0]
-	// Rule table: the driver pseudo-rule plus all nine analyzers.
-	if got, want := len(run.Tool.Driver.Rules), 10; got != want {
+	// Rule table: the driver pseudo-rule plus all seven analyzers.
+	if got, want := len(run.Tool.Driver.Rules), 8; got != want {
 		t.Errorf("rule table has %d entries, want %d", got, want)
 	}
 	if len(run.Results) == 0 {

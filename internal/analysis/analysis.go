@@ -1,18 +1,15 @@
 // Package analysis is pmnet's in-tree static-analysis engine.
 //
-// The whole reproduction rests on two hand-maintained disciplines that no
-// compiler enforces:
+// The whole reproduction rests on a hand-maintained discipline that no
+// compiler enforces: determinism. The DES runs on a virtual clock and a
+// seeded PRNG (internal/sim); model code must never read the wall clock, use
+// the runtime's randomness, iterate a map in an order-sensitive way, or share
+// mutable state between cells. One careless time.Now() or unsorted map range
+// silently destroys the "bit-reproducible given a seed" property. (Every
+// pmem.Device write is durable when it returns, so there is no persist
+// barrier left to check.)
 //
-//  1. Determinism. The DES runs on a virtual clock and a seeded PRNG
-//     (internal/sim); model code must never read the wall clock, use the
-//     runtime's randomness, or iterate a map in an order-sensitive way.
-//     One careless time.Now() or unsorted map range silently destroys the
-//     "bit-reproducible given a seed" property.
-//  2. Persistence. Every pmem.Device write must be covered by a persist
-//     barrier before the data is treated as durable — the crash-consistency
-//     core of PMNet's redo log (PAPER §V-A).
-//
-// The analyzers here mechanise both rules using only the standard library
+// The analyzers here mechanise the rule using only the standard library
 // (go/parser + go/ast + go/types), so the tool runs offline with no module
 // downloads. cmd/pmnetlint is the CLI driver; CI runs it on every push.
 //
@@ -75,8 +72,6 @@ var Analyzers = []*Analyzer{
 	WallclockAnalyzer,
 	RandsourceAnalyzer,
 	MaprangeAnalyzer,
-	PersistcoverAnalyzer,
-	PersistorderAnalyzer,
 	BoundedworkAnalyzer,
 	SyncpoolAnalyzer,
 	SharedstateAnalyzer,

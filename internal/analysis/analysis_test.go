@@ -92,14 +92,12 @@ func checkFixtureWith(t *testing.T, as []*Analyzer, name string) {
 	}
 }
 
-func TestWallclockFixture(t *testing.T)    { checkFixture(t, WallclockAnalyzer, "wallclock") }
-func TestRandsourceFixture(t *testing.T)   { checkFixture(t, RandsourceAnalyzer, "randsource") }
-func TestMaprangeFixture(t *testing.T)     { checkFixture(t, MaprangeAnalyzer, "maprange") }
-func TestPersistcoverFixture(t *testing.T) { checkFixture(t, PersistcoverAnalyzer, "persistcover") }
-func TestSyncpoolFixture(t *testing.T)     { checkFixture(t, SyncpoolAnalyzer, "syncpool") }
-func TestSharedstateFixture(t *testing.T)  { checkFixture(t, SharedstateAnalyzer, "sharedstate") }
-func TestPersistorderFixture(t *testing.T) { checkFixture(t, PersistorderAnalyzer, "persistorder") }
-func TestBoundedworkFixture(t *testing.T)  { checkFixture(t, BoundedworkAnalyzer, "boundedwork") }
+func TestWallclockFixture(t *testing.T)   { checkFixture(t, WallclockAnalyzer, "wallclock") }
+func TestRandsourceFixture(t *testing.T)  { checkFixture(t, RandsourceAnalyzer, "randsource") }
+func TestMaprangeFixture(t *testing.T)    { checkFixture(t, MaprangeAnalyzer, "maprange") }
+func TestSyncpoolFixture(t *testing.T)    { checkFixture(t, SyncpoolAnalyzer, "syncpool") }
+func TestSharedstateFixture(t *testing.T) { checkFixture(t, SharedstateAnalyzer, "sharedstate") }
+func TestBoundedworkFixture(t *testing.T) { checkFixture(t, BoundedworkAnalyzer, "boundedwork") }
 
 func TestIgnoreauditFixture(t *testing.T) {
 	checkFixtureWith(t, []*Analyzer{MaprangeAnalyzer, IgnoreauditAnalyzer}, "ignoreaudit")
@@ -161,13 +159,6 @@ func TestScopes(t *testing.T) {
 		{MaprangeAnalyzer, "pmnet/internal/harness", true},
 		{MaprangeAnalyzer, "pmnet/internal/server", true},
 		{MaprangeAnalyzer, "pmnet/internal/kv", false},
-		{PersistcoverAnalyzer, "pmnet/internal/pmobj", true},
-		{PersistcoverAnalyzer, "pmnet/internal/analysis", false},
-		{PersistorderAnalyzer, "pmnet/internal/server", true},
-		{PersistorderAnalyzer, "pmnet/internal/dataplane", true},
-		{PersistorderAnalyzer, "pmnet/internal/pmem", false},
-		{PersistorderAnalyzer, "pmnet/internal/pmobj", false},
-		{PersistorderAnalyzer, "pmnet/internal/analysis/testdata/src/persistorder", true},
 		{BoundedworkAnalyzer, "pmnet/internal/dataplane", true},
 		{BoundedworkAnalyzer, "pmnet/internal/server", false},
 		{BoundedworkAnalyzer, "pmnet/internal/sim", false},
@@ -199,7 +190,7 @@ func TestScopes(t *testing.T) {
 // TestRepoIsClean is the in-tree equivalent of `pmnetlint ./...` exiting 0:
 // the repository must satisfy its own invariants. A regression here means a
 // change reintroduced wall-clock time, ambient randomness, unsorted map
-// iteration, or an uncovered pmem write.
+// iteration, or cross-cell shared state.
 func TestRepoIsClean(t *testing.T) {
 	root, modPath, err := FindModule(".")
 	if err != nil {

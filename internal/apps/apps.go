@@ -118,13 +118,10 @@ func NewKVHandler(engine kv.Engine, arena *pmobj.Arena) *KVHandler {
 // ResetLocks drops all locks (called from the server's OnRestart hook).
 func (h *KVHandler) ResetLocks() { h.locks = newLockTable() }
 
-// Crash power-fails the application's PM in lockstep with its server:
-// unpersisted engine state is lost, committed state survives. Volatile
-// locks are implicitly released.
-func (h *KVHandler) Crash() {
-	h.dev.PowerFail()
-	h.locks = newLockTable()
-}
+// Crash loses the handler's volatile state in lockstep with its server: the
+// locks are released. The engine's PM needs nothing, since every write is
+// durable on return; a commit cut short is Restart's to replay or discard.
+func (h *KVHandler) Crash() { h.locks = newLockTable() }
 
 // Restart replays any in-flight engine transaction from the redo log and
 // reattaches the engine handle.
@@ -218,8 +215,10 @@ func NewRedisHandler(store *rediskv.Store, arena *pmobj.Arena) *RedisHandler {
 	return &RedisHandler{Store: store, Cost: DefaultCost(), arena: arena, dev: arena.Device()}
 }
 
-// Crash power-fails the store's PM (see KVHandler.Crash).
-func (h *RedisHandler) Crash() { h.dev.PowerFail() }
+// Crash does nothing: the store keeps no volatile state, and its PM writes
+// are durable on return. It exists because Restart, which recovers the arena,
+// comes as a pair with it (pmnet.CrashFaultHandler).
+func (h *RedisHandler) Crash() {}
 
 // Restart recovers the arena and reattaches the store.
 func (h *RedisHandler) Restart() {

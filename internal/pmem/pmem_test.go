@@ -3,9 +3,7 @@ package pmem
 import (
 	"bytes"
 	"errors"
-	"math/bits"
 	"testing"
-	"testing/quick"
 
 	"pmnet/internal/sim"
 )
@@ -17,7 +15,7 @@ func newDev(capacity int) *Device {
 func TestWriteReadRoundTrip(t *testing.T) {
 	d := newDev(4096)
 	msg := []byte("hello persistent world")
-	if err := d.WriteAt(msg, 100); err != nil {
+	if err := d.WriteThrough(msg, 100); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]byte, len(msg))
@@ -29,19 +27,25 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestOutOfRangeErrors: every access to bytes outside the device fails with
+// ErrOutOfRange, an empty one included (ReadU64s reads the words covering n
+// bytes, so an empty range reads none).
 func TestOutOfRangeErrors(t *testing.T) {
 	d := newDev(128)
 	cases := []struct {
 		off, n int
 	}{
-		{-1, 4}, {120, 16}, {0, 129}, {128, 1},
+		{-1, 4}, {120, 16}, {0, 129}, {128, 1}, {-5, 0}, {5000, 0},
 	}
 	for _, c := range cases {
-		if err := d.WriteAt(make([]byte, c.n), c.off); !errors.Is(err, ErrOutOfRange) {
-			t.Errorf("WriteAt(%d,%d) err = %v, want ErrOutOfRange", c.off, c.n, err)
+		if err := d.WriteThrough(make([]byte, c.n), c.off); !errors.Is(err, ErrOutOfRange) {
+			t.Errorf("WriteThrough(%d,%d) err = %v, want ErrOutOfRange", c.off, c.n, err)
 		}
 		if err := d.ReadAt(make([]byte, c.n), c.off); !errors.Is(err, ErrOutOfRange) {
 			t.Errorf("ReadAt(%d,%d) err = %v, want ErrOutOfRange", c.off, c.n, err)
+		}
+		if err := d.ReadU64s(make([]uint64, (c.n+7)/8), c.off); !errors.Is(err, ErrOutOfRange) {
+			t.Errorf("ReadU64s(%d words, %d) err = %v, want ErrOutOfRange", (c.n+7)/8, c.off, err)
 		}
 	}
 }
@@ -51,7 +55,7 @@ func TestOutOfRangeErrors(t *testing.T) {
 // capacity that stops an append from writing past them into the device.
 func TestView(t *testing.T) {
 	d := newDev(128)
-	if err := d.WriteAt([]byte("abcdefgh"), 8); err != nil {
+	if err := d.WriteThrough([]byte("abcdefgh"), 8); err != nil {
 		t.Fatal(err)
 	}
 	before := d.Stats()
@@ -67,7 +71,7 @@ func TestView(t *testing.T) {
 	if err := d.ReadAt(got, 8); err != nil || string(got) != "abcdefgh" {
 		t.Fatalf("append to a view reached the device: %q, %v", got, err)
 	}
-	if err := d.WriteAt([]byte("Z"), 8); err != nil || v[0] != 'Z' {
+	if err := d.WriteThrough([]byte("Z"), 8); err != nil || v[0] != 'Z' {
 		t.Fatalf("a view is the device's bytes until the next write: %q, %v", v, err)
 	}
 	before = d.Stats()
@@ -81,107 +85,17 @@ func TestView(t *testing.T) {
 	}
 }
 
-func TestUnpersistedWriteLostOnPowerFail(t *testing.T) {
-	d := newDev(4096)
-	if err := d.WriteAt([]byte{1, 2, 3, 4}, 0); err != nil {
-		t.Fatal(err)
-	}
-	d.PowerFail()
-	got := make([]byte, 4)
-	if err := d.ReadAt(got, 0); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, []byte{0, 0, 0, 0}) {
-		t.Fatalf("unpersisted write survived power failure: %v", got)
-	}
-}
-
-func TestPersistedWriteSurvivesPowerFail(t *testing.T) {
-	d := newDev(4096)
-	msg := []byte{9, 8, 7, 6}
-	if err := d.WriteAt(msg, 512); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Persist(512, 4); err != nil {
-		t.Fatal(err)
-	}
-	d.PowerFail()
-	got := make([]byte, 4)
-	if err := d.ReadAt(got, 512); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, msg) {
-		t.Fatalf("persisted write lost: %v", got)
-	}
-}
-
-func TestPersistLineGranularity(t *testing.T) {
-	d := newDev(4096) // line size 256
-	// Two writes within the same line; persisting one byte persists the line.
-	if err := d.WriteAt([]byte{1}, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.WriteAt([]byte{2}, 100); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Persist(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	d.PowerFail()
-	got := make([]byte, 101)
-	_ = d.ReadAt(got, 0)
-	if got[0] != 1 || got[100] != 2 {
-		t.Fatalf("line-granular persist broke: got[0]=%d got[100]=%d", got[0], got[100])
-	}
-}
-
-func TestPersistedPredicate(t *testing.T) {
-	d := newDev(4096)
-	_ = d.WriteAt([]byte{1, 2, 3}, 300)
-	if d.Persisted(300, 3) {
-		t.Fatal("dirty range reported persisted")
-	}
-	_ = d.Persist(300, 3)
-	if !d.Persisted(300, 3) {
-		t.Fatal("persisted range reported dirty")
-	}
-	if !d.Persisted(0, 0) {
-		t.Fatal("empty range should always be persisted")
-	}
-}
-
-func TestPersistAll(t *testing.T) {
-	d := newDev(4096)
-	_ = d.WriteAt([]byte{5}, 0)
-	_ = d.WriteAt([]byte{6}, 4000)
-	d.PersistAll()
-	d.PowerFail()
-	b := make([]byte, 1)
-	_ = d.ReadAt(b, 0)
-	if b[0] != 5 {
-		t.Fatal("PersistAll missed offset 0")
-	}
-	_ = d.ReadAt(b, 4000)
-	if b[0] != 6 {
-		t.Fatal("PersistAll missed offset 4000")
-	}
-}
-
+// TestDeviceStats: a write-through counts its pieces as writes and one
+// persist when it stores anything; an empty one counts its write alone.
 func TestDeviceStats(t *testing.T) {
 	d := newDev(1024)
-	_ = d.WriteAt(make([]byte, 10), 0)
+	_ = d.WriteThrough(make([]byte, 10), 0)
+	_ = d.WriteThroughGroup(make([]byte, 30), 100, 3)
+	_ = d.WriteThrough(nil, 0)
 	_ = d.ReadAt(make([]byte, 5), 0)
-	_ = d.Persist(0, 10)
-	d.PowerFail()
-	s := d.Stats()
-	if s.Writes != 1 || s.BytesWritten != 10 {
-		t.Errorf("write stats: %+v", s)
-	}
-	if s.Reads != 1 || s.BytesRead != 5 {
-		t.Errorf("read stats: %+v", s)
-	}
-	if s.Persists != 1 || s.PowerFailures != 1 {
-		t.Errorf("persist/failure stats: %+v", s)
+	want := Stats{Writes: 5, BytesWritten: 40, Reads: 1, BytesRead: 5, Persists: 2}
+	if s := d.Stats(); s != want {
+		t.Errorf("stats %+v, want %+v", s, want)
 	}
 }
 
@@ -241,8 +155,8 @@ func TestQueueWriteCompletesWithLatency(t *testing.T) {
 	if doneAt != want {
 		t.Fatalf("write completed at %v, want %v", doneAt, want)
 	}
-	if !d.Persisted(0, 4) {
-		t.Fatal("queued write not persisted after completion")
+	if d.Stats().Persists != 1 {
+		t.Fatalf("queued write persisted %d times, want once", d.Stats().Persists)
 	}
 	got := make([]byte, 4)
 	_ = d.ReadAt(got, 0)
@@ -298,8 +212,7 @@ func TestQueueRejectsWhenFull(t *testing.T) {
 func TestQueueRead(t *testing.T) {
 	eng := sim.NewEngine()
 	d := newDev(4096)
-	_ = d.WriteAt([]byte("logged"), 64)
-	_ = d.Persist(64, 6)
+	_ = d.WriteThrough([]byte("logged"), 64)
 	q := NewQueue(eng, d, 4096)
 	var got []byte
 	if !q.TryRead(64, 6, func(b []byte) { got = b }) {
@@ -321,7 +234,6 @@ func TestQueuePowerFailDropsInFlight(t *testing.T) {
 		t.Fatalf("InFlight = %d", q.InFlight())
 	}
 	q.PowerFail()
-	d.PowerFail()
 	eng.Run()
 	if fired {
 		t.Fatal("completion fired after power failure")
@@ -362,92 +274,4 @@ func TestQueueMaxUsedTracking(t *testing.T) {
 	if q.UsedBytes() != 0 {
 		t.Fatalf("UsedBytes = %d after drain", q.UsedBytes())
 	}
-}
-
-// Property: any interleaving of writes/persists/power failures leaves the
-// device consistent with a model that only retains persisted lines.
-func TestQuickCrashConsistency(t *testing.T) {
-	type op struct {
-		Kind byte // 0 write, 1 persist-all, 2 powerfail
-		Off  uint16
-		Val  byte
-	}
-	const size = 2048
-	f := func(ops []op) bool {
-		d := newDev(size)
-		model := make([]byte, size)    // persisted image
-		volatile := make([]byte, size) // what reads should see
-		copy(volatile, model)
-		for _, o := range ops {
-			switch o.Kind % 3 {
-			case 0:
-				off := int(o.Off) % size
-				_ = d.WriteAt([]byte{o.Val}, off)
-				volatile[off] = o.Val
-			case 1:
-				d.PersistAll()
-				copy(model, volatile)
-			case 2:
-				d.PowerFail()
-				copy(volatile, model)
-			}
-		}
-		got := make([]byte, size)
-		_ = d.ReadAt(got, 0)
-		return bytes.Equal(got, volatile)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestDirtyLinesIncrementalMatchesBitset pins the O(1) dirty-line counter to
-// a popcount of the authoritative bitset across writes (including rewrites
-// of already-dirty lines), partial persists, and power failure.
-func TestDirtyLinesIncrementalMatchesBitset(t *testing.T) {
-	d := NewDevice(Config{Capacity: 64 * 256, LineSize: 256})
-	scan := func() int {
-		n := 0
-		for _, w := range d.dirty {
-			n += bits.OnesCount64(w)
-		}
-		return n
-	}
-	check := func(step string) {
-		t.Helper()
-		if got, want := d.DirtyLines(), scan(); got != want {
-			t.Fatalf("%s: DirtyLines=%d, bitset=%d", step, got, want)
-		}
-	}
-	check("clean device")
-	buf := make([]byte, 300)
-	if err := d.WriteAt(buf, 0); err != nil { // spans lines 0-1
-		t.Fatal(err)
-	}
-	check("first write")
-	if d.DirtyLines() != 2 {
-		t.Fatalf("DirtyLines=%d, want 2", d.DirtyLines())
-	}
-	if err := d.WriteAt(buf, 128); err != nil { // re-dirties 0-1
-		t.Fatal(err)
-	}
-	check("overlapping rewrite")
-	if err := d.WriteAt(buf[:10], 40*256); err != nil {
-		t.Fatal(err)
-	}
-	check("distant line")
-	if err := d.Persist(0, 256); err != nil { // clears line 0 only
-		t.Fatal(err)
-	}
-	check("partial persist")
-	d.PersistAll()
-	check("persist all")
-	if d.DirtyLines() != 0 {
-		t.Fatalf("DirtyLines=%d after PersistAll", d.DirtyLines())
-	}
-	if err := d.WriteAt(buf, 1024); err != nil {
-		t.Fatal(err)
-	}
-	d.PowerFail()
-	check("power failure")
 }

@@ -203,9 +203,8 @@ func (q *Queue) TryRead(off, n int, done func(data []byte)) bool {
 func (q *Queue) InFlight() int { return q.flight }
 
 // PowerFail models losing the SRAM queue contents: every in-flight operation
-// is dropped — its completion callback never runs and its data never reaches
-// the device. Callers crashing a whole PMNet device should also PowerFail
-// the backing Device.
+// is dropped whole — its completion callback never runs and none of its data
+// reaches the device. What the device already holds is durable and stays.
 func (q *Queue) PowerFail() {
 	q.gen++
 	q.stats.Dropped += uint64(q.flight)

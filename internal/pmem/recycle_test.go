@@ -8,14 +8,14 @@ import (
 	"pmnet/internal/sim"
 )
 
-// TestRecycledDeviceIsZero fills a device at random — persisted lines, dirty
-// unpersisted lines, a power failure in between — releases it, and requires
-// the next device of that capacity to be the same memory and yet
+// TestRecycledDeviceIsZero fills a device at random — single writes and
+// groups, the short last chunk among them — releases it, and requires the
+// next device of that capacity to be the same memory and yet
 // indistinguishable from a fresh one, while the old handle refuses every
 // access.
 func TestRecycledDeviceIsZero(t *testing.T) {
 	// A capacity no other test uses (the free list is process-wide), several
-	// chunks long and a multiple of neither the chunk nor the line size.
+	// chunks long and not a multiple of the chunk size.
 	cfg := DefaultConfig(5<<chunkShift + 12345)
 	r := sim.NewRand(7)
 	old := NewDevice(cfg)
@@ -27,23 +27,12 @@ func TestRecycledDeviceIsZero(t *testing.T) {
 		}
 		n := 1 + r.Intn(len(buf))
 		off := r.Intn(cfg.Capacity - n + 1)
-		if err := old.WriteAt(buf[:n], off); err != nil {
+		if err := old.WriteThroughGroup(buf[:n], off, 1+r.Intn(4)); err != nil {
 			t.Fatal(err)
 		}
-		switch r.Intn(8) {
-		case 0:
-			old.PowerFail()
-		case 1, 2, 3:
-			if err := old.Persist(off, n); err != nil {
-				t.Fatal(err)
-			}
-		}
 	}
-	if err := old.WriteAt(buf[:100], cfg.Capacity-100); err != nil { // the short last chunk, left dirty
+	if err := old.WriteThrough(buf[:100], cfg.Capacity-100); err != nil { // the short last chunk
 		t.Fatal(err)
-	}
-	if old.DirtyLines() == 0 || old.Stats().Persists == 0 {
-		t.Fatal("the fill must leave dirty lines and persisted ones")
 	}
 	old.Release()
 
@@ -56,32 +45,34 @@ func TestRecycledDeviceIsZero(t *testing.T) {
 			t.Fatalf("recycled image byte %d = %#x, want 0", i, b)
 		}
 	}
-	if d.Stats() != (Stats{}) || d.DirtyLines() != 0 || !d.Persisted(0, cfg.Capacity) {
-		t.Fatalf("recycled device: stats %+v, %d dirty lines", d.Stats(), d.DirtyLines())
-	}
-	d.PowerFail() // nothing of the old device's shadow may come back
-	for i, b := range d.image {
-		if b != 0 {
-			t.Fatalf("after PowerFail, recycled image byte %d = %#x, want 0", i, b)
-		}
+	if d.Stats() != (Stats{}) {
+		t.Fatalf("recycled device: stats %+v", d.Stats())
 	}
 
-	if err := old.WriteAt(buf[:1], 0); !errors.Is(err, ErrOutOfRange) {
-		t.Errorf("WriteAt on a released device: %v", err)
-	}
 	if err := old.ReadAt(buf[:1], 0); !errors.Is(err, ErrOutOfRange) {
 		t.Errorf("ReadAt on a released device: %v", err)
+	}
+	if err := old.ReadAt(nil, 0); !errors.Is(err, ErrOutOfRange) {
+		t.Errorf("empty ReadAt on a released device: %v", err)
 	}
 	if _, err := old.View(0, 0); !errors.Is(err, ErrOutOfRange) {
 		t.Errorf("empty View on a released device: %v", err)
 	}
-	if err := old.Persist(0, 1); !errors.Is(err, ErrOutOfRange) {
-		t.Errorf("Persist on a released device: %v", err)
+	if _, err := old.ReadU64(0); !errors.Is(err, ErrOutOfRange) {
+		t.Errorf("ReadU64 on a released device: %v", err)
+	}
+	if err := old.ReadU64s(make([]uint64, 2), 0); !errors.Is(err, ErrOutOfRange) {
+		t.Errorf("ReadU64s on a released device: %v", err)
+	}
+	if err := old.ReadU64s(nil, 0); !errors.Is(err, ErrOutOfRange) {
+		t.Errorf("empty ReadU64s on a released device: %v", err)
 	}
 	if err := old.WriteThrough(buf[:1], 0); !errors.Is(err, ErrOutOfRange) {
 		t.Errorf("WriteThrough on a released device: %v", err)
 	}
-	old.PowerFail()
+	if err := old.WriteThroughGroup(nil, 0, 2); !errors.Is(err, ErrOutOfRange) {
+		t.Errorf("empty WriteThroughGroup on a released device: %v", err)
+	}
 	old.Release() // a second release must not put the image on the list twice
 	d.Release()
 	a, b := NewDevice(cfg), NewDevice(cfg)
@@ -126,7 +117,7 @@ func TestReleaseAndDrawConcurrently(t *testing.T) {
 						return
 					}
 				}
-				if err := d.WriteAt(buf, off); err != nil {
+				if err := d.WriteThrough(buf, off); err != nil {
 					t.Error(err)
 					return
 				}

@@ -130,10 +130,9 @@ func (a *Arena) readU64(off uint64) uint64 {
 	return v
 }
 
-// writeThrough writes p at off and persists it (pmem.Device.WriteThroughGroup):
-// every write of the arena is one with its barrier, no crash point between
-// them, so none leaves a line dirty. pieces is how many device writes p
-// stands for.
+// writeThrough writes p at off durably (pmem.Device.WriteThroughGroup), as
+// every write of the arena is. pieces is how many device writes p stands
+// for.
 func (a *Arena) writeThrough(p []byte, off uint64, pieces int) {
 	if err := a.dev.WriteThroughGroup(p, int(off), pieces); err != nil {
 		panic("pmobj: write: " + err.Error())
@@ -240,9 +239,9 @@ func (a *Arena) recover() error {
 	return nil
 }
 
-// Reopen re-runs recovery after the underlying device power-failed; the
-// volatile view has already reverted, so replaying any committed redo
-// restores the last committed state.
+// Reopen re-runs recovery after a crash: the device holds every write that
+// returned, so replaying any committed redo restores the last committed
+// state and a record never committed is discarded.
 func (a *Arena) Reopen() error {
 	a.tx.open = false // a transaction open at the failure died with it
 	return a.recover()

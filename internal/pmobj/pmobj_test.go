@@ -65,7 +65,6 @@ func TestCommitDurableAcrossPowerFail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.Device().PowerFail()
 	if err := a.Reopen(); err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +101,6 @@ func TestTornCommitBeforeFlagDiscarded(t *testing.T) {
 	tx.SetRoot(off)
 	tx.Commit() // abandoned at stage 1 (flag not yet set)
 	a.CrashHook = nil
-	a.Device().PowerFail()
 	if err := a.Reopen(); err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +119,6 @@ func TestTornCommitAfterFlagReplayed(t *testing.T) {
 		tx.SetRoot(off)
 		tx.Commit() // abandoned mid-apply
 		a.CrashHook = nil
-		a.Device().PowerFail()
 		if err := a.Reopen(); err != nil {
 			t.Fatal(err)
 		}
@@ -271,7 +268,6 @@ func TestQuickCommittedStateSurvives(t *testing.T) {
 				tx.Abort()
 			}
 		}
-		a.Device().PowerFail()
 		if err := a.Reopen(); err != nil {
 			return false
 		}

@@ -67,7 +67,6 @@ func TestCrashedCommitThenReuse(t *testing.T) {
 		tx.Free(keep, 64)
 		tx.Commit() // abandoned
 		a.CrashHook = nil
-		a.Device().PowerFail()
 		if err := a.Reopen(); err != nil {
 			t.Fatal(err)
 		}
@@ -103,7 +102,6 @@ func TestReopenWithTransactionOpen(t *testing.T) {
 	tx := a.Begin()
 	off, _ := tx.Alloc(32)
 	tx.WriteU64(off, 5)
-	a.Device().PowerFail()
 	if err := a.Reopen(); err != nil {
 		t.Fatal(err)
 	}

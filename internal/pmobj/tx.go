@@ -186,8 +186,7 @@ func (tx *Tx) Abort() { tx.open = false }
 //  4. Clear the flag.
 //
 // A crash before (2) discards the transaction; after (2), Open/Reopen
-// replays it. Every write is persisted before the next one is made, so no
-// line is left dirty and none needs a pre-image.
+// replays it. Every write is durable before the next one is made.
 func (tx *Tx) Commit() {
 	if !tx.open {
 		panic("pmobj: double commit")

@@ -309,7 +309,6 @@ func (p *pair) open() {
 // recovers both arenas and reattaches both stores.
 func (p *pair) powerFail() {
 	for _, a := range p.arena {
-		a.Device().PowerFail()
 		if err := a.Reopen(); err != nil {
 			p.t.Fatalf("reopen: %v", err)
 		}

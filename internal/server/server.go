@@ -80,9 +80,9 @@ type Config struct {
 	// MetaPMBytes sizes the PM region holding per-session applied-sequence
 	// watermarks; 0 = 256 KiB (4 bytes × 64 Ki sessions).
 	MetaPMBytes int
-	// OnCrash/OnRestart let the application revert and recover its own
-	// persistent state in lockstep with the library (e.g. power-failing the
-	// KV engine's PM arena).
+	// OnCrash/OnRestart let the application drop its volatile state and
+	// recover its persistent state in lockstep with the library (e.g.
+	// replaying the KV engine's redo log on restart).
 	OnCrash   func()
 	OnRestart func()
 }
@@ -563,13 +563,13 @@ func (s *Server) applied(sessID uint16, st *sessState) {
 }
 
 // Crash power-fails the server: the host drops traffic, volatile library
-// state (reorder buffers, queues) is lost, unpersisted metadata reverts, and
-// the application's OnCrash hook fires (to power-fail its own PM).
+// state (reorder buffers, queues) is lost, and the application's OnCrash hook
+// fires (to drop its own volatile state). The metadata PM keeps every
+// watermark written, since each write is durable on return.
 func (s *Server) Crash() {
 	s.stats.Crashes++
 	s.gen++
 	s.host.Fail()
-	s.meta.PowerFail()
 	s.sess = make(map[uint16]*sessState)
 	if s.cfg.OnCrash != nil {
 		s.cfg.OnCrash()

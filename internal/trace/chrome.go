@@ -116,10 +116,6 @@ func (t *Tracer) ChromeJSON(nodeName func(id uint64) string) []byte {
 			fmt.Fprintf(b, `{"name":"log-live","ph":"C","pid":%d,"tid":0,"ts":`, r.A)
 			writeTS(b, int64(r.At))
 			fmt.Fprintf(b, `,"args":{"entries":%d}}`, r.B)
-		case GaugePMDirty:
-			fmt.Fprintf(b, `{"name":"pm-dirty","ph":"C","pid":%d,"tid":0,"ts":`, r.A)
-			writeTS(b, int64(r.At))
-			fmt.Fprintf(b, `,"args":{"lines":%d}}`, r.B)
 		case GaugeInFlight:
 			fmt.Fprintf(b, `{"name":"in-flight s%d","ph":"C","pid":0,"tid":%d,"ts":`, r.A, r.A)
 			writeTS(b, int64(r.At))

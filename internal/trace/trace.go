@@ -1,8 +1,8 @@
 // Package trace is the deterministic observability layer of the simulator:
 // per-request lifecycle spans (client issue → host stack → switch queue →
 // device pipeline → PM persist → ACK / timeout-resend) and time-series
-// gauges (link queue depth, log-table live entries, PM dirty lines,
-// in-flight requests) recorded into a preallocated ring, plus a unified
+// gauges (link queue depth, log-table live entries, in-flight requests)
+// recorded into a preallocated ring, plus a unified
 // counter registry that snapshots every layer's activity counters under one
 // sorted namespace.
 //
@@ -76,9 +76,6 @@ const (
 	// GaugeLogLive: live entries in a device's PM log table.
 	// A = device node id, B = live entries.
 	GaugeLogLive
-	// GaugePMDirty: dirty (unpersisted) lines in a device's PM.
-	// A = device node id, B = dirty lines.
-	GaugePMDirty
 	// GaugeInFlight: outstanding requests of one client session.
 	// A = session id, B = outstanding count.
 	GaugeInFlight
@@ -111,7 +108,6 @@ var kindNames = [kindCount]string{
 	EvDrop:         "drop",
 	GaugeLinkQueue: "link-queue",
 	GaugeLogLive:   "log-live",
-	GaugePMDirty:   "pm-dirty",
 	GaugeInFlight:  "in-flight",
 }
 

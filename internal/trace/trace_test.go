@@ -91,7 +91,7 @@ func sampleStream() *Tracer {
 	emit(EvFail, SpanID(3, 99), 3, 0)
 	emit(GaugeLinkQueue, LinkID(1, 1000), 1500, 0)
 	emit(GaugeLogLive, 2000, 12, 0)
-	emit(GaugePMDirty, 2000, 4, 0)
+	emit(GaugeLogLive, 2000, 4, 0)
 	emit(GaugeInFlight, 3, 2, 0)
 	eng.RunUntil(1 * sim.Millisecond)
 	return tr

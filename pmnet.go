@@ -73,11 +73,12 @@ type HandlerFunc = server.HandlerFunc
 // processing.
 type IdealHandler = server.IdealHandler
 
-// CrashFaultHandler is implemented by handlers whose persistent state must
-// power-fail and recover in lockstep with the server (the KV and Redis
-// handlers do). NewTestbed wires these hooks automatically.
+// CrashFaultHandler is implemented by handlers whose state must crash and
+// recover in lockstep with the server (the KV and Redis handlers do).
+// NewTestbed wires these hooks automatically.
 type CrashFaultHandler interface {
-	// Crash power-fails the application's PM: unpersisted state is lost.
+	// Crash drops the application's volatile state. Its PM loses nothing:
+	// every PM write is durable on return.
 	Crash()
 	// Restart replays the application's redo log and reattaches handles.
 	Restart()

@@ -355,7 +355,7 @@ func NewTestbed(cfg Config) *Testbed {
 	}
 
 	// Server libraries. Handlers that own persistent state (the KV and
-	// Redis handlers) implement crash/restart hooks so their PM power-fails
+	// Redis handlers) implement crash/restart hooks so they crash and recover
 	// in lockstep with their server.
 	for i, host := range serverHosts {
 		h := cfg.HandlerFactory(i)
@@ -514,8 +514,8 @@ func (tb *Testbed) Release() {
 
 // Counters builds the unified metrics registry over every layer of the
 // testbed: the counters previously scattered across netsim/client/server/
-// dataplane Stats structs, plus the live gauges (log occupancy, PM dirty
-// lines) and the event-engine progress counter. Getters are evaluated at
+// dataplane Stats structs, plus the live log-occupancy gauge and the
+// event-engine progress counter. Getters are evaluated at
 // Snapshot time, so one registry can be snapshotted repeatedly as the run
 // advances. Client and server counters are summed across sessions/rack
 // members; device counters are per chain position (dev0 is client-adjacent).
@@ -607,7 +607,6 @@ func (tb *Testbed) Counters() *trace.Registry {
 		reg.Add(p+"log.retrans_hits", func() uint64 { return d.Stats().Log.RetransHits })
 		reg.Add(p+"log.retrans_misses", func() uint64 { return d.Stats().Log.RetransMisses })
 		reg.Add(p+"log.live", func() uint64 { return uint64(d.Log().LiveEntries()) })
-		reg.Add(p+"pm.dirty_lines", func() uint64 { return uint64(d.PM().DirtyLines()) })
 		reg.Add(p+"pm.writes", func() uint64 { return d.PM().Stats().Writes })
 		reg.Add(p+"pm.reads", func() uint64 { return d.PM().Stats().Reads })
 		reg.Add(p+"pm.persists", func() uint64 { return d.PM().Stats().Persists })
