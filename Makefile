@@ -40,10 +40,9 @@ lint-sarif:
 # shared host one commit reads further apart than any threshold worth having.
 ci: build test race vet fmt-check lint
 
-# Hot-path micro-benchmarks (allocs/op must stay 0 — 1, the payload, for
-# BenchmarkClientRoundtrip; 2 and 3 for BenchmarkEnginePut/Get, whose loops
-# format their own key: the engines add 0 and 1, the returned value; see the
-# pins in the matching alloc_test.go files; BenchmarkTransmit also selects
+# Hot-path micro-benchmarks (allocs/op must stay 0 — 2 and 3 for
+# BenchmarkEnginePut/Get, whose loops format their own key: the engines add 0
+# and 1, the returned value; see the pins in the matching alloc_test.go files; BenchmarkTransmit also selects
 # BenchmarkTransmitECMP; BenchmarkTimerAt is BenchmarkEngineSchedule on
 # caller-owned sim.Timers). BenchmarkCommit is one Put-sized pmobj transaction
 # and BenchmarkBTreePrefill the kv_mixed prefill (100 000 keys into a fresh

@@ -18,12 +18,13 @@ var EngineNames = append([]string(nil), kv.EngineNames...)
 // server-side locking primitives of §III-C, charging CPU time derived from
 // the engine's actual PM work. Its read responses carry the request's own
 // key bytes (Response{Args: {req.Args[0], value}}): legal under the Handler
-// contract, which lends a handler the Args array only for the call but lets
-// it keep the payload bytes the array points at. The response is the
-// handler's scratch, rebuilt by its next Handle — the same contract read the
-// other way: the value in it is the engine's own PM bytes (kv.Engine.View),
-// which the next update may overwrite, so a caller of Handle that keeps a
-// value copies it.
+// contract, which lends a handler the request — the Args array and the bytes
+// of the packet or session buffer it points at — only for the call, because
+// the library encodes the response inside Handle's caller, before those bytes
+// go back. The response is the handler's scratch, rebuilt by its next Handle
+// — the same contract read the other way: the value in it is the engine's own
+// PM bytes (kv.Engine.View), which the next update may overwrite, so a caller
+// of Handle that keeps a value copies it.
 func NewKVHandler(engine string, arenaBytes int) (Handler, error) {
 	factory, ok := kv.Factories[engine]
 	if !ok {

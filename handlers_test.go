@@ -132,7 +132,9 @@ func TestEndToEndScan(t *testing.T) {
 					if r.Status != StatusOK {
 						t.Errorf("scan status %v", r.Status)
 					}
-					scanned = r.Args
+					for _, a := range r.Args { // valid until the callback returns
+						scanned = append(scanned, append([]byte(nil), a...))
+					}
 				})
 			})
 		})

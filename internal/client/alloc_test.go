@@ -1,9 +1,9 @@
 package client
 
 // Allocation pin + micro-benchmark for the client round trip. A request
-// rides a pooled pending record whose fragments are built in place; the one
-// allocation left is the encoded payload, which no owner can recycle (see
-// protocol.Message.Payload).
+// rides a pooled pending record that encodes it into its own buffer and
+// builds its fragments in place, and each send copies a fragment into its
+// pooled packet's buffer, so a round trip allocates nothing.
 
 import (
 	"testing"
@@ -20,7 +20,7 @@ import (
 type ackNode struct {
 	id       netsim.NodeID
 	net      *netsim.Network
-	readResp []byte // encoded once; payloads are immutable, so every reply may carry it
+	readResp []byte // encoded once; every reply copies it into its packet
 }
 
 func (a *ackNode) ID() netsim.NodeID { return a.id }
@@ -43,8 +43,7 @@ func (a *ackNode) reply(req *netsim.Packet, typ protocol.Type, payload []byte) {
 	out := a.net.AllocPacket()
 	out.From, out.To = a.id, req.From
 	out.SrcPort, out.DstPort = req.DstPort, req.SrcPort
-	out.PMNet = true
-	out.Msg = protocol.Message{Hdr: ack, Payload: payload}
+	out.SetMsg(ack, payload)
 	a.net.Transmit(out, a.id)
 }
 
@@ -80,25 +79,25 @@ func (rg *roundtripRig) round() {
 	rg.eng.Run()
 }
 
-// TestClientRoundtripAllocs pins SendUpdate → PMNet-ACK → callback to one
-// steady-state allocation: the payload.
+// TestClientRoundtripAllocs pins SendUpdate → PMNet-ACK → callback to zero
+// steady-state allocations.
 func TestClientRoundtripAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("AllocsPerRun is unreliable under the race detector")
 	}
 	rg := newRoundtripRig()
 	rg.round() // warm the pending pool, the maps and the route tables
-	if got := testing.AllocsPerRun(100, rg.round); got != 1 {
-		t.Errorf("update round trip allocated %.1f objects, want 1 (the payload)", got)
+	if got := testing.AllocsPerRun(100, rg.round); got != 0 {
+		t.Errorf("update round trip allocated %.1f objects, want 0", got)
 	}
 	if st := rg.sess.Stats(); rg.ok == 0 || uint64(rg.ok) != st.UpdatesSent || st.PMNetAcks != st.UpdatesSent {
 		t.Fatalf("path not exercised: %d completions, stats %+v", rg.ok, st)
 	}
 }
 
-// TestReadResponseAllocs pins Bypass → read response → callback to the same
-// one allocation, the request payload: the response decodes into the
-// session's scratch, so completing a read allocates nothing.
+// TestReadResponseAllocs pins Bypass → read response → callback to zero
+// allocations: the response decodes into the session's scratch, its bytes
+// read in place in the response packet.
 func TestReadResponseAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("AllocsPerRun is unreliable under the race detector")
@@ -116,8 +115,8 @@ func TestReadResponseAllocs(t *testing.T) {
 		rg.eng.Run()
 	}
 	round()
-	if got := testing.AllocsPerRun(100, round); got != 1 {
-		t.Errorf("read round trip allocated %.1f objects, want 1 (the request payload)", got)
+	if got := testing.AllocsPerRun(100, round); got != 0 {
+		t.Errorf("read round trip allocated %.1f objects, want 0", got)
 	}
 	if st := rg.sess.Stats(); values == 0 || uint64(values) != st.BypassSent {
 		t.Fatalf("path not exercised: %d values read, stats %+v", values, st)

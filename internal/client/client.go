@@ -10,6 +10,7 @@ import (
 
 	"pmnet/internal/netsim"
 	"pmnet/internal/protocol"
+	"pmnet/internal/raceflag"
 	"pmnet/internal/sim"
 	"pmnet/internal/trace"
 )
@@ -50,10 +51,11 @@ type Config struct {
 // Result reports a completed request to the application.
 type Result struct {
 	Status protocol.Status
-	// Args are the raw response arguments (e.g. scan key/value pairs). The
-	// array is the session's decode scratch, overwritten by its next read
-	// response: a completion that wants it later copies it. The byte slices
-	// are payload and may be kept.
+	// Args are the raw response arguments (e.g. scan key/value pairs) and
+	// Value the value a read returned. Both alias the response packet — the
+	// array is the session's decode scratch, the bytes are the packet's — and
+	// are valid until the completion callback returns: a completion that
+	// wants them later copies them.
 	Args      [][]byte
 	Value     []byte   // response value for reads
 	Latency   sim.Time // issue → completion
@@ -76,8 +78,8 @@ type Stats struct {
 }
 
 type fragState struct {
-	msg       protocol.Message
-	acks      int // distinct PMNet-ACKs... counted as received (devices ack once each)
+	msg       protocol.Message // Payload aliases the pending record's buf
+	acks      int              // distinct PMNet-ACKs... counted as received (devices ack once each)
 	serverAck bool
 	done      bool
 }
@@ -85,10 +87,13 @@ type fragState struct {
 // pending records are pooled per session (see getPending/putPending); the
 // retransmission timer waits on the record's own wheel node (tm), and timerFn
 // is bound once at allocation, so re-arming it allocates no closure and takes
-// no pooled node.
+// no pooled node. The request is encoded into the record's own buf, which the
+// fragments alias and every send copies into its packet; the record keeps it
+// across recycles, so a request costs no allocation once buf has grown.
 type pending struct {
 	tm        sim.Timer
 	firstSeq  uint32
+	buf       []byte
 	frags     []fragState
 	isUpdate  bool
 	issued    sim.Time
@@ -139,12 +144,13 @@ func (s *Session) getPending() *pending {
 	return p
 }
 
-// putPending recycles a finished record, keeping its fragment slice capacity,
-// its bound timer callback and its timer: the timer's generation carries on,
-// so the Event of an earlier life stays inert.
+// putPending recycles a finished record, keeping its request buffer and
+// fragment slice capacity, its bound timer callback and its timer: the timer's
+// generation carries on, so the Event of an earlier life stays inert.
 func (s *Session) putPending(p *pending) {
-	frags := p.frags[:0]
-	*p = pending{tm: p.tm, frags: frags, timerFn: p.timerFn}
+	raceflag.Poison(p.buf)
+	buf, frags := p.buf[:0], p.frags[:0]
+	*p = pending{tm: p.tm, buf: buf, frags: frags, timerFn: p.timerFn}
 	s.freeP = append(s.freeP, p)
 }
 
@@ -216,7 +222,7 @@ func (s *Session) Close() {
 // PMNet devices; in ModeBaseline once the server acknowledges.
 func (s *Session) SendUpdate(req protocol.Request, done func(Result)) {
 	s.stats.UpdatesSent++
-	s.issue(protocol.TypeUpdateReq, req.Encode(), true, done)
+	s.issue(protocol.TypeUpdateReq, req, true, done)
 }
 
 // Bypass issues a read or synchronization request that must be processed by
@@ -224,16 +230,19 @@ func (s *Session) SendUpdate(req protocol.Request, done func(Result)) {
 // response or an in-network cache response.
 func (s *Session) Bypass(req protocol.Request, done func(Result)) {
 	s.stats.BypassSent++
-	s.issue(protocol.TypeBypassReq, req.Encode(), false, done)
+	s.issue(protocol.TypeBypassReq, req, false, done)
 }
 
-func (s *Session) issue(typ protocol.Type, payload []byte, isUpdate bool, done func(Result)) {
+func (s *Session) issue(typ protocol.Type, req protocol.Request, isUpdate bool, done func(Result)) {
 	if s.closed {
 		if done != nil {
 			done(Result{Status: protocol.StatusError, Err: fmt.Errorf("client: session closed")})
 		}
 		return
 	}
+	p := s.getPending()
+	p.buf = req.AppendEncode(p.buf[:0])
+	payload := p.buf
 	var first uint32
 	if isUpdate {
 		first = s.nextUpdSeq
@@ -246,7 +255,6 @@ func (s *Session) issue(typ protocol.Type, payload []byte, isUpdate bool, done f
 	} else {
 		s.nextBypSeq += uint32(total)
 	}
-	p := s.getPending()
 	p.firstSeq = first
 	p.isUpdate = isUpdate
 	p.issued = s.eng.Now()
@@ -279,14 +287,14 @@ func (s *Session) transmit(p *pending, onlyIncomplete bool) {
 	}
 }
 
-// sendFrag transmits one fragment to the server on a pooled packet.
+// sendFrag transmits one fragment to the server on a pooled packet, which
+// carries its own copy of the fragment's bytes.
 func (s *Session) sendFrag(msg protocol.Message) {
 	pkt := s.host.Network().AllocPacket()
 	pkt.To = s.cfg.Server
 	pkt.SrcPort = s.cfg.SrcPort
 	pkt.DstPort = s.cfg.DstPort
-	pkt.PMNet = true
-	pkt.Msg = msg
+	pkt.SetMsg(msg.Hdr, msg.Payload)
 	s.host.Send(pkt)
 }
 

@@ -163,10 +163,11 @@ func TestBypassCompletesOnReadResp(t *testing.T) {
 	rig.sendReadResp = true
 	s := rig.session(Config{Mode: ModePMNet})
 	var res Result
-	s.Bypass(protocol.GetReq([]byte("k")), func(r Result) { res = r })
+	var value string
+	s.Bypass(protocol.GetReq([]byte("k")), func(r Result) { res, value = r, string(r.Value) })
 	rig.eng.Run()
-	if res.Err != nil || string(res.Value) != "v" {
-		t.Fatalf("read failed: %+v", res)
+	if res.Err != nil || value != "v" {
+		t.Fatalf("read failed: %+v, value %q", res, value)
 	}
 	if res.FromCache {
 		t.Fatal("server read marked as cache hit")

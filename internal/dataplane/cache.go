@@ -2,9 +2,12 @@ package dataplane
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/bits"
+	"slices"
 
 	"pmnet/internal/protocol"
+	"pmnet/internal/raceflag"
 )
 
 // CacheState is the per-entry state of the integrated read cache
@@ -47,16 +50,17 @@ func (s CacheState) String() string {
 func (s CacheState) servable() bool { return s == CachePending || s == CachePersisted }
 
 // cacheEntry is one key's protocol state and a link of the LRU ring. An
-// evicted entry is recycled for the next new key, key buffer included.
+// evicted entry is recycled for the next new key, its buffer included.
 type cacheEntry struct {
-	key   []byte // the entry's own copy, reused by each key it holds
+	// resp is the entry's one byte buffer, reused by each key and value it
+	// holds: Response{StatusOK, [key, value]} encoded — the bytes a hit copies
+	// into its cache-response packet — with key and value sub-slices of it.
+	// While the entry holds no value (value == nil) it ends with the key.
+	resp  []byte
+	key   []byte
+	value []byte
 	hash  uint64 // keyHash(key)
 	state CacheState
-	value []byte
-	// resp is Response{StatusOK, [key, value]} encoded, nil until built.
-	// Like any payload it is never written in place: packets in flight may
-	// still alias it after the value changes.
-	resp []byte
 	// refs counts the server-ACK mappings naming the entry. An evicted
 	// entry that still has some is not reused until they are gone, so a
 	// late server-ACK always finds the key it was logged for.
@@ -192,11 +196,32 @@ func (c *Cache) touch(e *cacheEntry) {
 	c.pushFront(e)
 }
 
-// set installs value (nil drops it) in state s, with its encoded response
-// when the caller has it.
-func (e *cacheEntry) set(s CacheState, value, resp []byte) {
-	e.state, e.value, e.resp = s, value, resp
+// setKey starts the entry's buffer over for a copy of key, holding no value —
+// the response's status and argument count, then the key, its first argument
+// — and grows it at most once, to take a value of n bytes after the key too.
+func (e *cacheEntry) setKey(key []byte, n int) {
+	raceflag.Poison(e.resp)
+	e.resp = slices.Grow(e.resp[:0], 2+uvarintLen(len(key))+len(key)+uvarintLen(n)+n)
+	e.resp = append(e.resp, byte(protocol.StatusOK), 2)
+	e.resp = append(binary.AppendUvarint(e.resp, uint64(len(key))), key...)
+	e.key, e.value = e.resp[len(e.resp)-len(key):], nil
 }
+
+// set installs a copy of value (nil drops it) in state s, after the key in
+// the entry's buffer: the response a hit sends is then whole.
+func (e *cacheEntry) set(s CacheState, value []byte) {
+	e.state = s
+	end := 2 + uvarintLen(len(e.key)) + len(e.key)
+	raceflag.Poison(e.resp[end:])
+	e.resp, e.value = e.resp[:end], nil
+	if value != nil {
+		e.resp = append(binary.AppendUvarint(e.resp, uint64(len(value))), value...)
+		e.key, e.value = e.resp[end-len(e.key):end], e.resp[len(e.resp)-len(value):]
+	}
+}
+
+// uvarintLen is the size of n's uvarint encoding.
+func uvarintLen(n int) int { return (bits.Len64(uint64(n)|1) + 6) / 7 }
 
 // evictOne removes the least recently used entry whose state permits
 // eviction. Returns false if every entry is protocol-pinned.
@@ -210,7 +235,7 @@ func (c *Cache) evictOne() bool {
 		c.unindex(e)
 		c.n--
 		e.resident = false
-		e.set(CacheInvalid, nil, nil)
+		e.set(CacheInvalid, nil)
 		c.release(e, 0)
 		c.stats.Evictions++
 		return true
@@ -227,26 +252,28 @@ func (c *Cache) release(e *cacheEntry, n int) {
 	}
 }
 
-// alloc takes a free entry, or a new one, holding a copy of key.
-func (c *Cache) alloc(key []byte, h uint64) *cacheEntry {
+// alloc takes a free entry, or a new one, holding a copy of key, with room
+// for a value of n bytes.
+func (c *Cache) alloc(key []byte, h uint64, n int) *cacheEntry {
 	var e *cacheEntry
 	if k := len(c.free) - 1; k >= 0 {
 		e, c.free = c.free[k], c.free[:k]
 	} else {
 		e = new(cacheEntry)
 	}
-	e.key, e.hash = append(e.key[:0], key...), h
+	e.setKey(key, n)
+	e.hash = h
 	return e
 }
 
-func (c *Cache) insert(key []byte, state CacheState, value, resp []byte) *cacheEntry {
+func (c *Cache) insert(key []byte, state CacheState, value []byte) *cacheEntry {
 	if c.n >= c.capacity {
 		if !c.evictOne() {
 			return nil // cache full of pinned entries
 		}
 	}
-	e := c.alloc(key, keyHash(key))
-	e.set(state, value, resp)
+	e := c.alloc(key, keyHash(key), len(value))
+	e.set(state, value)
 	e.resident = true
 	c.pushFront(e)
 	c.index(e)
@@ -255,7 +282,8 @@ func (c *Cache) insert(key []byte, state CacheState, value, resp []byte) *cacheE
 }
 
 // Lookup serves a read: on a hit (entry Pending or Persisted) it returns the
-// value. The miss counter includes unservable (Stale/Invalid) entries.
+// value, the entry's own bytes, valid until the entry next changes. The miss
+// counter includes unservable (Stale/Invalid) entries.
 func (c *Cache) Lookup(key string) ([]byte, bool) {
 	if e := c.lookup([]byte(key)); e != nil {
 		return e.value, true
@@ -276,17 +304,6 @@ func (c *Cache) lookup(key []byte) *cacheEntry {
 	return e
 }
 
-// response returns the encoded answer to a read served by e. A value a fill
-// installed came with its server's bytes; one an update installed is
-// encoded on its first hit, into fresh memory, and kept for the next.
-func (e *cacheEntry) response() []byte {
-	if e.resp == nil {
-		args := [2][]byte{e.key, e.value}
-		e.resp = protocol.Response{Status: protocol.StatusOK, Args: args[:]}.Encode()
-	}
-	return e.resp
-}
-
 // OnUpdate applies the state transitions for an update-req to key carrying
 // value (T1, T3, T4, T5 in Figure 11).
 func (c *Cache) OnUpdate(key string, value []byte) { c.onUpdate([]byte(key), value) }
@@ -298,7 +315,7 @@ func (c *Cache) onUpdate(key, value []byte) *cacheEntry {
 		c.update(e, value)
 		return e
 	}
-	return c.insert(key, CachePending, value, nil) // T1
+	return c.insert(key, CachePending, value) // T1
 }
 
 // onLoggedUpdate is onUpdate for an update the device logged under hash: its
@@ -308,7 +325,7 @@ func (c *Cache) onUpdate(key, value []byte) *cacheEntry {
 func (c *Cache) onLoggedUpdate(hash uint32, key, value []byte) {
 	e := c.onUpdate(key, value)
 	if e == nil {
-		e = c.alloc(key, keyHash(key))
+		e = c.alloc(key, keyHash(key), 0)
 	}
 	e.refs++
 	if old, ok := c.acks[hash]; ok {
@@ -320,10 +337,10 @@ func (c *Cache) onLoggedUpdate(hash uint32, key, value []byte) {
 func (c *Cache) update(e *cacheEntry, value []byte) {
 	switch e.state {
 	case CacheInvalid, CachePersisted:
-		e.set(CachePending, value, nil) // T1, T3
+		e.set(CachePending, value) // T1, T3
 		c.touch(e)
 	case CachePending:
-		e.set(CacheStale, nil, nil) // T4: superseded before the server persisted
+		e.set(CacheStale, nil) // T4: superseded before the server persisted
 	case CacheStale:
 		// T5: remains stale.
 	}
@@ -342,9 +359,9 @@ func (c *Cache) supersede(key []byte) {
 	}
 	switch e.state {
 	case CachePersisted:
-		e.set(CacheInvalid, nil, nil)
+		e.set(CacheInvalid, nil)
 	case CachePending:
-		e.set(CacheStale, nil, nil)
+		e.set(CacheStale, nil)
 	}
 }
 
@@ -377,7 +394,7 @@ func (c *Cache) ack(e *cacheEntry) {
 	case CachePending:
 		e.state = CachePersisted // T2
 	case CacheStale:
-		e.set(CacheInvalid, nil, nil) // T6
+		e.set(CacheInvalid, nil) // T6
 	}
 }
 
@@ -385,25 +402,17 @@ func (c *Cache) ack(e *cacheEntry) {
 // Figure 10). It only installs the value when no in-flight update owns the
 // entry — overwriting a Pending/Stale entry with a possibly older server
 // value would break consistency.
-func (c *Cache) OnReadResponse(key string, value []byte) { c.onReadResponse([]byte(key), value, nil) }
+func (c *Cache) OnReadResponse(key string, value []byte) { c.onReadResponse([]byte(key), value) }
 
-// onReadResponse is OnReadResponse for a key still in its packet. payload is
-// the response the pair was decoded from: when it is exactly what a hit
-// would encode, hits send it as it is.
-func (c *Cache) onReadResponse(key, value, payload []byte) {
-	if len(payload) != 2+uvarintLen(len(key))+len(key)+uvarintLen(len(value))+len(value) {
-		payload = nil // more arguments, trailing bytes or a padded length
-	}
+// onReadResponse is OnReadResponse for a key and value still in their packet.
+func (c *Cache) onReadResponse(key, value []byte) {
 	if e := c.find(key); e != nil {
 		if e.state == CacheInvalid {
-			e.set(CachePersisted, value, payload)
+			e.set(CachePersisted, value)
 			c.touch(e)
 			c.stats.Fills++
 		}
-	} else if c.insert(key, CachePersisted, value, payload) != nil {
+	} else if c.insert(key, CachePersisted, value) != nil {
 		c.stats.Fills++
 	}
 }
-
-// uvarintLen is the size of n's uvarint encoding.
-func uvarintLen(n int) int { return (bits.Len64(uint64(n)|1) + 6) / 7 }

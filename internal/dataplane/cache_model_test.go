@@ -214,8 +214,10 @@ func FuzzCacheMatchesModel(f *testing.F) {
 			switch ops[i] % 7 {
 			case 0:
 				what = "logged update"
-				c.onLoggedUpdate(hash, []byte(key), value)
+				in := bytes.Clone(value) // the update's packet, recycled below
+				c.onLoggedUpdate(hash, []byte(key), in)
 				m.loggedUpdate(hash, key, value)
+				clear(in)
 			case 1:
 				what = "unlogged update"
 				c.supersede([]byte(key))
@@ -228,14 +230,15 @@ func FuzzCacheMatchesModel(f *testing.F) {
 				what = "read response"
 				payload := protocol.Response{Status: protocol.StatusOK, Args: [][]byte{[]byte(key), value}}.Encode()
 				if ops[i]%7 == 4 {
-					payload = append(payload, 0) // trailing byte: not what a hit would send
+					payload = append(payload, 0) // trailing byte: not what a hit sends
 				}
 				resp, err := protocol.DecodeResponse(payload)
 				if err != nil {
 					t.Fatal(err)
 				}
-				c.onReadResponse(resp.Args[0], resp.Args[1], payload)
-				m.readResponse(key, resp.Args[1])
+				c.onReadResponse(resp.Args[0], resp.Args[1])
+				m.readResponse(key, value)
+				clear(payload) // the response packet is recycled: the cache keeps a copy
 			case 5:
 				what = "lookup"
 				e := c.lookup([]byte(key))
@@ -245,15 +248,15 @@ func FuzzCacheMatchesModel(f *testing.F) {
 				}
 				if hit {
 					wantResp := protocol.Response{Status: protocol.StatusOK, Args: [][]byte{[]byte(key), want}}.Encode()
-					if !bytes.Equal(e.value, want) || !bytes.Equal(e.response(), wantResp) {
-						t.Fatalf("op %d: lookup %q served %q as %x, model %q as %x", n, key, e.value, e.response(), want, wantResp)
+					if !bytes.Equal(e.value, want) || !bytes.Equal(e.resp, wantResp) {
+						t.Fatalf("op %d: lookup %q served %q as %x, model %q as %x", n, key, e.value, e.resp, want, wantResp)
 					}
 				}
 			case 6:
 				what = "eviction pressure"
 				for k := 0; k <= capacity; k++ {
 					fill := fuzzKeys[(int(ops[i+1])+k)%len(fuzzKeys)]
-					c.onReadResponse([]byte(fill), value, nil)
+					c.onReadResponse([]byte(fill), value)
 					m.readResponse(fill, value)
 				}
 			}
@@ -276,7 +279,7 @@ func TestLateServerAckAfterReuse(t *testing.T) {
 		c.onLoggedUpdate(1, a, v)
 		first := c.find(a)
 		c.onServerAck(1) // Pending → Persisted
-		c.onReadResponse([]byte("x"), v, nil)
+		c.onReadResponse([]byte("x"), v)
 		c.onLoggedUpdate(2, next, v)
 		if c.find(next) != first {
 			t.Fatalf("%q: evicted entry not reused", next)
@@ -301,7 +304,7 @@ func TestLateServerAckAfterReuse(t *testing.T) {
 		c.onLoggedUpdate(2, a, v) // Pending → Stale
 		old := c.find(a)
 		c.onServerAck(1) // Stale → Invalid; hash 2 still names the entry
-		c.onReadResponse([]byte("x"), v, nil)
+		c.onReadResponse([]byte("x"), v)
 		c.onLoggedUpdate(3, tc.next, v)
 		if c.find(tc.next) == old || old.resident || old.refs != 1 {
 			t.Fatalf("%q: entry named by a mapping was reused", tc.next)

@@ -249,7 +249,8 @@ func (d *Device) send(pkt *netsim.Packet) {
 }
 
 // sendNew builds a device-originated PMNet packet (ACK, cache response,
-// regenerated request) on a pooled allocation and sends it.
+// regenerated request) on a pooled allocation, copying msg's payload into it,
+// and sends it.
 func (d *Device) sendNew(to netsim.NodeID, srcPort, dstPort uint16, msg protocol.Message) {
 	pkt := d.net.AllocPacket()
 	pkt.ID = d.net.NewPacketID()
@@ -257,8 +258,7 @@ func (d *Device) sendNew(to netsim.NodeID, srcPort, dstPort uint16, msg protocol
 	pkt.To = to
 	pkt.SrcPort = srcPort
 	pkt.DstPort = dstPort
-	pkt.PMNet = true
-	pkt.Msg = msg
+	pkt.SetMsg(msg.Hdr, msg.Payload)
 	d.send(pkt)
 }
 
@@ -312,7 +312,7 @@ func (d *Device) HandlePacket(pkt *netsim.Packet) {
 }
 
 // cacheKeyValue extracts the (key, value) of a cacheable single-fragment
-// KV update, or ok=false. Both alias the payload.
+// KV update, or ok=false. Both alias the payload: the cache copies them.
 func (d *Device) cacheKeyValue(msg protocol.Message) (key, value []byte, ok bool) {
 	if msg.Hdr.FragTotal > 1 {
 		return nil, nil, false
@@ -412,7 +412,7 @@ func (d *Device) handleBypass(pkt *netsim.Packet) {
 				hdr.Seal()
 				d.stats.CacheResponses++
 				d.sendNew(pkt.From, pkt.DstPort, pkt.SrcPort,
-					protocol.Message{Hdr: hdr, Payload: e.response()})
+					protocol.Message{Hdr: hdr, Payload: e.resp})
 				d.net.FreePacket(pkt)
 				return // served: drop the request
 			}
@@ -462,7 +462,7 @@ func (d *Device) handleReadResp(pkt *netsim.Packet) {
 	if d.cache != nil && pkt.Msg.Hdr.FragTotal <= 1 {
 		if resp, err := protocol.DecodeResponseInto(pkt.Msg.Payload, &d.args); err == nil &&
 			resp.Status == protocol.StatusOK && len(resp.Args) >= 2 {
-			d.cache.onReadResponse(resp.Args[0], resp.Args[1], pkt.Msg.Payload)
+			d.cache.onReadResponse(resp.Args[0], resp.Args[1])
 		}
 	}
 	if pkt.To != d.id {

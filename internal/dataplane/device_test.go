@@ -74,7 +74,7 @@ func newDevRig(t *testing.T, cfg Config) *rig {
 			if req, err := protocol.DecodeRequest(p.Msg.Payload); err == nil {
 				switch req.Op {
 				case protocol.OpPut:
-					rg.store[string(req.Args[0])] = req.Args[1]
+					rg.store[string(req.Args[0])] = bytes.Clone(req.Args[1])
 				case protocol.OpDelete:
 					delete(rg.store, string(req.Args[0]))
 				}

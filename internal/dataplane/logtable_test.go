@@ -48,6 +48,13 @@ func TestLogInsertAndPersistCallback(t *testing.T) {
 	}
 }
 
+// keep copies a message a PM read handed to its callback: its payload is the
+// queue's buffer, reused once the callback returns.
+func keep(m protocol.Message) protocol.Message {
+	m.Payload = append([]byte(nil), m.Payload...)
+	return m
+}
+
 func TestLogLookupReturnsLoggedMessage(t *testing.T) {
 	tab, eng := newTable(t, 16, 2048, 4096)
 	var stats LogStats
@@ -55,7 +62,7 @@ func TestLogLookupReturnsLoggedMessage(t *testing.T) {
 	tab.Insert(msg, 0, &stats, nil)
 	eng.Run()
 	var got protocol.Message
-	if !tab.Lookup(msg.Hdr.HashVal, &stats, func(m protocol.Message) { got = m }) {
+	if !tab.Lookup(msg.Hdr.HashVal, &stats, func(m protocol.Message) { got = keep(m) }) {
 		t.Fatal("lookup missed")
 	}
 	eng.Run()
@@ -145,7 +152,7 @@ func TestLogRebuildIndexFromPM(t *testing.T) {
 		t.Fatalf("rebuilt %d entries, want 1", tab.LiveEntries())
 	}
 	var got protocol.Message
-	if !tab.Lookup(m2.Hdr.HashVal, &stats, func(m protocol.Message) { got = m }) {
+	if !tab.Lookup(m2.Hdr.HashVal, &stats, func(m protocol.Message) { got = keep(m) }) {
 		t.Fatal("rebuilt entry not found")
 	}
 	eng.Run()

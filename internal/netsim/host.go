@@ -169,7 +169,7 @@ func (h *Host) txDone(pkt *Packet) {
 // rxDone fires when a packet clears the RX stack. A packet that dies here
 // (stack gone as in txDone, no receiver) is recycled; a received one is
 // recycled once the application callback returns — receivers must not retain
-// the *Packet (copying Msg is fine; payload buffers are never pooled).
+// the *Packet nor its bytes (see Packet), and copy what they keep.
 func (h *Host) rxDone(pkt *Packet) {
 	if h.down || pkt.Stamp != h.gen || h.recv == nil {
 		h.net.FreePacket(pkt)

@@ -3,6 +3,7 @@ package netsim
 import (
 	"testing"
 
+	"pmnet/internal/protocol"
 	"pmnet/internal/sim"
 )
 
@@ -192,6 +193,51 @@ func TestDuplicationDelivers(t *testing.T) {
 	}
 	if rig.net.Stats().Duplicated == 0 {
 		t.Fatal("Duplicated not counted")
+	}
+}
+
+// byteSink records the payload of each PMNet packet that reaches it, frees the
+// packet and at once writes other bytes into a pooled packet it keeps: the
+// next sender reuses the freed buffer before anything else can.
+type byteSink struct {
+	id   NodeID
+	net  *Network
+	got  []string
+	keep []*Packet
+}
+
+func (s *byteSink) ID() NodeID { return s.id }
+func (s *byteSink) HandlePacket(p *Packet) {
+	s.got = append(s.got, string(p.Msg.Payload))
+	s.net.FreePacket(p)
+	q := s.net.AllocPacket()
+	q.SetMsg(protocol.Header{}, []byte("written over"))
+	s.keep = append(s.keep, q)
+}
+
+// TestDuplicateOwnsItsBytes: a link-level duplicate carries its own copy of
+// the payload. The original arrives first and its packet is freed and reused
+// while the duplicate is still on the wire; the duplicate must still deliver
+// the bytes that were sent.
+func TestDuplicateOwnsItsBytes(t *testing.T) {
+	eng := sim.NewEngine()
+	n := New(eng, sim.NewRand(1))
+	link := DefaultLink()
+	link.Impair = Impairments{DupProb: 0.99}
+	src, dst := &byteSink{id: 1, net: n}, &byteSink{id: 2, net: n}
+	n.AddNode(src, "src")
+	n.AddNode(dst, "dst")
+	n.Connect(1, 2, link)
+	pkt := n.AllocPacket()
+	pkt.To = 2
+	pkt.SetMsg(protocol.Header{Type: protocol.TypeUpdateReq}, []byte("the update"))
+	n.Transmit(pkt, 1)
+	eng.Run()
+	if n.Stats().Duplicated != 1 {
+		t.Fatalf("setup: %d duplicates, want 1", n.Stats().Duplicated)
+	}
+	if len(dst.got) != 2 || dst.got[0] != "the update" || dst.got[1] != "the update" {
+		t.Fatalf("delivered %q, want the update and its duplicate", dst.got)
 	}
 }
 

@@ -3,6 +3,7 @@ package netsim
 import (
 	"fmt"
 
+	"pmnet/internal/raceflag"
 	"pmnet/internal/sim"
 	"pmnet/internal/trace"
 )
@@ -77,9 +78,10 @@ type Stats struct {
 // Packet ownership: packets minted with AllocPacket are owned by whoever
 // holds them and recycled with FreePacket when their journey ends — the
 // network frees on every drop path, hosts free after the receive callback
-// returns (so applications must not retain a *Packet past the callback;
-// copying Msg is fine — payload buffers are never pooled), and devices free
-// packets they sink. Packets built with &Packet{} bypass the pool entirely.
+// returns (so applications must not retain a *Packet past the callback, nor
+// its bytes: Raw, and Msg.Payload with it, is the packet's own buffer and is
+// reused by its next life), and devices free packets they sink. Packets
+// built with &Packet{} bypass the pool entirely.
 // A holder that must wait — a wire, a switch, a stack, a pipeline, a CPU —
 // hands the packet to its own event with Packet.At and names who takes it
 // next; until that fires the packet has no other owner (a second At or a
@@ -314,6 +316,7 @@ func (n *Network) FreePacket(p *Packet) {
 	case pkFree:
 		panic("netsim: packet double free")
 	}
+	raceflag.Poison(p.Raw)
 	raw := p.Raw[:0]
 	home := p.home
 	*p = Packet{Raw: raw, pool: pkFree, home: home, tm: p.tm, wake: p.wake}
@@ -494,20 +497,18 @@ func (n *Network) sendOnLink(l *link, pkt *Packet) {
 	pkt.At(n.eng, arriveAt, n.arriveFn)
 }
 
-// dupPacket mints a pool-owned copy of p for link-level duplication with its
-// own Raw buffer and a fresh id. Packet.Clone is wrong here: it shares Raw,
-// and Raw buffers are pool-owned — the original and the duplicate end their
-// journeys (and free) independently. Msg is copied by value; payload buffers
-// are never pooled, so sharing those is safe.
+// dupPacket mints a pool-owned copy of p for link-level duplication, with a
+// fresh id and p's bytes copied into the copy's own buffer: the original and
+// the duplicate end their journeys (and free, recycling their buffers)
+// independently.
 func (n *Network) dupPacket(p *Packet) *Packet {
 	q := n.AllocPacket()
-	raw := append(q.Raw[:0], p.Raw...)
-	pool, home, tm, wake := q.pool, q.home, q.tm, q.wake
+	raw, pool, home, tm, wake := q.Raw, q.pool, q.home, q.tm, q.wake
 	*q = *p
-	q.Raw = raw
 	// p's wake would deliver p, and p's wheel node (if p waits) is linked
 	// where p is: q keeps its own and starts out not waiting.
-	q.pool, q.home, q.tm, q.wake, q.then = pool, home, tm, wake, nil
+	q.Raw, q.pool, q.home, q.tm, q.wake, q.then = raw, pool, home, tm, wake, nil
+	q.copyBytes(p)
 	q.ID = n.NewPacketID()
 	return q
 }

@@ -21,7 +21,11 @@ type NodeID int
 const UDPOverhead = 46
 
 // Packet is one datagram in flight. PMNet traffic carries a decoded
-// protocol.Message; other traffic carries only Raw bytes.
+// protocol.Message; other traffic carries only Raw bytes. Either way the
+// bytes are the packet's own: Raw is its one payload buffer, SetMsg copies a
+// PMNet payload into it, and the buffer dies with the packet — FreePacket
+// keeps its capacity for the next life. A receiver that keeps bytes past its
+// callback copies them into storage of its own.
 //
 // A packet is in one place at a time — a host stack, a wire, a switch, a
 // device pipeline, a CPU queue — and it is its own event record for the time
@@ -39,8 +43,8 @@ type Packet struct {
 	Tenant   uint16 // background-traffic tag (0 = workload traffic)
 	PMNet    bool   // PMNet header present (dst port in reserved range)
 
-	Msg protocol.Message // valid when PMNet is true
-	Raw []byte           // non-PMNet payload
+	Msg protocol.Message // valid when PMNet is true; Msg.Payload is Raw when set by SetMsg
+	Raw []byte           // the packet's payload buffer, kept across recycles
 
 	SentAt sim.Time // when the sending host's app handed it to the stack
 	Hops   int      // number of links traversed so far
@@ -122,8 +126,27 @@ func (p *Packet) wait(then func(*Packet)) func() {
 	return p.wake
 }
 
-// Clone returns a shallow copy with a fresh identity, used when a device
-// mirrors or regenerates a packet (e.g. a PMNet retransmission). The copy is
+// SetMsg makes the packet carry the PMNet message hdr + payload, the payload
+// copied into the packet's own buffer: Msg.Payload is Raw afterwards. An
+// encoder writes in place instead — pkt.Raw = x.AppendEncode(pkt.Raw[:0]),
+// then pkt.SetMsg(hdr, pkt.Raw), which copies nothing new.
+func (p *Packet) SetMsg(hdr protocol.Header, payload []byte) {
+	p.Raw = append(p.Raw[:0], payload...)
+	p.PMNet = true
+	p.Msg = protocol.Message{Hdr: hdr, Payload: p.Raw}
+}
+
+// copyBytes gives p a copy of q's bytes in p's own buffer.
+func (p *Packet) copyBytes(q *Packet) {
+	if q.PMNet {
+		p.SetMsg(q.Msg.Hdr, q.Msg.Payload)
+		return
+	}
+	p.Raw = append(p.Raw[:0], q.Raw...)
+}
+
+// Clone returns a copy with a fresh identity and its own copy of the bytes,
+// for a holder that keeps a packet past its receive callback. The copy is
 // never pool-owned, regardless of the original, and never waiting: the
 // original's wake would deliver the original, and its wheel node is linked
 // where the original's is.
@@ -132,6 +155,8 @@ func (p *Packet) Clone() *Packet {
 	q.Hops = 0
 	q.pool = pkUnpooled
 	q.tm, q.wake, q.then = sim.Timer{}, nil, nil
+	q.Raw = nil
+	q.copyBytes(p)
 	return &q
 }
 

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"pmnet/internal/protocol"
 	"pmnet/internal/raceflag"
 	"pmnet/internal/sim"
 )
@@ -102,6 +103,36 @@ func TestCopiesDoNotShareTheWait(t *testing.T) {
 	eng.Run()
 	if len(got) != 3 || got[0] != orig || got[1] != clone || got[2] != dup {
 		t.Fatalf("waits delivered %p, want original %p, clone %p, duplicate %p", got, orig, clone, dup)
+	}
+}
+
+// TestCloneOwnsItsBytes: a Clone kept past its receive callback keeps the
+// bytes it was made with when the original is freed and the pool hands the
+// original — buffer and all — to the next sender, who writes over it. Both
+// kinds of bytes: a non-PMNet packet's Raw and a PMNet message's payload.
+func TestCloneOwnsItsBytes(t *testing.T) {
+	eng := sim.NewEngine()
+	n := New(eng, sim.NewRand(1))
+	raw := n.AllocPacket()
+	raw.Raw = append(raw.Raw, "raw bytes"...)
+	pm := n.AllocPacket()
+	pm.Raw = append(pm.Raw, "pmnet payload"...)
+	pm.PMNet = true
+	pm.Msg = protocol.Message{Hdr: protocol.Header{Type: protocol.TypeUpdateReq}, Payload: pm.Raw}
+	rawClone, pmClone := raw.Clone(), pm.Clone()
+	for _, p := range []*Packet{raw, pm} {
+		size := len(p.Raw)
+		n.FreePacket(p)
+		next := n.AllocPacket()
+		if next != p {
+			t.Fatal("setup: the pool did not hand the freed packet out next")
+		}
+		for range size { // within the buffer's capacity: written in place
+			next.Raw = append(next.Raw, 'x')
+		}
+	}
+	if string(rawClone.Raw) != "raw bytes" || string(pmClone.Msg.Payload) != "pmnet payload" {
+		t.Fatalf("clones read %q and %q after their originals were reused", rawClone.Raw, pmClone.Msg.Payload)
 	}
 }
 

@@ -52,6 +52,37 @@ func TestQueueWriteAllocs(t *testing.T) {
 	}
 }
 
+// TestQueueReadAllocs pins a queued PM read, TryRead through its completion,
+// to zero allocations: the bytes land in the operation's own buffer, which the
+// callback reads before the record is recycled.
+func TestQueueReadAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("AllocsPerRun is unreliable under the race detector")
+	}
+	eng := sim.NewEngine()
+	d := NewDevice(DefaultConfig(1 << 16))
+	q := NewQueue(eng, d, 4096)
+	reads := 0
+	done := func(b []byte) {
+		if len(b) == 2048 {
+			reads++
+		}
+	}
+	round := func() {
+		if !q.TryRead(4096, 2048, done) {
+			t.Fatal("TryRead rejected on an empty queue")
+		}
+		eng.Run()
+	}
+	round()
+	if got := testing.AllocsPerRun(100, round); got != 0 {
+		t.Errorf("queued read allocated %.1f objects per round, want 0", got)
+	}
+	if reads != 102 {
+		t.Fatalf("%d reads completed, want 102", reads)
+	}
+}
+
 // BenchmarkNewDeviceRecycled measures the life of a 128 MB device that
 // touches one chunk: NewDevice draws the image the Release before it cleared.
 func BenchmarkNewDeviceRecycled(b *testing.B) {

@@ -215,7 +215,7 @@ func TestQueueRead(t *testing.T) {
 	_ = d.WriteThrough([]byte("logged"), 64)
 	q := NewQueue(eng, d, 4096)
 	var got []byte
-	if !q.TryRead(64, 6, func(b []byte) { got = b }) {
+	if !q.TryRead(64, 6, func(b []byte) { got = append(got, b...) }) { // b is the queue's once done returns
 		t.Fatal("TryRead rejected")
 	}
 	eng.Run()

@@ -1,6 +1,7 @@
 package pmem
 
 import (
+	"pmnet/internal/raceflag"
 	"pmnet/internal/sim"
 )
 
@@ -28,17 +29,16 @@ type Queue struct {
 // pmOp is one pooled in-flight queue operation, and the event record of its
 // completion: it waits on its own wheel node, and its completion callback fn
 // is bound once at allocation and reused for the record's whole life, so
-// retiring an operation schedules no new closure. The write staging buffer
-// travels with the record; read result buffers are NOT pooled — they are
-// handed to the caller, which may alias them indefinitely (DecodeMessage
-// keeps payload slices).
+// retiring an operation schedules no new closure. Its buffer travels with the
+// record: a write's staging copy, or the bytes a read returns, which are
+// valid during the read's callback only.
 type pmOp struct {
 	tm    sim.Timer
 	q     *Queue
 	write bool
 	off   int
 	n     int
-	buf   []byte // write staging copy (reused; cap grows to the largest entry)
+	buf   []byte // staging copy or read result (reused; cap grows to the largest op)
 	gen   uint64
 	done  func()       // write completion
 	doneR func([]byte) // read completion
@@ -57,14 +57,16 @@ func (q *Queue) getOp() *pmOp {
 }
 
 func (q *Queue) putOp(op *pmOp) {
+	raceflag.Poison(op.buf)
 	op.done = nil
 	op.doneR = nil
 	q.ops = append(q.ops, op)
 }
 
-// complete retires one queued operation on the virtual clock. The record is
-// recycled before the caller's callback runs, so the callback may issue new
-// queue operations that reuse it immediately.
+// complete retires one queued operation on the virtual clock. A write's
+// record is recycled before the caller's callback runs, so the callback may
+// issue new queue operations that reuse it immediately; a read's is recycled
+// after, since the callback reads its buffer.
 func (q *Queue) complete(op *pmOp) {
 	if op.gen != q.gen {
 		q.putOp(op) // lost to a power failure
@@ -83,15 +85,17 @@ func (q *Queue) complete(op *pmOp) {
 		}
 		return
 	}
-	buf := make([]byte, op.n)
-	if err := q.dev.ReadAt(buf, op.off); err != nil {
+	if cap(op.buf) < op.n {
+		op.buf = make([]byte, op.n)
+	}
+	op.buf = op.buf[:op.n]
+	if err := q.dev.ReadAt(op.buf, op.off); err != nil {
 		panic("pmem: queued read out of range: " + err.Error())
 	}
-	doneR := op.doneR
-	q.putOp(op)
-	if doneR != nil {
-		doneR(buf)
+	if op.doneR != nil {
+		op.doneR(op.buf)
 	}
+	q.putOp(op)
 }
 
 // QueueStats counts queue activity.
@@ -176,7 +180,8 @@ func (q *Queue) TryWrite(off int, data []byte, done func()) bool {
 }
 
 // TryRead queues a read of n bytes at off; done receives the data when the
-// media access retires. Returns false if the queue lacks space.
+// media access retires, in a buffer the queue reuses once done returns.
+// Returns false if the queue lacks space.
 func (q *Queue) TryRead(off, n int, done func(data []byte)) bool {
 	if q.used+n > q.cap {
 		q.stats.ReadsRejected++

@@ -3,20 +3,21 @@ package protocol
 import (
 	"errors"
 	"fmt"
+
+	"pmnet/internal/raceflag"
 )
 
 // Message is one PMNet packet: a sealed header plus its payload fragment.
 type Message struct {
 	Hdr Header
-	// Payload is immutable and GC-owned from the moment it is encoded.
-	// Nothing writes through it, so every holder — the client's pending
-	// record, a packet on the wire, the device's PM staging copy, the
-	// server's reorder buffer and run queue, a handler's stored value — may
-	// alias it for as long as it likes, and none of them owns its end of
-	// life: a PMNet client completes on the PMNet-ACK while the forwarded
-	// copy is still in flight. Builders therefore never encode into a reused
-	// backing array; the payload is the one object per request left to the
-	// garbage collector (DESIGN.md §10.2).
+	// Payload is borrowed: it aliases the buffer of whoever built the
+	// message — a packet's own Raw (netsim.Packet.SetMsg), the client's
+	// pending record, a PM read — and is valid only as long as that owner
+	// keeps the buffer, which for a received packet is its receive callback.
+	// A holder that keeps the bytes longer copies them into storage it
+	// recycles: the client's pending buffer, a packet's Raw, the PM log's
+	// staging copy, the server's session buffers, a cache entry's response
+	// (DESIGN.md §10.2).
 	Payload []byte
 }
 
@@ -101,68 +102,84 @@ var ErrIncomplete = errors.New("protocol: query incomplete")
 
 // Reassembler collects the fragments of one query and yields the full
 // payload once every fragment has arrived, tolerating reordering and
-// duplicates. The query is identified by its first sequence number.
+// duplicates. The query is identified by its first sequence number. Each
+// fragment's bytes are copied into the reassembler's own buffer as they
+// arrive, so a fragment may come from a packet that is recycled at once; the
+// buffers are kept across Reset.
 type Reassembler struct {
 	firstSeq uint32
-	total    int
 	got      int
-	parts    [][]byte
+	parts    []part // by fragment index
+	data     []byte // the fragments' bytes, in arrival order
+	out      []byte // data in fragment order: the payload a completed Add returns
 }
+
+// part locates one fragment's bytes in data; n < 0 while it is missing.
+type part struct{ off, n int }
 
 // NewReassembler starts reassembly for the query whose first fragment
 // carries firstSeq and declares fragTotal fragments.
 func NewReassembler(firstSeq uint32, fragTotal uint16) *Reassembler {
+	r := &Reassembler{}
+	r.Reset(firstSeq, fragTotal)
+	return r
+}
+
+// Reset starts the reassembler over for another query, as NewReassembler
+// would, keeping its buffers. The payload a completed Add returned is gone.
+func (r *Reassembler) Reset(firstSeq uint32, fragTotal uint16) {
 	if fragTotal == 0 {
 		fragTotal = 1
 	}
-	return &Reassembler{
-		firstSeq: firstSeq,
-		total:    int(fragTotal),
-		parts:    make([][]byte, fragTotal),
+	raceflag.Poison(r.data)
+	raceflag.Poison(r.out)
+	r.firstSeq, r.got = firstSeq, 0
+	r.data, r.out = r.data[:0], r.out[:0]
+	r.parts = r.parts[:0]
+	for range fragTotal {
+		r.parts = append(r.parts, part{n: -1})
 	}
 }
 
 // Complete reports whether every fragment has been received.
-func (r *Reassembler) Complete() bool { return r.got == r.total }
+func (r *Reassembler) Complete() bool { return r.got == len(r.parts) }
 
 // Missing returns the sequence numbers not yet received.
 func (r *Reassembler) Missing() []uint32 {
 	var out []uint32
 	for i, p := range r.parts {
-		if p == nil {
+		if p.n < 0 {
 			out = append(out, r.firstSeq+uint32(i))
 		}
 	}
 	return out
 }
 
-// Add records a fragment. When the final fragment lands it returns the
-// concatenated payload; before that it returns ErrIncomplete. Fragments that
-// do not belong to this query are rejected.
+// Add records a copy of a fragment. When the final fragment lands it returns
+// the concatenated payload, which is the reassembler's and valid until its
+// next Reset; before that it returns ErrIncomplete. Fragments that do not
+// belong to this query are rejected.
 func (r *Reassembler) Add(m Message) ([]byte, error) {
-	idx := int(m.Hdr.FragIdx)
-	if int(m.Hdr.FragTotal) != r.total || idx >= r.total {
+	idx, total := int(m.Hdr.FragIdx), len(r.parts)
+	if int(m.Hdr.FragTotal) != total || idx >= total {
 		return nil, fmt.Errorf("protocol: fragment %d/%d does not match query of %d fragments",
-			idx, m.Hdr.FragTotal, r.total)
+			idx, m.Hdr.FragTotal, total)
 	}
 	if m.Hdr.SeqNum != r.firstSeq+uint32(idx) {
 		return nil, fmt.Errorf("protocol: fragment seq %d inconsistent with first seq %d + idx %d",
 			m.Hdr.SeqNum, r.firstSeq, idx)
 	}
-	if r.parts[idx] == nil {
-		r.parts[idx] = m.Payload
+	if r.parts[idx].n < 0 {
+		r.parts[idx] = part{off: len(r.data), n: len(m.Payload)}
+		r.data = append(r.data, m.Payload...)
 		r.got++
 	}
 	if !r.Complete() {
 		return nil, ErrIncomplete
 	}
-	var n int
+	r.out = r.out[:0]
 	for _, p := range r.parts {
-		n += len(p)
+		r.out = append(r.out, r.data[p.off:p.off+p.n]...)
 	}
-	out := make([]byte, 0, n)
-	for _, p := range r.parts {
-		out = append(out, p...)
-	}
-	return out, nil
+	return r.out, nil
 }

@@ -168,8 +168,9 @@ func (r Request) AppendEncode(dst []byte) []byte {
 	return encodeArgs(dst, r.Args)
 }
 
-// Encode serializes the request as a fresh payload (see Message.Payload for
-// why a payload is never built into reused memory).
+// Encode serializes the request into freshly allocated memory. The request
+// path encodes with AppendEncode into a buffer its owner recycles; Encode is
+// for callers that keep the bytes (tests, examples, benchmarks).
 func (r Request) Encode() []byte { return r.AppendEncode(nil) }
 
 // DecodeRequestInto parses a request payload, using *scratch as the backing
@@ -207,7 +208,8 @@ func (r Response) AppendEncode(dst []byte) []byte {
 	return encodeArgs(dst, r.Args)
 }
 
-// Encode serializes the response as a fresh payload.
+// Encode serializes the response into freshly allocated memory, like
+// Request.Encode.
 func (r Response) Encode() []byte { return r.AppendEncode(nil) }
 
 // DecodeResponseInto parses a response payload under DecodeRequestInto's

@@ -1,11 +1,11 @@
 package server
 
 // Allocation pin + micro-benchmark for the ordered apply path, and the
-// pool-reuse edge case around a crash. An in-order update is queued by
-// reference to its payload, decoded into the session's argument scratch and
-// completed through the session's one pre-bound apply record, so steady
-// state allocates nothing; an out-of-order one arms the session's pre-bound
-// gap timer.
+// pool-reuse edge case around a crash. An in-order update on an idle session
+// is handled straight from its packet, decoded into the session's argument
+// scratch and completed through the session's one pre-bound apply record, so
+// steady state allocates nothing; an out-of-order one is copied into a
+// recycled session buffer and arms the session's pre-bound gap timer.
 
 import (
 	"testing"
@@ -76,8 +76,7 @@ func (rg *applyRig) transmit(typ protocol.Type, seq uint32, payload []byte) {
 	pkt := rg.net.AllocPacket()
 	pkt.From, pkt.To = 1, 2
 	pkt.SrcPort, pkt.DstPort = 40001, protocol.PortMin
-	pkt.PMNet = true
-	pkt.Msg = protocol.Message{Hdr: h, Payload: payload}
+	pkt.SetMsg(h, payload)
 	rg.net.Transmit(pkt, 1)
 }
 
@@ -131,9 +130,9 @@ func TestGapArmAllocs(t *testing.T) {
 }
 
 // TestReadResponseAllocs pins a served read — decode, Handle, the CPU wait,
-// the response on the wire — to one allocation, the response payload: the
-// handler builds its Args in scratch, the library encodes them at once and
-// the pooled response packet carries the payload across the CPU time.
+// the response on the wire — to zero allocations: the handler builds its Args
+// in scratch, and the library encodes them at once into the pooled response
+// packet, which carries them across the CPU time.
 func TestReadResponseAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("AllocsPerRun is unreliable under the race detector")
@@ -150,8 +149,8 @@ func TestReadResponseAllocs(t *testing.T) {
 		rg.send(protocol.TypeBypassReq, 1<<31|rg.seq, get)
 	}
 	round() // warm the session, the packet pool and the route tables
-	if got := testing.AllocsPerRun(100, round); got != 1 {
-		t.Errorf("served read allocated %.1f objects, want 1 (the response payload)", got)
+	if got := testing.AllocsPerRun(100, round); got != 0 {
+		t.Errorf("served read allocated %.1f objects, want 0", got)
 	}
 	if st := rg.server.Stats(); st.ReadsServed != uint64(rg.seq) || rg.peer.reads != int(rg.seq) {
 		t.Fatalf("path not exercised: %d sent, %d responses, stats %+v", rg.seq, rg.peer.reads, st)

@@ -12,6 +12,7 @@ import (
 	"pmnet/internal/netsim"
 	"pmnet/internal/pmem"
 	"pmnet/internal/protocol"
+	"pmnet/internal/raceflag"
 	"pmnet/internal/sim"
 	"pmnet/internal/trace"
 )
@@ -20,12 +21,13 @@ import (
 // CPU cost of processing, which the library charges to the host's worker
 // pool — that cost is the paper's "server processing time".
 //
-// The req.Args slice header array is the library's per-session scratch: it
-// is valid only during Handle, so a handler must not keep req.Args (or a
-// sub-slice of it) nor return it as the response's Args. The byte slices it
-// points at are payload (protocol.Message.Payload: immutable, GC-owned) and
-// may be kept or returned freely — Response{Args: [][]byte{req.Args[0], v}}
-// is legal.
+// The request is the library's, valid only during Handle: the req.Args array
+// is per-session scratch, and the bytes it points at are the packet the
+// request arrived in, or a session buffer the library recycles once Handle
+// returns. A handler copies what it keeps of them — a store writes them to
+// its own memory — and must not keep req.Args or a sub-slice of it. It may
+// return them in its response — Response{Args: [][]byte{req.Args[0], v}} is
+// legal — because the library encodes the response before the bytes go back.
 //
 // The response is in turn the handler's to reuse — the Args array and the
 // bytes it points at: the library encodes the response before it returns to
@@ -102,23 +104,29 @@ type Stats struct {
 }
 
 // query is one complete request: its (reassembled) payload, the sequence
-// numbers it covers and where its acknowledgement goes.
+// numbers it covers and where its acknowledgement goes. The payload aliases
+// the packet it came in until the receive callback returns; a query that
+// waits longer — in the run queue of a busy session — holds it in a session
+// buffer (owned), which goes back once Handle has seen it.
 type query struct {
 	firstSeq uint32
 	lastSeq  uint32
 	payload  []byte
+	owned    bool // payload is a session buffer (hold), given back by done
 	from     netsim.NodeID
 	srcPort  uint16
 	dstPort  uint16
 }
 
-// bufferedFrag is one out-of-order update fragment parked in the reorder
-// buffer. It copies the fields the ordered path needs out of the carrying
-// packet: the packet itself is pool-owned and recycled when the host's
-// receive callback returns, so it must never be retained across virtual
-// time. (Msg.Payload may be aliased freely: see protocol.Message.)
+// bufferedFrag is one update fragment on its way through the ordered path.
+// It copies the fields the path needs out of the carrying packet, which is
+// pool-owned and recycled when the host's receive callback returns. An
+// out-of-order fragment parked in the reorder buffer holds its payload in a
+// session buffer (owned); an in-order one read straight from its packet does
+// not.
 type bufferedFrag struct {
 	msg     protocol.Message
+	owned   bool // msg.Payload is a session buffer (sessState.hold)
 	from    netsim.NodeID
 	srcPort uint16
 	dstPort uint16
@@ -133,8 +141,14 @@ type sessState struct {
 	retrans  map[uint32]int // retransmission attempts per missing seq
 	args     [][]byte       // DecodeRequestInto scratch: what a Handler sees as req.Args
 
+	// Recycled storage for bytes that outlive their packet: payload buffers
+	// (hold/done) and reassemblers of multi-fragment queries.
+	bufs   [][]byte
+	reasms []*protocol.Reassembler
+
 	// Ordered execution: queries wait in queue[qhead:] and run one at a
-	// time. The one on the CPU is the session's apply record, cur.
+	// time; an idle session's queue is empty. The one on the CPU is the
+	// session's apply record, cur (its payload already released).
 	queue []query
 	qhead int
 	busy  bool
@@ -161,6 +175,16 @@ func (s *Server) readDone(pkt *netsim.Packet) {
 	s.host.Send(pkt)
 }
 
+// hold copies b into a buffer the session recycles, for bytes that must
+// outlive the packet they came in. done gives it back.
+func (st *sessState) hold(b []byte) []byte {
+	var buf []byte
+	if k := len(st.bufs) - 1; k >= 0 {
+		buf, st.bufs = st.bufs[k], st.bufs[:k]
+	}
+	return append(buf, b...)
+}
+
 // push appends a query to the run queue. Before growing it reclaims the
 // consumed prefix, so a queue that never quite drains stays bounded by its
 // peak depth.
@@ -176,7 +200,7 @@ func (st *sessState) push(q query) {
 // pop removes the head of the run queue, keeping the slice's capacity.
 func (st *sessState) pop() query {
 	q := st.queue[st.qhead]
-	st.queue[st.qhead] = query{} // drop the payload reference
+	st.queue[st.qhead] = query{} // drop the payload reference: the query owns it now
 	if st.qhead++; st.qhead == len(st.queue) {
 		st.queue, st.qhead = st.queue[:0], 0
 	}
@@ -276,23 +300,31 @@ func (s *Server) setLastApplied(id uint16, seq uint32) {
 	}
 }
 
-// packet builds a library-originated PMNet packet on a pooled allocation,
-// sealing its header.
-func (s *Server) packet(to netsim.NodeID, srcPort, dstPort uint16, hdr protocol.Header, payload []byte) *netsim.Packet {
+// packet builds a library-originated PMNet packet with no payload on a
+// pooled allocation, sealing its header.
+func (s *Server) packet(to netsim.NodeID, srcPort, dstPort uint16, hdr protocol.Header) *netsim.Packet {
 	hdr.Seal()
 	pkt := s.host.Network().AllocPacket()
 	pkt.To = to
 	pkt.SrcPort = srcPort
 	pkt.DstPort = dstPort
-	pkt.PMNet = true
-	pkt.Msg = protocol.Message{Hdr: hdr, Payload: payload}
+	pkt.SetMsg(hdr, nil)
 	return pkt
 }
 
 // reply builds the packet answering q's sender: the ports swap, so the PMNet
 // port is the source and devices classify the reply.
-func (s *Server) reply(q query, hdr protocol.Header, payload []byte) *netsim.Packet {
-	return s.packet(q.from, q.dstPort, q.srcPort, hdr, payload)
+func (s *Server) reply(q query, hdr protocol.Header) *netsim.Packet {
+	return s.packet(q.from, q.dstPort, q.srcPort, hdr)
+}
+
+// response builds the reply carrying resp, encoded into the packet's own
+// buffer.
+func (s *Server) response(q query, hdr protocol.Header, resp protocol.Response) *netsim.Packet {
+	out := s.reply(q, hdr)
+	out.Raw = resp.AppendEncode(out.Raw[:0])
+	out.SetMsg(out.Msg.Hdr, out.Raw)
+	return out
 }
 
 func (s *Server) sendServerAck(sessID uint16, q query) {
@@ -307,7 +339,7 @@ func (s *Server) sendServerAck(sessID uint16, q query) {
 			FragIdx:   uint16(seq - q.firstSeq),
 			FragTotal: uint16(q.lastSeq - q.firstSeq + 1),
 		}
-		s.host.Send(s.reply(q, hdr, nil))
+		s.host.Send(s.reply(q, hdr))
 	}
 }
 
@@ -330,51 +362,77 @@ func (s *Server) onBypass(pkt *netsim.Packet) {
 	hdr := pkt.Msg.Hdr
 	st := s.session(hdr.SessionID)
 	st.client = pkt.From
-	payload, ok := reassemble(st, pkt.Msg)
+	q, ok := st.reassemble(bufferedFrag{msg: pkt.Msg})
 	if !ok {
 		return // incomplete (or inconsistent duplicate)
 	}
-	q := query{from: pkt.From, srcPort: pkt.SrcPort, dstPort: pkt.DstPort}
+	q.from, q.srcPort, q.dstPort = pkt.From, pkt.SrcPort, pkt.DstPort
 	rh := protocol.Header{
 		Type:      protocol.TypeReadResp,
 		SessionID: hdr.SessionID,
 		SeqNum:    hdr.SeqNum - uint32(hdr.FragIdx),
 		FragTotal: 1,
 	}
-	req, derr := protocol.DecodeRequestInto(payload, &st.args)
+	req, derr := protocol.DecodeRequestInto(q.payload, &st.args)
 	if derr != nil {
-		s.host.Send(s.reply(q, rh, protocol.Response{Status: protocol.StatusError}.Encode()))
+		st.done(q)
+		s.host.Send(s.response(q, rh, protocol.Response{Status: protocol.StatusError}))
 		return
 	}
-	// Build the response now: its Args array is the handler's scratch (see
-	// Handler), so it is encoded at once and the packet carrying it waits out
-	// the CPU time itself, stamped with the generation it was handled under.
+	// Build the response now: its Args array is the handler's scratch and its
+	// bytes may be the request's (see Handler), so it is encoded at once and
+	// the packet carrying it waits out the CPU time itself, stamped with the
+	// generation it was handled under.
 	resp, cost := s.handler.Handle(req)
-	out := s.reply(q, rh, resp.Encode())
+	out := s.response(q, rh, resp)
+	st.done(q)
 	out.Stamp = s.gen
 	out.At(s.eng, s.host.CPU().Reserve(cost), s.readFn)
 }
 
 // reassemble feeds one fragment to its query's reassembly and returns the
-// complete payload, or ok=false while fragments are still missing.
-// Single-fragment queries skip the reassembler.
-func reassemble(st *sessState, msg protocol.Message) (payload []byte, ok bool) {
-	hdr := msg.Hdr
-	if hdr.FragTotal <= 1 {
-		return msg.Payload, true
-	}
+// query once it is complete, or ok=false while fragments are still missing.
+// A single-fragment query's payload is the fragment's own. A longer one's is
+// its reassembler's, which goes back to the session at once — the bytes stay
+// valid until the session's next multi-fragment query starts, and its caller
+// runs the query or holds the bytes before then. The buffer of an owned
+// fragment goes back once the reassembler has copied it.
+func (st *sessState) reassemble(f bufferedFrag) (q query, ok bool) {
+	hdr := f.msg.Hdr
 	firstSeq := hdr.SeqNum - uint32(hdr.FragIdx)
+	q = query{firstSeq: firstSeq, lastSeq: firstSeq, payload: f.msg.Payload, owned: f.owned}
+	if hdr.FragTotal <= 1 {
+		return q, true
+	}
 	r, ok := st.reasm[firstSeq]
 	if !ok {
-		r = protocol.NewReassembler(firstSeq, hdr.FragTotal)
+		if k := len(st.reasms) - 1; k >= 0 {
+			r, st.reasms = st.reasms[k], st.reasms[:k]
+			r.Reset(firstSeq, hdr.FragTotal)
+		} else {
+			r = protocol.NewReassembler(firstSeq, hdr.FragTotal)
+		}
 		st.reasm[firstSeq] = r
 	}
-	payload, err := r.Add(msg)
+	whole, err := r.Add(f.msg)
+	st.done(q)
 	if err != nil {
-		return nil, false
+		return query{}, false
 	}
 	delete(st.reasm, firstSeq)
-	return payload, true
+	st.reasms = append(st.reasms, r)
+	q.lastSeq = firstSeq + uint32(hdr.FragTotal) - 1
+	q.payload, q.owned = whole, false
+	return q, true
+}
+
+// done gives back the session buffer q's payload was held in, if any: the
+// query's bytes have been read for the last time.
+func (st *sessState) done(q query) {
+	if q.owned {
+		raceflag.Poison(q.payload)
+		st.bufs = append(st.bufs, q.payload[:0])
+	}
 }
 
 // onUpdate runs the ordered path: dedupe, reorder, reassemble, then execute
@@ -403,7 +461,7 @@ func (s *Server) onUpdate(pkt *netsim.Packet) {
 				FragIdx:   hdr.FragIdx,
 				FragTotal: hdr.FragTotal,
 			}
-			s.host.Send(s.reply(query{from: pkt.From, srcPort: pkt.SrcPort, dstPort: pkt.DstPort}, ack, nil))
+			s.host.Send(s.reply(query{from: pkt.From, srcPort: pkt.SrcPort, dstPort: pkt.DstPort}, ack))
 		}
 		// Otherwise the duplicate is of an in-flight (queued) query; the
 		// genuine server-ACK follows its application.
@@ -417,6 +475,7 @@ func (s *Server) onUpdate(pkt *netsim.Packet) {
 			s.stats.Duplicates++
 			return
 		}
+		frag.msg.Payload, frag.owned = st.hold(frag.msg.Payload), true
 		st.buffered[seq] = frag
 		s.stats.Buffered++
 		s.armGapCheck(st)
@@ -489,7 +548,7 @@ func (s *Server) gapCheck(sessID uint16, st *sessState) {
 			SeqNum:    seq,
 			FragTotal: 1,
 		}
-		s.host.Send(s.packet(st.client, protocol.PortMin, 40000+sessID, rh, nil))
+		s.host.Send(s.packet(st.client, protocol.PortMin, 40000+sessID, rh))
 	}
 	// Abandon a head-of-line gap that exhausted its retransmissions.
 	for {
@@ -507,41 +566,48 @@ func (s *Server) gapCheck(sessID uint16, st *sessState) {
 	s.armGapCheck(st)
 }
 
-// applyInOrder feeds one in-order fragment to reassembly and enqueues the
-// completed query for serial per-session execution.
+// applyInOrder feeds one in-order fragment to reassembly and runs the
+// completed query — at once on an idle session, straight from the bytes it
+// came in; on a busy one it waits its turn in the run queue, holding its
+// payload in a session buffer.
 func (s *Server) applyInOrder(st *sessState, f bufferedFrag) {
-	payload, ok := reassemble(st, f.msg)
+	q, ok := st.reassemble(f)
 	if !ok {
 		return // more fragments to come
 	}
-	hdr := f.msg.Hdr
-	firstSeq := hdr.SeqNum - uint32(hdr.FragIdx)
-	st.push(query{
-		firstSeq: firstSeq,
-		lastSeq:  firstSeq + uint32(hdr.FragTotal) - 1,
-		payload:  payload,
-		from:     f.from,
-		srcPort:  f.srcPort,
-		dstPort:  f.dstPort,
-	})
-	s.runNext(st)
+	q.from, q.srcPort, q.dstPort = f.from, f.srcPort, f.dstPort
+	if st.busy {
+		if !q.owned {
+			q.payload, q.owned = st.hold(q.payload), true
+		}
+		st.push(q)
+		return
+	}
+	s.run(st, q)
 }
 
 // runNext executes queued queries one at a time per session, preserving the
 // client's order even across the multi-worker CPU.
 func (s *Server) runNext(st *sessState) {
 	for !st.busy && st.qhead < len(st.queue) {
-		q := st.pop()
-		req, err := protocol.DecodeRequestInto(q.payload, &st.args)
-		if err != nil {
-			continue // corrupt query: ignore; client will time out and resend
-		}
+		s.run(st, st.pop())
+	}
+}
+
+// run hands q to the handler and puts the session on the CPU for its cost —
+// unless q does not decode: a corrupt query is ignored, and its client will
+// time out and resend. Either way q's bytes are done with when run returns.
+func (s *Server) run(st *sessState, q query) {
+	req, err := protocol.DecodeRequestInto(q.payload, &st.args)
+	if err == nil {
 		st.busy = true
 		st.cur = q
+		st.cur.payload = nil
 		// Updates acknowledge with server-ACKs, not a response payload.
 		_, cost := s.handler.Handle(req)
 		s.host.CPU().Submit(cost, st.applyFn)
 	}
+	st.done(q)
 }
 
 // applied is the CPU completion of the session's running query.
@@ -588,6 +654,6 @@ func (s *Server) Recover() {
 	}
 	for _, dev := range s.cfg.Devices {
 		hdr := protocol.Header{Type: protocol.TypeRecoverReq, FragTotal: 1}
-		s.host.Send(s.packet(dev, protocol.PortMin, protocol.PortMin, hdr, nil))
+		s.host.Send(s.packet(dev, protocol.PortMin, protocol.PortMin, hdr))
 	}
 }

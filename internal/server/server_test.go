@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -41,11 +42,20 @@ func newSrvRig(t *testing.T, h Handler, cfg Config) *srvRig {
 	return rig
 }
 
+// sendUpdate sends one single-fragment update from the peer.
 func (rig *srvRig) sendUpdate(sess uint16, seq uint32, payload []byte) {
-	msg := protocol.Fragment(protocol.TypeUpdateReq, sess, seq, payload, 0)[0]
-	rig.peer.Send(&netsim.Packet{
-		To: 2, SrcPort: 40000 + sess, DstPort: protocol.PortMin, PMNet: true, Msg: msg,
-	})
+	rig.sendMsg(sess, protocol.Fragment(protocol.TypeUpdateReq, sess, seq, payload, 0)[0])
+}
+
+// sendMsg sends msg from the peer on a pooled packet that carries its own
+// copy of the bytes, as a client's does: the server's host frees it when the
+// receive callback returns, and the peer's next send takes it from the pool
+// and writes over them.
+func (rig *srvRig) sendMsg(sess uint16, msg protocol.Message) {
+	pkt := rig.net.AllocPacket()
+	pkt.To, pkt.SrcPort, pkt.DstPort = 2, 40000+sess, protocol.PortMin
+	pkt.SetMsg(msg.Hdr, msg.Payload)
+	rig.peer.Send(pkt)
 }
 
 func (rig *srvRig) sendBypass(sess uint16, seq uint32, payload []byte) {
@@ -55,33 +65,50 @@ func (rig *srvRig) sendBypass(sess uint16, seq uint32, payload []byte) {
 	})
 }
 
-// orderHandler records the order in which update payloads execute.
-type orderHandler struct{ order []string }
+// orderHandler records the order in which update payloads execute, and the
+// value each carried. Each update costs cost of CPU (0 = 2 µs).
+type orderHandler struct {
+	order, values []string
+	cost          sim.Time
+}
 
 func (h *orderHandler) Handle(req protocol.Request) (protocol.Response, sim.Time) {
 	if req.Op == protocol.OpPut {
 		h.order = append(h.order, string(req.Args[0]))
+		h.values = append(h.values, string(req.Args[1]))
 	}
-	return protocol.Response{Status: protocol.StatusOK}, 2 * sim.Microsecond
+	if h.cost == 0 {
+		return protocol.Response{Status: protocol.StatusOK}, 2 * sim.Microsecond
+	}
+	return protocol.Response{Status: protocol.StatusOK}, h.cost
 }
 
 func putPayload(key string) []byte {
 	return protocol.PutReq([]byte(key), []byte("v")).Encode()
 }
 
+// TestInOrderUpdatesAppliedAndAcked: updates are applied in order and each
+// is acknowledged. Each handle takes 20 µs and the peer sends every 5 µs, so
+// all but the first wait in the session's run queue while the packets they
+// came in are freed and reused by the peer's next send: each must still be
+// handled with its own bytes.
 func TestInOrderUpdatesAppliedAndAcked(t *testing.T) {
-	h := &orderHandler{}
+	h := &orderHandler{cost: 20 * sim.Microsecond}
 	rig := newSrvRig(t, h, Config{})
 	for i := 1; i <= 5; i++ {
-		rig.sendUpdate(1, uint32(i), putPayload(fmt.Sprintf("k%d", i)))
+		rig.sendUpdate(1, uint32(i), protocol.PutReq([]byte(fmt.Sprintf("k%d", i)), []byte(fmt.Sprintf("value-%d", i))).Encode())
+		rig.eng.RunUntil(rig.eng.Now() + 5*sim.Microsecond)
+	}
+	if st := rig.server.sess[1]; st == nil || len(st.queue)-st.qhead < 2 {
+		t.Fatal("setup: updates are not waiting in the session's run queue")
 	}
 	rig.eng.Run()
 	if len(h.order) != 5 {
 		t.Fatalf("applied %d", len(h.order))
 	}
 	for i, k := range h.order {
-		if k != fmt.Sprintf("k%d", i+1) {
-			t.Fatalf("order %v", h.order)
+		if k != fmt.Sprintf("k%d", i+1) || h.values[i] != fmt.Sprintf("value-%d", i+1) {
+			t.Fatalf("order %v, values %v", h.order, h.values)
 		}
 	}
 	if got := len(rig.recv[protocol.TypeServerACK]); got != 5 {
@@ -92,6 +119,10 @@ func TestInOrderUpdatesAppliedAndAcked(t *testing.T) {
 	}
 }
 
+// TestOutOfOrderUpdatesReordered: updates that arrive ahead of a gap are
+// parked in the reorder buffer and applied, with their own bytes, once the
+// gap fills — though the packets they came in were freed and reused by the
+// later sends.
 func TestOutOfOrderUpdatesReordered(t *testing.T) {
 	h := &orderHandler{}
 	rig := newSrvRig(t, h, Config{})
@@ -107,8 +138,8 @@ func TestOutOfOrderUpdatesReordered(t *testing.T) {
 		t.Fatalf("applied %d", len(h.order))
 	}
 	for i := range want {
-		if h.order[i] != want[i] {
-			t.Fatalf("order %v, want %v (Fig. 7a reordering)", h.order, want)
+		if h.order[i] != want[i] || h.values[i] != "v" {
+			t.Fatalf("order %v values %v, want %v (Fig. 7a reordering)", h.order, h.values, want)
 		}
 	}
 	if rig.server.Stats().Reordered == 0 {
@@ -254,18 +285,21 @@ func TestCrashRestartHooks(t *testing.T) {
 	}
 }
 
+// TestFragmentedQueryAppliedOnce: a PUT spread over several fragments is
+// reassembled and applied once, with every fragment's bytes in place. Each
+// fragment is delivered before the next is sent, so each comes in the pooled
+// packet the one before it was freed into.
 func TestFragmentedQueryAppliedOnce(t *testing.T) {
 	h := &orderHandler{}
 	rig := newSrvRig(t, h, Config{})
-	payload := protocol.PutReq([]byte("big"), make([]byte, 3000)).Encode()
+	value := bytes.Repeat([]byte("0123456789"), 300)
+	payload := protocol.PutReq([]byte("big"), value).Encode()
 	msgs := protocol.Fragment(protocol.TypeUpdateReq, 1, 1, payload, 1000)
 	for _, m := range msgs {
-		rig.peer.Send(&netsim.Packet{
-			To: 2, SrcPort: 40001, DstPort: protocol.PortMin, PMNet: true, Msg: m,
-		})
+		rig.sendMsg(1, m)
+		rig.eng.Run()
 	}
-	rig.eng.Run()
-	if len(h.order) != 1 || h.order[0] != "big" {
+	if len(h.order) != 1 || h.order[0] != "big" || h.values[0] != string(value) {
 		t.Fatalf("fragmented query applied %v", h.order)
 	}
 	// One server-ACK per fragment so every PMNet log entry is reclaimed.

@@ -3,7 +3,7 @@ package workload
 // Allocation pin for the closed-loop driver's step, and the lock-retry edge
 // case of keeping one current op. The driver refills one Op in place from
 // *YCSB and completes through callbacks bound once in Run, so a step costs
-// only what the client costs: the encoded payload.
+// only what the client costs: nothing.
 
 import (
 	"testing"
@@ -64,7 +64,7 @@ func newDriverRig(gen Generator) (*sim.Engine, *Driver, *farNode) {
 }
 
 // TestDriverStepAllocs pins one closed-loop step on *YCSB — draw, issue,
-// PMNet-ACK, completion, next draw — to the client's one allocation.
+// PMNet-ACK, completion, next draw — to zero allocations.
 func TestDriverStepAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("AllocsPerRun is unreliable under the race detector")
@@ -83,8 +83,8 @@ func TestDriverStepAllocs(t *testing.T) {
 	for i := 0; i < warm; i++ {
 		step()
 	}
-	if got := testing.AllocsPerRun(runs, step); got != 1 {
-		t.Errorf("driver step allocated %.1f objects, want 1 (the payload)", got)
+	if got := testing.AllocsPerRun(runs, step); got != 0 {
+		t.Errorf("driver step allocated %.1f objects, want 0", got)
 	}
 	if st := d.Stats(); st.Updates < warm+runs || st.Failed != 0 {
 		t.Fatalf("loop not exercised: %+v", st)

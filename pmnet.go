@@ -54,10 +54,12 @@ type Status = protocol.Status
 type Result = client.Result
 
 // Handler executes application requests on the server, returning the
-// response and the modelled CPU cost. The request's Args array is the
-// server library's scratch, valid only during Handle — do not keep req.Args
-// or return it as the response's Args; the byte slices it holds are payload
-// and may be kept or returned. The response is the handler's own scratch in
+// response and the modelled CPU cost. The request is the server library's,
+// valid only during Handle: its Args array is scratch and its bytes are the
+// packet's or a session buffer the library recycles — do not keep req.Args,
+// and copy any of its bytes kept past the call; returning them in the
+// response is fine, since the library encodes it at once. The response is the
+// handler's own scratch in
 // turn, the Args array and the bytes it points at alike — handler buffers, or
 // a value read in place from the store's PM arena: the library encodes it
 // before returning to the event loop, so a handler may build every response

@@ -375,9 +375,24 @@ func TestBypassStackFaster(t *testing.T) {
 	}
 }
 
+// TestMultipleClientsIndependentSessions: eight clients' update streams are
+// each applied in order, with their own bytes. The handler is slower than a
+// PMNet round trip, so a client completes on its PMNet-ACK and sends its next
+// update — new bytes encoded into its recycled request buffer, in a pooled
+// packet — while its earlier ones still wait in the server session's run
+// queue, the packets they came in long reused.
 func TestMultipleClientsIndependentSessions(t *testing.T) {
 	tb := NewTestbed(Config{Design: PMNetSwitch, Clients: 8, Seed: 13})
-	total := 0
+	handled := make([][]string, 8)
+	tb.Server.SetHandler(HandlerFunc(func(req Request) (Response, Time) {
+		if req.Op == protocol.OpPut {
+			var c, k int
+			fmt.Sscanf(string(req.Args[0]), "c%dk%d", &c, &k)
+			handled[c] = append(handled[c], string(req.Args[0])+"="+string(req.Args[1]))
+		}
+		return Response{Status: StatusOK}, 40 * Microsecond
+	}))
+	total, waiting := 0, 0
 	for i := 0; i < 8; i++ {
 		i := i
 		var issue func(k int)
@@ -385,9 +400,13 @@ func TestMultipleClientsIndependentSessions(t *testing.T) {
 			if k >= 20 {
 				return
 			}
-			tb.Session(i).SendUpdate(PutReq([]byte(fmt.Sprintf("c%dk%d", i, k)), []byte("v")), func(r Result) {
+			key, val := fmt.Sprintf("c%dk%d", i, k), fmt.Sprintf("value %d of client %d", k, i)
+			tb.Session(i).SendUpdate(PutReq([]byte(key), []byte(val)), func(r Result) {
 				if r.Err == nil {
 					total++
+				}
+				if total == 160 {
+					waiting = 160 - int(tb.Server.Stats().UpdatesApplied)
 				}
 				issue(k + 1)
 			})
@@ -400,6 +419,19 @@ func TestMultipleClientsIndependentSessions(t *testing.T) {
 	}
 	if tb.Server.Stats().UpdatesApplied != 160 {
 		t.Fatalf("server applied %d", tb.Server.Stats().UpdatesApplied)
+	}
+	if waiting < 8 {
+		t.Fatalf("%d updates still unapplied when the last client completed: the run queues never filled", waiting)
+	}
+	for i, got := range handled {
+		if len(got) != 20 {
+			t.Fatalf("client %d: %d updates handled, want 20", i, len(got))
+		}
+		for k, kv := range got {
+			if want := fmt.Sprintf("c%dk%d=value %d of client %d", i, k, k, i); kv != want {
+				t.Fatalf("client %d update %d handled as %q, want %q", i, k, kv, want)
+			}
+		}
 	}
 }
 
